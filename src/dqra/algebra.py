@@ -64,6 +64,12 @@ class ValidationReport:
         return "\n".join(str(c) for c in self.checks)
 
 
+def _row_masks(rows: np.ndarray) -> list[int]:
+    """Bitmask per row of a boolean matrix: bit p is set when row[p]."""
+    packed = np.packbits(rows, axis=-1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -143,23 +149,11 @@ class FiniteDqRA:
     @cached_property
     def _below_masks(self) -> tuple[int, ...]:
         """Bitmask per element of everything at or below it."""
-        masks = []
-        for a in range(self.size):
-            m = 0
-            for x in np.flatnonzero(self.leq[:, a]):
-                m |= 1 << int(x)
-            masks.append(m)
-        return tuple(masks)
+        return tuple(_row_masks(self.leq.T))
 
     @cached_property
     def _above_masks(self) -> tuple[int, ...]:
-        masks = []
-        for a in range(self.size):
-            m = 0
-            for x in np.flatnonzero(self.leq[a, :]):
-                m |= 1 << int(x)
-            masks.append(m)
-        return tuple(masks)
+        return tuple(_row_masks(self.leq))
 
     @cached_property
     def meet_table(self) -> np.ndarray:
@@ -228,25 +222,20 @@ class FiniteDqRA:
         included explicitly), which is what drives table extension and
         embedding search.
         """
-        n = self.size
         jt = self.join_table
-        gens = []
-        for a in range(n):
-            reducible = any(
-                jt[b, c] == a
-                for b in range(n)
-                for c in range(n)
-                if b != a and c != a and jt[b, c] >= 0
-            )
-            if not reducible or a == self.bottom:
-                gens.append(a)
-        return tuple(gens)
+        idx = np.arange(self.size)
+        proper = (jt >= 0) & (jt != idx[:, None]) & (jt != idx[None, :])
+        reducible = np.zeros(self.size, dtype=bool)
+        reducible[jt[proper]] = True
+        if self.bottom is not None:
+            reducible[self.bottom] = False
+        return tuple(int(a) for a in np.flatnonzero(~reducible))
 
     def table_key(self) -> bytes:
         """Canonical bytes identifying the tables (labels excluded)."""
         return b"|".join(
             [
-                bytes([self.size, self.unit]),
+                np.array([self.size, self.unit], dtype="<i8").tobytes(),
                 np.packbits(self.leq).tobytes(),
                 self.mult.tobytes(),
                 self.tilde.tobytes(),
@@ -317,8 +306,8 @@ def validate_dqra(A: FiniteDqRA) -> ValidationReport:
     # distributivity: a /\ (b \/ c) == (a /\ b) \/ (a /\ c)
     dist_w = None
     for a in range(n):
-        lhs = mt[a, jt]                     # [b, c]
-        rhs = jt[mt[a][:, None], mt[a][None, :]]
+        lhs = mt[a].take(jt)                # [b, c]
+        rhs = jt.take(mt[a], 0).take(mt[a], 1)
         bad = lhs != rhs
         if bad.any():
             dist_w = _first_bad(bad, (a,))
@@ -331,7 +320,7 @@ def validate_dqra(A: FiniteDqRA) -> ValidationReport:
         None if not unit_bad.any() else _first_bad(unit_bad))
     assoc_w = None
     for a in range(n):
-        bad = M[M[a], :] != M[a, M]         # [b, c]
+        bad = M.take(M[a], 0) != M[a].take(M)   # [b, c]
         if bad.any():
             assoc_w = _first_bad(bad, (a,))
             break
@@ -339,16 +328,17 @@ def validate_dqra(A: FiniteDqRA) -> ValidationReport:
 
     # residuation equivalences: a.b <= c iff a <= -(b.~c) iff b <= ~(-c.a)
     mid_target = mns[M[:, til]]             # [b, c] -> -(b.~c)
-    right_src = til[M[mns, :]]              # [c, a] -> ~(-c.a)
+    right_src_t = til[M[mns, :]].T.copy()   # [a, c] -> ~(-c.a)
+    LT = L.T.copy()
     res1_w = res2_w = None
     for a in range(n):
-        lhs = L[M[a]]                           # [b, c]: a.b <= c
-        mid = L[a, mid_target]                  # [b, c]
+        lhs = L.take(M[a], 0)                   # [b, c]: a.b <= c
+        mid = L[a].take(mid_target)             # [b, c]
         if res1_w is None:
             bad = lhs != mid
             if bad.any():
                 res1_w = _first_bad(bad, (a,))
-        rgt = L[:, right_src[:, a]]             # [b, c]: b <= ~(-c.a)
+        rgt = LT.take(right_src_t[a], 0).T      # [b, c]: b <= ~(-c.a)
         if res2_w is None:
             bad = lhs != rgt
             if bad.any():

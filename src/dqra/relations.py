@@ -18,7 +18,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .algebra import FiniteDqRA, LawCheck, ValidationReport, _freeze
+from .algebra import (FiniteDqRA, LawCheck, LawViolationError,
+                      ValidationReport, _freeze, _row_masks)
 
 
 class CarrierMismatchError(ValueError):
@@ -245,48 +246,34 @@ class RelStructure:
     # --- upset enumeration -------------------------------------------------
 
     def count_upsets(self, cap: int = 1 << 20) -> int:
-        """Number of upsets of the pair poset, via recursive splitting on a
-        maximal pair with memoisation on the remaining-pair mask."""
-        prec = self._pair_precedes
-        k = len(self.pair_list)
-        below = [0] * k
-        for q in range(k):
-            m = 0
-            for p in range(k):
-                if p != q and prec[p, q]:
-                    m |= 1 << p
-            below[q] = m
-        strictly_above = [0] * k
-        for p in range(k):
-            m = 0
-            for q in range(k):
-                if q != p and prec[p, q]:
-                    m |= 1 << q
-            strictly_above[p] = m
-        memo: dict[int, int] = {}
-
-        def count(mask: int) -> int:
-            if mask == 0:
-                return 1
-            got = memo.get(mask)
-            if got is not None:
-                return got
-            # pick a maximal remaining pair
-            x = -1
+        """Number of upsets of the pair poset, by splitting on a maximal
+        remaining pair (in or out) with memoisation on the remaining-pair
+        mask.  Iterative, so the pair count sets no recursion limit."""
+        strict = self._pair_precedes & ~np.eye(len(self.pair_list), dtype=bool)
+        below = _row_masks(strict.T)
+        strictly_above = _row_masks(strict)
+        memo: dict[int, int] = {0: 1}
+        full = (1 << len(self.pair_list)) - 1
+        stack = [full]
+        while stack:
+            mask = stack.pop()
+            if mask in memo:
+                continue
+            # split on the lowest-numbered maximal remaining pair
             m = mask
-            while m:
-                p = (m & -m).bit_length() - 1
-                if strictly_above[p] & mask == 0:
-                    x = p
-                    break
+            while m and strictly_above[(m & -m).bit_length() - 1] & mask:
                 m &= m - 1
-            assert x >= 0
+            if not m:
+                raise LawViolationError(
+                    "pair order has no maximal pair; leq is not a partial order")
+            x = (m & -m).bit_length() - 1
             rest = mask & ~(1 << x)
-            r = count(rest) + count(rest & ~below[x])
-            memo[mask] = r
-            return r
-
-        total = count((1 << k) - 1)
+            keep = rest & ~below[x]
+            if rest in memo and keep in memo:
+                memo[mask] = memo[rest] + memo[keep]
+            else:
+                stack += (mask, keep, rest)
+        total = memo[full]
         if total > cap:
             raise CapExceededError(
                 f"{total} upsets exceed cap {cap}", count=total)
@@ -394,20 +381,25 @@ def validate_structure(S: RelStructure) -> ValidationReport:
 # --- the three negations and the residuals ----------------------------------
 
 
+def _checked_upset(S: RelStructure, out: BinRel) -> BinRel:
+    """A negation's result, which on a valid structure is always an upset."""
+    if not S.is_upset(out):
+        raise LawViolationError("negation left the upsets; invalid structure")
+    return out
+
+
 def lneg_tilde(S: RelStructure, R: BinRel) -> BinRel:
     """~R = converse-of-complement composed with alpha."""
     S.check_upset(R)
     out = R.complement_in(S.E).converse().compose(S.alpha_rel)
-    assert S.is_upset(out)
-    return out
+    return _checked_upset(S, out)
 
 
 def lneg_minus(S: RelStructure, R: BinRel) -> BinRel:
     """-R = alpha composed with converse-of-complement."""
     S.check_upset(R)
     out = S.alpha_rel.compose(R.complement_in(S.E).converse())
-    assert S.is_upset(out)
-    return out
+    return _checked_upset(S, out)
 
 
 def neg(S: RelStructure, R: BinRel) -> BinRel:
@@ -416,8 +408,7 @@ def neg(S: RelStructure, R: BinRel) -> BinRel:
     out = (S.alpha_rel.compose(S.beta_rel)
            .compose(R.complement_in(S.E))
            .compose(S.beta_rel))
-    assert S.is_upset(out)
-    return out
+    return _checked_upset(S, out)
 
 
 def rel_residuals(S: RelStructure, R: BinRel, T: BinRel) -> tuple[BinRel, BinRel]:
@@ -467,39 +458,51 @@ def algebra_from_upsets(S: RelStructure, rels: Sequence[BinRel],
     """Operation tables for a family of upsets that is closed under the six
     operations, ordered by inclusion with the order relation as unit.
 
-    Tables are built with stacked matrix kernels; full algebras can reach a
-    few hundred elements and per-pair python calls would dominate otherwise.
+    Every result matrix of a table is computed for all cells at once with
+    stacked matrix kernels and mapped to its family index by one keyed
+    lookup: each n x n matrix is packed row-major into a fixed-width byte
+    key, the family's keys are sorted once, and all results are found with
+    a binary search.  A relation listed twice maps to its last occurrence.
+    Raises ValueError when some result is not in the family, that is, when
+    the family is not closed under the operations.
     """
     rels = list(rels)
     if S.leq not in rels:
         raise ValueError("the family must contain the order relation")
     m = len(rels)
     n = S.n
-    stack = np.stack([r.mat for r in rels]).astype(np.uint8)  # (m, n, n)
-    keys = {BinRel(n, stack[i] > 0).key(): i for i in range(m)}
+    stack = np.stack([r.mat for r in rels])                # (m, n, n) bool
+
+    def packed(mats: np.ndarray) -> np.ndarray:
+        """(..., n, n) boolean stack -> (..., ceil(n*n/8)) packed rows."""
+        flat = mats.reshape(mats.shape[:-2] + (n * n,))
+        return np.packbits(flat, axis=-1)
+
+    family = packed(stack)
+    width = family.shape[-1]
+    order = np.argsort(family.view(f"V{width}")[:, 0], kind="stable")
+    sorted_keys = np.ascontiguousarray(family[order])
+    sorted_void = sorted_keys.view(f"V{width}")[:, 0]
 
     def index_of(mats: np.ndarray) -> np.ndarray:
         """Map a (..., n, n) stack of boolean matrices to family indices."""
-        flatshape = mats.shape[:-2]
-        flat = mats.reshape(-1, n, n)
-        out = np.empty(flat.shape[0], dtype=np.int64)
-        for k in range(flat.shape[0]):
-            key = np.packbits(flat[k] > 0).tobytes()
-            got = keys.get(key)
-            if got is None:
-                raise ValueError("family is not closed under the operations")
-            out[k] = got
-        return out.reshape(flatshape)
+        query = np.ascontiguousarray(packed(mats).reshape(-1, width))
+        pos = np.searchsorted(sorted_void, query.view(f"V{width}")[:, 0],
+                              side="right") - 1
+        hit = (pos >= 0) & (sorted_keys[pos] == query).all(axis=-1)
+        if not hit.all():
+            raise ValueError("family is not closed under the operations")
+        return order[pos].reshape(mats.shape[:-2])
 
-    bits = stack.reshape(m, n * n).astype(bool)
+    bits = stack.reshape(m, n * n)
     leq = ~np.any(bits[:, None, :] & ~bits[None, :, :], axis=-1)
-    comp = (stack[:, None] @ stack[None, :]) > 0           # (m, m, n, n)
-    mult = index_of(comp)
+    st8 = stack.astype(np.uint8)
+    mult = index_of((st8[:, None] @ st8[None, :]) > 0)     # (m, m, n, n)
 
     a = np.array(S.alpha)
     ainv = np.array(S.alpha_inv)
     b = np.array(S.beta)
-    compl = S.E.mat[None, :, :] & ~(stack > 0)             # complements in E
+    compl = S.E.mat[None, :, :] & ~stack                   # complements in E
     conv = compl.transpose(0, 2, 1)
     til = index_of(conv[:, :, ainv])                       # R^{c~};alpha
     mns = index_of(conv[:, a, :])                          # alpha;R^{c~}

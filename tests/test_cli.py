@@ -87,6 +87,20 @@ def test_build_dq_cap_exceeded(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_build_dq_cap_checked_on_a_wide_pair_poset(tmp_path, capsys):
+    # 32-point antichain with full E: 1024 incomparable pairs, 2^1024 upsets
+    n = 32
+    rows = ["".join("1" if i == j else "0" for j in range(n)) for i in range(n)]
+    ident = " ".join(map(str, range(n)))
+    struct = tmp_path / "wide.struct"
+    struct.write_text("\n".join([f"struct wide {n}", "leq", *rows, "E",
+                                 *["1" * n] * n, f"alpha {ident}",
+                                 f"beta {ident}"]) + "\n")
+    assert main(["build-dq", str(struct), "--cap", "4096"]) == 4
+    err = capsys.readouterr().err
+    assert "cap exceeded" in err and "Traceback" not in err
+
+
 def test_closure_command(tmp_path):
     gens = tmp_path / "gens.assign"
     gens.write_text("assign gens\nra: {(w,w),(x,x),(y,y),(z,z),"

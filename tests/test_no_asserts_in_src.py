@@ -1,0 +1,16 @@
+"""Library checks must raise, not assert: `python -O` strips assert statements."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "dqra"
+
+
+def test_no_assert_statements_in_library():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = [f"{path.name}:{node.lineno}"
+             for path in files
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -7,10 +7,12 @@ from dqra import (
     BinRel,
     CapExceededError,
     CarrierMismatchError,
+    LawViolationError,
     NotAnUpsetError,
     RelStructure,
     algebras_isomorphic,
     dq_closure,
+    enumerate_structures,
     full_dq,
     full_dq_family,
     lneg_minus,
@@ -274,6 +276,43 @@ def test_antichain_upset_count_is_two_to_sixteen(example_structure):
     assert example_structure.count_upsets(1 << 20) == 65536
     with pytest.raises(CapExceededError):
         example_structure.count_upsets(1 << 10)
+
+
+def test_negations_reject_results_outside_the_upsets():
+    # alpha swaps the points of a chain, so it is no order automorphism
+    leq = BinRel.from_pairs(2, [(0, 0), (1, 1), (0, 1)])
+    S = RelStructure(2, leq, BinRel.full(2), (1, 0), (0, 1))
+    assert not validate_structure(S).ok
+    for op in (lneg_tilde, lneg_minus, neg):
+        with pytest.raises(LawViolationError):
+            op(S, leq)
+
+
+def test_count_upsets_matches_brute_force():
+    # every subset of E tested with is_upset, over every structure with n <= 3
+    for n in (1, 2, 3):
+        for S in enumerate_structures(n):
+            pairs = S.E.pairs()
+            brute = sum(
+                S.is_upset(BinRel.from_pairs(n, [p for i, p in enumerate(pairs)
+                                                 if mask >> i & 1]))
+                for mask in range(1 << len(pairs)))
+            assert S.count_upsets() == brute
+
+
+def test_count_upsets_has_no_recursion_limit():
+    n = 32
+    S = RelStructure(n, BinRel.identity(n), BinRel.full(n),
+                     tuple(range(n)), tuple(range(n)))
+    with pytest.raises(CapExceededError) as exc:
+        S.count_upsets(1 << 20)
+    assert exc.value.count == 1 << (n * n)
+
+
+def test_count_upsets_rejects_a_preorder():
+    S = RelStructure(2, BinRel.full(2), BinRel.full(2), (0, 1), (0, 1))
+    with pytest.raises(LawViolationError):
+        S.count_upsets()
 
 
 def test_random_closures_are_subalgebras():

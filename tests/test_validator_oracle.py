@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dqra import BinRel, FiniteDqRA, RelStructure, full_dq, validate_dqra
-from dqra.relations import sample_structures
+from dqra.relations import enumerate_structures, sample_structures
 
 from conftest import ALL_NAMES
 
@@ -114,3 +114,62 @@ def test_mutant_verdicts_agree(six):
             ngn[rng.integers(0, 6)] = rng.integers(0, 6)
         mutant = FiniteDqRA(6, six.leq, mult, til, six.minus, ngn, six.unit)
         compare(mutant)
+
+
+def naive_witnesses(A: FiniteDqRA) -> dict[str, object]:
+    """First row-major (a, b, c) violating each three-variable law, or None.
+    Meets and joins come from the algebra's tables, which
+    test_meet_join_tables_agree_with_order checks against the order."""
+    n = A.size
+    L = A.leq.tolist()
+    M = A.mult.tolist()
+    til, mns = A.tilde.tolist(), A.minus.tolist()
+    mt, jt = A.meet_table.tolist(), A.join_table.tolist()
+    rng = range(n)
+
+    def first(bad):
+        return next(((a, b, c) for a in rng for b in rng for c in rng
+                     if bad(a, b, c)), None)
+
+    return {
+        "lattice-distributive": first(
+            lambda a, b, c: mt[a][jt[b][c]] != jt[mt[a][b]][mt[a][c]]),
+        "monoid-associative": first(
+            lambda a, b, c: M[M[a][b]][c] != M[a][M[b][c]]),
+        "residuation-left": first(
+            lambda a, b, c: L[M[a][b]][c] != L[a][mns[M[b][til[c]]]]),
+        "residuation-right": first(
+            lambda a, b, c: L[M[a][b]][c] != L[b][til[M[mns[c]][a]]]),
+    }
+
+
+def test_mutant_witnesses_agree_on_a_large_algebra():
+    S = next(S for S in enumerate_structures(4) if S.count_upsets() == 70)
+    A = full_dq(S)
+    mutants = []
+    # the four single-cell order mutants of this algebra that stay lattices
+    for a, b in [(5, 8), (7, 12), (58, 63), (62, 65)]:
+        leq = A.leq.copy()
+        leq[a, b] = False
+        mutants.append(FiniteDqRA(70, leq, A.mult, A.tilde, A.minus,
+                                  A.negn, A.unit))
+    rng = np.random.default_rng(5150)
+    for k in range(9):
+        mult, til, mns = A.mult.copy(), A.tilde.copy(), A.minus.copy()
+        x, y, v = (int(i) for i in rng.integers(0, 70, size=3))
+        if k % 3 == 0:
+            mult[x, y] = v
+        elif k % 3 == 1:
+            til[x] = v
+        else:
+            mns[x] = v
+        mutants.append(FiniteDqRA(70, A.leq, mult, til, mns, A.negn, A.unit))
+    failed = set()
+    for B in mutants:
+        report = validate_dqra(B)
+        for law, witness in naive_witnesses(B).items():
+            assert report[law].witness == witness, law
+            if witness is not None:
+                failed.add(law)
+    assert failed == {"lattice-distributive", "monoid-associative",
+                      "residuation-left", "residuation-right"}
