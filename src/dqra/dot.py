@@ -43,7 +43,7 @@ def structure_dot(name: str, S: RelStructure) -> str:
     for x in range(S.n):
         if x in seen:
             continue
-        block = [y for y in range(S.n) if S.E.mat[x, y]]
+        block = [y for y in range(S.n) if (x, y) in S.E]
         seen.update(block)
         blocks.append(block)
     for k, block in enumerate(blocks):

@@ -10,6 +10,7 @@ tables.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,70 +39,112 @@ class CapExceededError(RuntimeError):
         self.count = count
 
 
-@dataclass(frozen=True, eq=False)
 class BinRel:
-    """A binary relation over {0..n-1}, stored as a dense boolean matrix."""
+    """A binary relation over {0..n-1}, stored as an int of n*n bits.
 
+    Cell (i, j) is bit n*n-1-(i*n+j): row-major with (0, 0) as the most
+    significant bit, so integer order is the order of the `key()` bytes.
+    Values are immutable; `mat` is a read-only boolean matrix built on
+    demand.
+    """
+
+    __slots__ = ("n", "bits")
     n: int
-    mat: np.ndarray
+    bits: int
 
-    def __post_init__(self) -> None:
-        m = np.asarray(self.mat, dtype=bool)
-        if m.shape != (self.n, self.n):
-            raise CarrierMismatchError(f"matrix must be {self.n}x{self.n}")
-        object.__setattr__(self, "mat", _freeze(m))
+    def __init__(self, n: int, bits: int) -> None:
+        n, bits = operator.index(n), operator.index(bits)
+        if n < 0:
+            raise CarrierMismatchError("carrier size must be non-negative")
+        if bits < 0 or bits >> (n * n):
+            raise CarrierMismatchError(
+                f"relation bits do not fit {n} points")
+        _set_n(self, n)
+        _set_bits(self, bits)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("BinRel is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("BinRel is immutable")
+
+    def __reduce__(self):
+        return (BinRel, (self.n, self.bits))
 
     # constructors
 
     @classmethod
+    def from_matrix(cls, n: int, mat) -> "BinRel":
+        """The relation of an n x n boolean matrix."""
+        m = np.asarray(mat, dtype=bool)
+        if m.shape != (n, n):
+            raise CarrierMismatchError(f"matrix must be {n}x{n}")
+        pad = -n * n % 8
+        return _rel(n, int.from_bytes(np.packbits(m).tobytes(), "big") >> pad)
+
+    @classmethod
     def empty(cls, n: int) -> "BinRel":
-        return cls(n, np.zeros((n, n), dtype=bool))
+        return cls(n, 0)
 
     @classmethod
     def identity(cls, n: int) -> "BinRel":
-        return cls(n, np.eye(n, dtype=bool))
+        return cls.from_pairs(n, ((x, x) for x in range(n)))
 
     @classmethod
     def full(cls, n: int) -> "BinRel":
-        return cls(n, np.ones((n, n), dtype=bool))
+        return cls(n, (1 << n * n) - 1)
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "BinRel":
-        m = np.zeros((n, n), dtype=bool)
+        bits = 0
         for x, y in pairs:
-            m[x, y] = True
-        return cls(n, m)
+            bits |= _cell(n, x, y)
+        return cls(n, bits)
 
     @classmethod
     def from_function(cls, fn: Sequence[int]) -> "BinRel":
         """The graph {(x, fn(x))} of a function on {0..n-1}."""
-        n = len(fn)
-        m = np.zeros((n, n), dtype=bool)
-        m[np.arange(n), np.asarray(fn)] = True
-        return cls(n, m)
+        return cls.from_pairs(len(fn), enumerate(fn))
+
+    # views
+
+    @property
+    def mat(self) -> np.ndarray:
+        """Read-only n x n boolean matrix of the relation."""
+        n = self.n
+        packed = np.frombuffer(self.key(), dtype=np.uint8)
+        return _freeze(np.unpackbits(packed, count=n * n)
+                       .view(bool).reshape(n, n))
+
+    def key(self) -> bytes:
+        """The matrix packed row-major into bytes, zero-padded at the end."""
+        pad = -self.n * self.n % 8
+        return (self.bits << pad).to_bytes((self.n * self.n + pad) // 8, "big")
 
     # set-like behaviour
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((int(x), int(y)) for x, y in np.argwhere(self.mat))
+        n, bits, top = self.n, self.bits, self.n * self.n - 1
+        return tuple(divmod(p, n) for p in range(n * n) if bits >> (top - p) & 1)
 
     def __len__(self) -> int:
-        return int(self.mat.sum())
+        return self.bits.bit_count()
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        return bool(self.mat[pair])
+        x, y = pair
+        return bool(self.bits & _cell(self.n, x, y))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BinRel):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.mat, other.mat)
+        return self.bits == other.bits and self.n == other.n
 
     def __hash__(self) -> int:
-        return hash((self.n, self.mat.tobytes()))
+        return hash((self.n, self.bits))
 
     def __le__(self, other: "BinRel") -> bool:
         self._check(other)
-        return bool((~self.mat | other.mat).all())
+        return not self.bits & ~other.bits
 
     def __lt__(self, other: "BinRel") -> bool:
         return self <= other and self != other
@@ -115,32 +158,114 @@ class BinRel:
 
     def compose(self, other: "BinRel") -> "BinRel":
         self._check(other)
-        prod = self.mat.astype(np.uint8) @ other.mat.astype(np.uint8)
-        return BinRel(self.n, prod > 0)
+        return _rel(self.n, _compose(self.n, self.bits, other.bits))
 
     def converse(self) -> "BinRel":
-        return BinRel(self.n, self.mat.T)
+        return _rel(self.n, _converse(self.n, self.bits))
 
     def union(self, other: "BinRel") -> "BinRel":
         self._check(other)
-        return BinRel(self.n, self.mat | other.mat)
+        return _rel(self.n, self.bits | other.bits)
 
     def intersection(self, other: "BinRel") -> "BinRel":
         self._check(other)
-        return BinRel(self.n, self.mat & other.mat)
+        return _rel(self.n, self.bits & other.bits)
 
     def complement_in(self, E: "BinRel") -> "BinRel":
         """Complement relative to E; requires self to lie within E."""
         self._check(E)
-        if not self <= E:
-            raise CarrierMismatchError("complement_in requires a subrelation of E")
-        return BinRel(self.n, E.mat & ~self.mat)
-
-    def key(self) -> bytes:
-        return np.packbits(self.mat).tobytes()
+        return _rel(self.n, _complement(self.bits, E.bits))
 
     def __repr__(self) -> str:
         return f"BinRel({self.n}, {{{', '.join(map(str, self.pairs()))}}})"
+
+
+_set_n = BinRel.n.__set__            # type: ignore[attr-defined]
+_set_bits = BinRel.bits.__set__      # type: ignore[attr-defined]
+_new = object.__new__
+
+
+def _rel(n: int, bits: int) -> BinRel:
+    """A BinRel from bits already known to fit n points (no checks)."""
+    r = _new(BinRel)
+    _set_n(r, n)
+    _set_bits(r, bits)
+    return r
+
+
+# --- the kernel on relation bits ---------------------------------------------
+
+
+def _cell(n: int, x: int, y: int) -> int:
+    """The bit of cell (x, y); points outside 0..n-1 are rejected."""
+    x, y = operator.index(x), operator.index(y)
+    if not (0 <= x < n and 0 <= y < n):
+        raise CarrierMismatchError(f"point ({x}, {y}) is outside 0..{n - 1}")
+    return 1 << (n * n - 1 - (x * n + y))
+
+
+_LOW_COLUMN: dict[int, int] = {}
+
+
+def _compose(n: int, a: int, b: int) -> int:
+    """Bits of a;b.  The k-th row of b from the bottom (row n-1-k) is ORed
+    into each row of the result whose cell in column n-1-k of a is set: the
+    shifted column of a has one bit at the foot of each selected row, and
+    multiplying it by the row copies the row there without carries."""
+    low = _LOW_COLUMN.get(n)
+    if low is None:
+        low = _LOW_COLUMN[n] = sum(1 << (n * i) for i in range(n))
+    row = (1 << n) - 1
+    out = 0
+    for k in range(n):
+        out |= ((a >> k) & low) * (b & row)
+        b >>= n
+    return out
+
+
+def _complement(r: int, e: int) -> int:
+    """Bits of E - R; R must lie within E."""
+    if r & ~e:
+        raise CarrierMismatchError("complement_in requires a subrelation of E")
+    return e & ~r
+
+
+class _OrMap:
+    """A map on relation bits that preserves unions, given by the image of
+    each single bit (bit p counted from the least significant) and applied
+    four bits at a time through 16-entry tables (small, since every
+    structure keeps one)."""
+
+    __slots__ = ("tables",)
+
+    def __init__(self, images: Sequence[int]) -> None:
+        self.tables = []
+        for c in range(0, len(images), 4):
+            table = [0]
+            for image in images[c:c + 4]:
+                table += [t | image for t in table]
+            self.tables.append(table)
+
+    def __call__(self, bits: int) -> int:
+        out = 0
+        for table in self.tables:
+            out |= table[bits & 15]
+            bits >>= 4
+        return out
+
+
+_CONVERSE: dict[int, _OrMap] = {}
+
+
+def _converse(n: int, a: int) -> int:
+    """Bits of the converse: bit p = n*n-1-(i*n+j) moves to the bit of (j, i)."""
+    f = _CONVERSE.get(n)
+    if f is None:
+        top = n * n - 1
+        f = _CONVERSE[n] = _OrMap([
+            1 << (top - (q % n * n + q // n))
+            for q in (top - p for p in range(n * n))])
+    return f(a)
 
 
 def _is_permutation(fn: Sequence[int], n: int) -> bool:
@@ -233,8 +358,14 @@ class RelStructure:
         upward closure of R is (leq ; R ; leq) restricted to E."""
         if not R <= self.E:
             return False
-        up = self.leq.compose(R).compose(self.leq).intersection(self.E)
-        return up == R
+        return self._up_map(R.bits) == R.bits
+
+    @cached_property
+    def _up_map(self) -> _OrMap:
+        """The upward closure X -> (leq ; X ; leq) restricted to E, on bits."""
+        n, leq, e = self.n, self.leq.bits, self.E.bits
+        return _OrMap([_compose(n, _compose(n, leq, 1 << p), leq) & e
+                       for p in range(n * n)])
 
     def check_upset(self, R: BinRel, what: str = "relation") -> BinRel:
         if R.n != self.n:
@@ -282,7 +413,14 @@ class RelStructure:
     def enumerate_upsets(self, cap: int = 1 << 20) -> list[BinRel]:
         """All upsets of the pair poset.  Counts first and refuses to start
         if the total exceeds the cap."""
+        return [_rel(self.n, bits) for bits in self._upset_bits(cap)]
+
+    def _upset_bits(self, cap: int) -> list[int]:
+        """The relation bits of every upset, in enumeration order: depth
+        first, splitting on a maximal remaining pair, upsets containing it
+        first.  Iterative, so the pair count sets no recursion limit."""
         self.count_upsets(cap)
+        n = self.n
         pairs = self.pair_list
         k = len(pairs)
         prec = self._pair_precedes
@@ -290,26 +428,20 @@ class RelStructure:
                  for q in range(k)]
         strictly_above = [frozenset(q for q in range(k) if q != p and prec[p, q])
                           for p in range(k)]
+        bit = [_cell(n, x, y) for x, y in pairs]
 
-        results: list[int] = []
-
-        def emit(mask_members: int, remaining: frozenset[int]) -> None:
+        out: list[int] = []
+        stack = [(0, frozenset(range(k)))]
+        while stack:
+            members, remaining = stack.pop()
             if not remaining:
-                results.append(mask_members)
-                return
-            x = next(p for p in remaining if not (strictly_above[p] & remaining))
+                out.append(members)
+                continue
+            x = next(p for p in remaining
+                     if strictly_above[p].isdisjoint(remaining))
             rest = remaining - {x}
-            emit(mask_members | (1 << x), rest)
-            emit(mask_members, rest - below[x])
-
-        emit(0, frozenset(range(k)))
-        out = []
-        for mask in results:
-            m = np.zeros((self.n, self.n), dtype=bool)
-            for p in range(k):
-                if mask >> p & 1:
-                    m[pairs[p]] = True
-            out.append(BinRel(self.n, m))
+            stack.append((members, rest - below[x]))
+            stack.append((members | bit[x], rest))
         return out
 
 
@@ -388,36 +520,54 @@ def _checked_upset(S: RelStructure, out: BinRel) -> BinRel:
     return out
 
 
+def _tilde_bits(S: RelStructure, r: int) -> int:
+    """~R = converse-of-complement composed with alpha, on the bits of an
+    upset R, unchecked."""
+    n = S.n
+    return _compose(n, _converse(n, S.E.bits & ~r), S.alpha_rel.bits)
+
+
+def _minus_bits(S: RelStructure, r: int) -> int:
+    """-R = alpha composed with converse-of-complement, unchecked."""
+    n = S.n
+    return _compose(n, S.alpha_rel.bits, _converse(n, S.E.bits & ~r))
+
+
+def _neg_bits(S: RelStructure, r: int) -> int:
+    """The third negation alpha;beta;R^c;beta, unchecked."""
+    n = S.n
+    ab = _compose(n, S.alpha_rel.bits, S.beta_rel.bits)
+    return _compose(n, _compose(n, ab, S.E.bits & ~r), S.beta_rel.bits)
+
+
 def lneg_tilde(S: RelStructure, R: BinRel) -> BinRel:
     """~R = converse-of-complement composed with alpha."""
     S.check_upset(R)
-    out = R.complement_in(S.E).converse().compose(S.alpha_rel)
-    return _checked_upset(S, out)
+    return _checked_upset(S, _rel(S.n, _tilde_bits(S, R.bits)))
 
 
 def lneg_minus(S: RelStructure, R: BinRel) -> BinRel:
     """-R = alpha composed with converse-of-complement."""
     S.check_upset(R)
-    out = S.alpha_rel.compose(R.complement_in(S.E).converse())
-    return _checked_upset(S, out)
+    return _checked_upset(S, _rel(S.n, _minus_bits(S, R.bits)))
 
 
 def neg(S: RelStructure, R: BinRel) -> BinRel:
     """The third negation alpha;beta;R^c;beta."""
     S.check_upset(R)
-    out = (S.alpha_rel.compose(S.beta_rel)
-           .compose(R.complement_in(S.E))
-           .compose(S.beta_rel))
-    return _checked_upset(S, out)
+    return _checked_upset(S, _rel(S.n, _neg_bits(S, R.bits)))
 
 
 def rel_residuals(S: RelStructure, R: BinRel, T: BinRel) -> tuple[BinRel, BinRel]:
     """(R\\T, T/R) computed by the complement-converse formulas."""
     S.check_upset(R)
     S.check_upset(T)
-    left = R.converse().compose(T.complement_in(S.E)).complement_in(S.E)
-    right = T.complement_in(S.E).compose(R.converse()).complement_in(S.E)
-    return left, right
+    n, e = S.n, S.E.bits
+    rc = _converse(n, R.bits)
+    tc = e & ~T.bits
+    left = _complement(_compose(n, rc, tc), e)
+    right = _complement(_compose(n, tc, rc), e)
+    return _rel(n, left), _rel(n, right)
 
 
 # --- extracting operation-table algebras ------------------------------------
@@ -442,14 +592,13 @@ def _canonical_order(S: RelStructure, rels: Iterable[BinRel],
     """Empty relation first, the order relation second, then either insertion
     order (closures) or a size/bytes sort (full algebras)."""
     rels = list(rels)
-    head = []
-    empt = BinRel.empty(S.n)
-    if empt in rels:
-        head.append(empt)
-    head.append(S.leq)
-    rest = [r for r in rels if r not in head]
+    head = [S.leq]
+    if any(not r.bits for r in rels):
+        head.insert(0, BinRel.empty(S.n))
+    head_bits = {r.bits for r in head}
+    rest = [r for r in rels if r.bits not in head_bits]
     if not insertion:
-        rest.sort(key=lambda r: (len(r), r.key()))
+        rest.sort(key=lambda r: (r.bits.bit_count(), r.bits))
     return head + rest
 
 
@@ -467,19 +616,23 @@ def algebra_from_upsets(S: RelStructure, rels: Sequence[BinRel],
     the family is not closed under the operations.
     """
     rels = list(rels)
+    n = S.n
+    if any(r.n != n for r in rels):
+        raise CarrierMismatchError("family carrier does not match structure")
     if S.leq not in rels:
         raise ValueError("the family must contain the order relation")
     m = len(rels)
-    n = S.n
-    stack = np.stack([r.mat for r in rels])                # (m, n, n) bool
+    width = (n * n + 7) // 8
+    family = np.frombuffer(b"".join(r.key() for r in rels),
+                           dtype=np.uint8).reshape(m, width)
+    stack = np.unpackbits(family, axis=-1, count=n * n).view(bool).reshape(
+        m, n, n)                                           # (m, n, n) bool
 
     def packed(mats: np.ndarray) -> np.ndarray:
         """(..., n, n) boolean stack -> (..., ceil(n*n/8)) packed rows."""
         flat = mats.reshape(mats.shape[:-2] + (n * n,))
         return np.packbits(flat, axis=-1)
 
-    family = packed(stack)
-    width = family.shape[-1]
     order = np.argsort(family.view(f"V{width}")[:, 0], kind="stable")
     sorted_keys = np.ascontiguousarray(family[order])
     sorted_void = sorted_keys.view(f"V{width}")[:, 0]
@@ -525,30 +678,32 @@ def dq_closure(S: RelStructure, generators: Sequence[BinRel],
     """
     for g in generators:
         S.check_upset(g, "generator")
-    seen: dict[BinRel, None] = {}  # insertion-ordered set
-    work: deque[BinRel] = deque()
+    n = S.n
+    seen: dict[int, None] = {}  # insertion-ordered set of relation bits
+    work: deque[int] = deque()
 
-    def push(r: BinRel) -> None:
+    def push(r: int) -> None:
         if r not in seen:
             if len(seen) >= cap:
                 raise CapExceededError(f"closure exceeded cap {cap}")
             seen[r] = None
             work.append(r)
 
-    push(S.leq)
+    push(S.leq.bits)
     for g in generators:
-        push(g)
+        push(g.bits)
     while work:
         r = work.popleft()
-        push(lneg_tilde(S, r))
-        push(lneg_minus(S, r))
-        push(neg(S, r))
+        R = _rel(n, r)
+        push(lneg_tilde(S, R).bits)
+        push(lneg_minus(S, R).bits)
+        push(neg(S, R).bits)
         for s in list(seen):
-            push(r.intersection(s))
-            push(r.union(s))
-            push(r.compose(s))
-            push(s.compose(r))
-    ordered = _canonical_order(S, seen, insertion=True)
+            push(r & s)
+            push(r | s)
+            push(_compose(n, r, s))
+            push(_compose(n, s, r))
+    ordered = _canonical_order(S, (_rel(n, r) for r in seen), insertion=True)
     algebra = algebra_from_upsets(S, ordered)
     return ClosureResult(tuple(ordered), algebra, S)
 
@@ -620,7 +775,8 @@ def enumerate_structures(n: int) -> Iterator[RelStructure]:
             for a in alphas:
                 for b in betas:
                     if all(a[b[a[x]]] == b[x] for x in range(n)):
-                        yield RelStructure(n, BinRel(n, L), BinRel(n, E), a, b)
+                        yield RelStructure(n, BinRel.from_matrix(n, L),
+                                           BinRel.from_matrix(n, E), a, b)
 
 
 def sample_structures(max_n: int, count: int, seed: int,

@@ -17,6 +17,10 @@ from .relations import (
     BinRel,
     CarrierMismatchError,
     RelStructure,
+    _compose,
+    _minus_bits,
+    _neg_bits,
+    _tilde_bits,
     lneg_minus,
     lneg_tilde,
     neg,
@@ -151,26 +155,16 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
     NOT_FOUND means the whole space was refuted within budget and is
     definitive; BUDGET_EXHAUSTED is reported separately.
     """
-    ups = sorted(S.enumerate_upsets(upset_cap), key=lambda r: (len(r), r.key()))
+    ups = S._upset_bits(upset_cap)
+    ups.sort(key=lambda r: (r.bit_count(), r))     # the order of (len, key())
     n = A.size
+    nS = S.n
     leq = A.leq
-    E = S.E.mat
-    alpha = np.array(S.alpha)
-    ainv = np.array(S.alpha_inv)
-    beta = np.array(S.beta)
-    beta_alpha = beta[alpha]
-
-    def u_tilde(R: BinRel) -> BinRel:
-        c = E & ~R.mat
-        return BinRel(S.n, c.T[:, ainv])
-
-    def u_minus(R: BinRel) -> BinRel:
-        c = E & ~R.mat
-        return BinRel(S.n, c.T[alpha, :])
-
-    def u_neg(R: BinRel) -> BinRel:
-        c = E & ~R.mat
-        return BinRel(S.n, c[beta_alpha, :][:, beta])
+    tilde, minus, negn = A.tilde.tolist(), A.minus.tolist(), A.negn.tolist()
+    mult, meet, join = (A.mult.tolist(), A.meet_table.tolist(),
+                        A.join_table.tolist())
+    above = [[y for y in range(n) if y != x and leq[x, y]] for x in range(n)]
+    below = [[y for y in range(n) if y != x and leq[y, x]] for x in range(n)]
 
     # static branching order over join generators
     orbit_size = {}
@@ -179,8 +173,8 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
         frontier = [g]
         while frontier:
             x = frontier.pop()
-            for tab in (A.tilde, A.minus, A.negn):
-                y = int(tab[x])
+            for tab in (tilde, minus, negn):
+                y = tab[x]
                 if y not in orbit:
                     orbit.add(y)
                     frontier.append(y)
@@ -191,27 +185,31 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
         key=lambda g: (g != A.unit, -(orbit_size[g] + comparables[g]), g),
     )
 
-    phi: list[Optional[BinRel]] = [None] * n
-    used: dict[BinRel, int] = {}
+    # images as relation bits
+    phi: list[Optional[int]] = [None] * n
+    used: dict[int, int] = {}
     nodes = 0
 
-    def assign(x: int, R: BinRel, trail: list[int], queue: list[int]) -> bool:
+    def fits_order(x: int, r: int) -> bool:
+        """r respects the order against every assigned element."""
+        for y in above[x]:
+            q = phi[y]
+            if q is not None and r & ~q:
+                return False
+        for y in below[x]:
+            q = phi[y]
+            if q is not None and q & ~r:
+                return False
+        return True
+
+    def assign(x: int, r: int, trail: list[int], queue: list[int]) -> bool:
         cur = phi[x]
         if cur is not None:
-            return cur == R
-        holder = used.get(R)
-        if holder is not None:
-            return False        # injectivity
-        for y in range(n):
-            Q = phi[y]
-            if Q is None or y == x:
-                continue
-            if leq[x, y] and not R <= Q:
-                return False
-            if leq[y, x] and not Q <= R:
-                return False
-        phi[x] = R
-        used[R] = x
+            return cur == r
+        if r in used or not fits_order(x, r):
+            return False
+        phi[x] = r
+        used[r] = x
         trail.append(x)
         queue.append(x)
         return True
@@ -219,26 +217,24 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
     def propagate(trail: list[int], queue: list[int]) -> bool:
         while queue:
             x = queue.pop()
-            R = phi[x]
-            if not assign(int(A.tilde[x]), u_tilde(R), trail, queue):
+            r = phi[x]
+            if not assign(tilde[x], _tilde_bits(S, r), trail, queue):
                 return False
-            if not assign(int(A.minus[x]), u_minus(R), trail, queue):
+            if not assign(minus[x], _minus_bits(S, r), trail, queue):
                 return False
-            if not assign(int(A.negn[x]), u_neg(R), trail, queue):
+            if not assign(negn[x], _neg_bits(S, r), trail, queue):
                 return False
             for y in range(n):
-                Q = phi[y]
-                if Q is None:
+                q = phi[y]
+                if q is None:
                     continue
-                if not assign(int(A.mult[x, y]), R.compose(Q), trail, queue):
+                if not assign(mult[x][y], _compose(nS, r, q), trail, queue):
                     return False
-                if not assign(int(A.mult[y, x]), Q.compose(R), trail, queue):
+                if not assign(mult[y][x], _compose(nS, q, r), trail, queue):
                     return False
-                if not assign(int(A.meet_table[x, y]), R.intersection(Q),
-                              trail, queue):
+                if not assign(meet[x][y], r & q, trail, queue):
                     return False
-                if not assign(int(A.join_table[x, y]), R.union(Q),
-                              trail, queue):
+                if not assign(join[x][y], r | q, trail, queue):
                     return False
         return True
 
@@ -247,19 +243,6 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
             used.pop(phi[x], None)
             phi[x] = None
 
-    def admissible(x: int, R: BinRel) -> bool:
-        if R in used:
-            return False
-        for y in range(n):
-            Q = phi[y]
-            if Q is None:
-                continue
-            if leq[x, y] and not R <= Q:
-                return False
-            if leq[y, x] and not Q <= R:
-                return False
-        return True
-
     def backtrack(i: int) -> Optional[Embedding]:
         nonlocal nodes
         while i < len(order) and phi[order[i]] is not None:
@@ -267,18 +250,18 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
         if i == len(order):
             if any(v is None for v in phi):
                 return None     # propagation failed to reach every element
-            cand = Embedding(A, S, tuple(phi))   # final gate via canonical ops
-            return cand if verify_embedding(cand).ok else None
+            cand = Embedding(A, S, tuple(BinRel(nS, r) for r in phi))
+            return cand if verify_embedding(cand).ok else None  # final gate
         x = order[i]
-        for R in ups:
-            if not admissible(x, R):
+        for r in ups:
+            if r in used or not fits_order(x, r):
                 continue
             nodes += 1
             if nodes > budget:
                 raise _BudgetExhausted
             trail: list[int] = []
             queue: list[int] = []
-            if assign(x, R, trail, queue) and propagate(trail, queue):
+            if assign(x, r, trail, queue) and propagate(trail, queue):
                 got = backtrack(i + 1)
                 if got is not None:
                     return got
@@ -287,7 +270,8 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
 
     trail0: list[int] = []
     queue0: list[int] = []
-    if not (assign(A.unit, S.leq, trail0, queue0) and propagate(trail0, queue0)):
+    if not (assign(A.unit, S.leq.bits, trail0, queue0)
+            and propagate(trail0, queue0)):
         return SearchResult(SearchStatus.NOT_FOUND, None, 0)
     try:
         found = backtrack(0)
@@ -395,7 +379,8 @@ def quotient_representation(e: Embedding, p: int) -> QuotientStructure:
              (int(np.argwhere(bwd_bad)[0][0]),) if bwd_bad.any() else None)
 
     labels = tuple(f"[{S.labels[r]}]" for r in reps)
-    quotient = RelStructure(nq, BinRel(nq, leq_q), BinRel(nq, E_q),
+    quotient = RelStructure(nq, BinRel.from_matrix(nq, leq_q),
+                            BinRel.from_matrix(nq, E_q),
                             alpha_q, beta_q, labels)
     qrep = validate_structure(quotient)
     if not qrep.ok:
@@ -419,7 +404,7 @@ def induced_embedding(e: Embedding, p: int) -> Embedding:
         psi = np.zeros((nq, nq), dtype=bool)
         xs, ys = np.nonzero(src)
         psi[cm[xs], cm[ys]] = True
-        images.append(BinRel(nq, psi))
+        images.append(BinRel.from_matrix(nq, psi))
     emb = Embedding(c.algebra, q.quotient, tuple(images))
     rep = verify_embedding(emb)
     if not rep.ok:

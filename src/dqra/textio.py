@@ -109,7 +109,9 @@ def _resolve(token: str, labels: Sequence[str], size: int, line: int,
 
 
 def _parse_bit_rows(lines: _Lines, n: int, block: str) -> np.ndarray:
-    out = np.zeros((n, n), dtype=bool)
+    """n rows of n 0/1 characters; the matrix is built only once every row
+    has been read, so a huge declared size fails on the missing rows."""
+    out = []
     for i in range(n):
         no, body = lines.take(f"row {i + 1} of {n} in the {block} block")
         bits = body.replace(" ", "")
@@ -117,8 +119,8 @@ def _parse_bit_rows(lines: _Lines, n: int, block: str) -> np.ndarray:
             raise ParseError(
                 f"{block} row {i + 1} must have exactly {n} characters 0/1",
                 no)
-        out[i] = [c == "1" for c in bits]
-    return out
+        out.append([c == "1" for c in bits])
+    return np.array(out, dtype=bool).reshape(n, n)
 
 
 def _split_header(lines: _Lines, token: str) -> tuple[str, int]:
@@ -244,7 +246,8 @@ def parse_structure(text: str) -> tuple[str, RelStructure]:
         no, toks = row
         return tuple(_resolve(t, lab, n, no, "point") for t in toks)
 
-    structure = RelStructure(n, BinRel(n, leq), BinRel(n, E),
+    structure = RelStructure(n, BinRel.from_matrix(n, leq),
+                             BinRel.from_matrix(n, E),
                              perm(alpha_row), perm(beta_row), tuple(lab))
     return name, structure
 
@@ -253,12 +256,9 @@ def emit_structure(name: str, S: RelStructure,
                    comments: Sequence[str] = ()) -> str:
     out = [f"# {c}" for c in comments]
     out.append(f"struct {name} {S.n}")
-    out.append("leq")
-    for i in range(S.n):
-        out.append("".join("1" if S.leq.mat[i, j] else "0" for j in range(S.n)))
-    out.append("E")
-    for i in range(S.n):
-        out.append("".join("1" if S.E.mat[i, j] else "0" for j in range(S.n)))
+    for block, rel in (("leq", S.leq), ("E", S.E)):
+        out.append(block)
+        out.extend("".join("1" if v else "0" for v in row) for row in rel.mat)
     out.append("alpha " + " ".join(S.labels[v] for v in S.alpha))
     out.append("beta " + " ".join(S.labels[v] for v in S.beta))
     out.append("labels " + " ".join(S.labels))

@@ -345,3 +345,29 @@ def test_full_dq_family_assignment_is_consistent():
         for j, T in enumerate(fam.relations):
             assert (R <= T) == bool(A.leq[i, j])
             assert fam.relations[int(A.mult[i, j])] == R.compose(T)
+
+
+def test_points_outside_the_carrier_are_rejected():
+    # no wrap-round of negative points, no bare IndexError for large ones
+    for pairs in ([(-1, 0)], [(0, -1)], [(2, 0)], [(0, 2)]):
+        with pytest.raises(CarrierMismatchError):
+            BinRel.from_pairs(2, pairs)
+    with pytest.raises(CarrierMismatchError):
+        BinRel.from_function([1, -2])
+    with pytest.raises(CarrierMismatchError):
+        BinRel.from_function([0, 2])
+    for point in ((-1, -1), (2, 0), (0, 2)):
+        with pytest.raises(CarrierMismatchError):
+            point in BinRel.identity(2)
+    assert (1, 1) in BinRel.identity(2) and (0, 1) not in BinRel.identity(2)
+
+
+def test_relation_bits_must_fit_the_carrier():
+    assert BinRel(2, 0b1001) == BinRel.identity(2)
+    for bits in (-1, 1 << 4):
+        with pytest.raises(CarrierMismatchError):
+            BinRel(2, bits)
+    with pytest.raises(CarrierMismatchError):
+        BinRel.from_matrix(2, np.eye(3, dtype=bool))
+    with pytest.raises(AttributeError):
+        BinRel.identity(2).bits = 0

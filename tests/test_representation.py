@@ -267,3 +267,34 @@ def test_invariance_lemmas_hold_for_every_psi(six, six_embedding):
         P = six_embedding.assignment[p].mat
         assert (P == P[a][:, a]).all()          # alpha-covariant
         assert (P == P[b][:, b].T).all()        # beta-contravariant
+
+
+# the search's answer for D^6_{3,5,2} over its shipped structure: the first
+# embedding in the (size, key) candidate order, which swaps the images of a
+# and b relative to the shipped assignment
+_DIAG = [(0, 0), (1, 1), (2, 2), (3, 3)]
+SIX_SEARCH_ANSWER = {
+    "bot": [],
+    "1": _DIAG,
+    "a": sorted(_DIAG + [(0, 3), (1, 2), (2, 1), (3, 0)]),
+    "b": sorted(_DIAG + [(0, 2), (1, 3), (2, 0), (3, 1)]),
+    "0": sorted(_DIAG + [(0, 2), (0, 3), (1, 2), (1, 3),
+                         (2, 0), (2, 1), (3, 0), (3, 1)]),
+    "top": [(x, y) for x in range(4) for y in range(4)],
+}
+
+
+def test_find_embedding_answer_is_pinned(six, six_embedding):
+    result = find_embedding(six, six_embedding.structure)
+    assert result.found
+    assert result.nodes == 254
+    got = {six.label(k): list(R.pairs())
+           for k, R in enumerate(result.embedding.assignment)}
+    assert got == SIX_SEARCH_ANSWER
+
+
+def test_candidate_order_is_size_then_key(example_structure):
+    ups = example_structure.enumerate_upsets(1 << 16)
+    assert len(ups) == 1 << 16
+    by_bits = sorted(ups, key=lambda r: (r.bits.bit_count(), r.bits))
+    assert by_bits == sorted(ups, key=lambda r: (len(r), r.key()))

@@ -1,8 +1,9 @@
 """Round-trip laws and diagnostics for the text formats."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dqra import CATALOGUE
+from dqra import CATALOGUE, load_algebra, load_structure
 from dqra.catalogue import _read
 from dqra.textio import (
     ParseError,
@@ -136,3 +137,84 @@ def test_wrong_header_token():
         parse_structure("dqra x 2\n")
     with pytest.raises(ParseError):
         parse_algebra("struct x 2\n")
+
+
+# --- mutated inputs raise only ParseError --------------------------------------
+
+# characters and tokens the formats are made of, plus a few foreign ones
+_PIECES = list("01 \n\t{}(),:#-") + [
+    "order", "mult", "tilde", "minus", "neg", "unit", "labels", "leq", "E",
+    "alpha", "beta", "dqra", "struct", "assign", "a", "b", "w", "x", "top",
+    "7", "-1", "999999999999", "é", "\x00"]
+
+
+@st.composite
+def mutated(draw, text: str) -> str:
+    """The text after one to four random edits: a piece inserted, a span
+    deleted or replaced, a line dropped, doubled or swapped, or a cut."""
+    for _ in range(draw(st.integers(1, 4))):
+        lines = text.split("\n")
+        kind = draw(st.sampled_from(
+            ["insert", "delete", "replace", "drop", "double", "swap", "cut"]))
+        at = draw(st.integers(0, len(text)))
+        span = draw(st.integers(1, 6))
+        piece = draw(st.sampled_from(_PIECES))
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        if kind == "insert":
+            text = text[:at] + piece + text[at:]
+        elif kind == "delete":
+            text = text[:at] + text[at + span:]
+        elif kind == "replace":
+            text = text[:at] + piece + text[at + span:]
+        elif kind == "cut":
+            text = text[:at]
+        else:
+            if kind == "drop":
+                del lines[i]
+            elif kind == "double":
+                lines.insert(i, lines[i])
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            text = "\n".join(lines)
+    return text
+
+
+_FUZZ = settings(max_examples=300, deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+def _parses_or_parse_error(parse, text: str, *args) -> None:
+    try:
+        parse(text, *args)
+    except ParseError:
+        pass
+
+
+@_FUZZ
+@given(st.data())
+def test_mutated_algebra_text_raises_only_parse_error(data):
+    name = data.draw(st.sampled_from(ALL_NAMES))
+    text = data.draw(mutated(_read(CATALOGUE[name].algebra_file)))
+    _parses_or_parse_error(parse_algebra, text)
+
+
+@_FUZZ
+@given(mutated(_read(CATALOGUE[SIX].structure_file)))
+def test_mutated_structure_text_raises_only_parse_error(text):
+    _parses_or_parse_error(parse_structure, text)
+
+
+@_FUZZ
+@given(mutated(_read(CATALOGUE[SIX].assignment_file)))
+def test_mutated_assignment_text_raises_only_parse_error(text):
+    _parses_or_parse_error(parse_assignment, text, load_algebra(SIX),
+                           load_structure(SIX))
+
+
+def test_huge_declared_size_fails_on_the_missing_rows():
+    # nothing is allocated from the declared size before the rows are read
+    with pytest.raises(ParseError):
+        parse_structure("struct x 9999999999999\nleq\n0\n")
+    with pytest.raises(ParseError):
+        parse_algebra("dqra x 9999999999999\norder\n0\n")
