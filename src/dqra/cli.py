@@ -133,6 +133,10 @@ def cmd_contract(args) -> int:
 
 def cmd_build_dq(args) -> int:
     name, S = _load_structure(args.file)
+    report = validate_structure(S)
+    if not report.ok:
+        print(f"invalid input: {report.failures[0]}", file=sys.stderr)
+        return EXIT_VALIDATION
     A = full_dq(S, cap=args.cap)
     _write(emit_algebra(f"Dq_{name}", A,
                         [f"full upset algebra of {name} ({A.size} elements)"]),

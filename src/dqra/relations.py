@@ -14,7 +14,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import permutations, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -211,7 +211,9 @@ def _compose(n: int, a: int, b: int) -> int:
     """Bits of a;b.  The k-th row of b from the bottom (row n-1-k) is ORed
     into each row of the result whose cell in column n-1-k of a is set: the
     shifted column of a has one bit at the foot of each selected row, and
-    multiplying it by the row copies the row there without carries."""
+    multiplying it by the row copies the row there without carries.  Only
+    >>, &, * and | are used, so a and b may also be object arrays of ints,
+    which broadcast like any ndarray (neither is modified)."""
     low = _LOW_COLUMN.get(n)
     if low is None:
         low = _LOW_COLUMN[n] = sum(1 << (n * i) for i in range(n))
@@ -219,7 +221,7 @@ def _compose(n: int, a: int, b: int) -> int:
     out = 0
     for k in range(n):
         out |= ((a >> k) & low) * (b & row)
-        b >>= n
+        b = b >> n
     return out
 
 
@@ -602,18 +604,25 @@ def _canonical_order(S: RelStructure, rels: Iterable[BinRel],
     return head + rest
 
 
+def _lookup(index: dict[int, int], results) -> np.ndarray:
+    """The index of each relation int of `results` (a sequence or an object
+    array) in `index`, -1 where it is absent, in the shape of `results`."""
+    res = np.asarray(results, dtype=object)
+    found = map(index.get, res.ravel().tolist(), repeat(-1))
+    return np.fromiter(found, dtype=np.int64, count=res.size).reshape(res.shape)
+
+
 def algebra_from_upsets(S: RelStructure, rels: Sequence[BinRel],
                         labels: Optional[Sequence[str]] = None) -> FiniteDqRA:
     """Operation tables for a family of upsets that is closed under the six
     operations, ordered by inclusion with the order relation as unit.
 
-    Every result matrix of a table is computed for all cells at once with
-    stacked matrix kernels and mapped to its family index by one keyed
-    lookup: each n x n matrix is packed row-major into a fixed-width byte
-    key, the family's keys are sorted once, and all results are found with
-    a binary search.  A relation listed twice maps to its last occurrence.
-    Raises ValueError when some result is not in the family, that is, when
-    the family is not closed under the operations.
+    The family's relation ints form an object array, so the order and
+    product tables are the int kernel broadcast over the family grid and the
+    negations are taken once per element.  Every result is mapped to its
+    family index by one dictionary; a relation listed twice maps to its last
+    occurrence.  Raises ValueError when some result is not in the family,
+    that is, when the family is not closed under the operations.
     """
     rels = list(rels)
     n = S.n
@@ -621,49 +630,19 @@ def algebra_from_upsets(S: RelStructure, rels: Sequence[BinRel],
         raise CarrierMismatchError("family carrier does not match structure")
     if S.leq not in rels:
         raise ValueError("the family must contain the order relation")
-    m = len(rels)
-    width = (n * n + 7) // 8
-    family = np.frombuffer(b"".join(r.key() for r in rels),
-                           dtype=np.uint8).reshape(m, width)
-    stack = np.unpackbits(family, axis=-1, count=n * n).view(bool).reshape(
-        m, n, n)                                           # (m, n, n) bool
-
-    def packed(mats: np.ndarray) -> np.ndarray:
-        """(..., n, n) boolean stack -> (..., ceil(n*n/8)) packed rows."""
-        flat = mats.reshape(mats.shape[:-2] + (n * n,))
-        return np.packbits(flat, axis=-1)
-
-    order = np.argsort(family.view(f"V{width}")[:, 0], kind="stable")
-    sorted_keys = np.ascontiguousarray(family[order])
-    sorted_void = sorted_keys.view(f"V{width}")[:, 0]
-
-    def index_of(mats: np.ndarray) -> np.ndarray:
-        """Map a (..., n, n) stack of boolean matrices to family indices."""
-        query = np.ascontiguousarray(packed(mats).reshape(-1, width))
-        pos = np.searchsorted(sorted_void, query.view(f"V{width}")[:, 0],
-                              side="right") - 1
-        hit = (pos >= 0) & (sorted_keys[pos] == query).all(axis=-1)
-        if not hit.all():
-            raise ValueError("family is not closed under the operations")
-        return order[pos].reshape(mats.shape[:-2])
-
-    bits = stack.reshape(m, n * n)
-    leq = ~np.any(bits[:, None, :] & ~bits[None, :, :], axis=-1)
-    st8 = stack.astype(np.uint8)
-    mult = index_of((st8[:, None] @ st8[None, :]) > 0)     # (m, m, n, n)
-
-    a = np.array(S.alpha)
-    ainv = np.array(S.alpha_inv)
-    b = np.array(S.beta)
-    compl = S.E.mat[None, :, :] & ~stack                   # complements in E
-    conv = compl.transpose(0, 2, 1)
-    til = index_of(conv[:, :, ainv])                       # R^{c~};alpha
-    mns = index_of(conv[:, a, :])                          # alpha;R^{c~}
-    ngn = index_of(compl[:, b[a], :][:, :, b])             # alpha;beta;R^c;beta
-
+    bits = [r.bits for r in rels]
+    index = {r: i for i, r in enumerate(bits)}
+    col = np.array(bits, dtype=object)[:, None]
+    row = col.T
+    leq = (col & ~row) == 0
+    tables = [_lookup(index, _compose(n, col, row))]
+    for op in (_tilde_bits, _minus_bits, _neg_bits):
+        tables.append(_lookup(index, [op(S, r) for r in bits]))
+    if any((t < 0).any() for t in tables):
+        raise ValueError("family is not closed under the operations")
     if labels is None:
-        labels = tuple(f"r{i}" for i in range(m))
-    return FiniteDqRA(m, leq, mult, til, mns, ngn, rels.index(S.leq),
+        labels = tuple(f"r{i}" for i in range(len(rels)))
+    return FiniteDqRA(len(rels), leq, *tables, rels.index(S.leq),
                       tuple(labels))
 
 
@@ -708,17 +687,17 @@ def dq_closure(S: RelStructure, generators: Sequence[BinRel],
     return ClosureResult(tuple(ordered), algebra, S)
 
 
-def full_dq(S: RelStructure, cap: int = 1 << 20) -> FiniteDqRA:
-    """The algebra of all upsets of the pair poset, with the order relation
-    as unit.  The upset count is checked against the cap before enumeration."""
-    rels = _canonical_order(S, S.enumerate_upsets(cap), insertion=False)
-    return algebra_from_upsets(S, rels)
-
-
 def full_dq_family(S: RelStructure, cap: int = 1 << 20) -> ClosureResult:
-    """Like full_dq but keeps the element-to-upset assignment."""
+    """The algebra of all upsets of the pair poset, with the order relation
+    as unit, and its element-to-upset assignment.  The upset count is checked
+    against the cap before enumeration."""
     rels = _canonical_order(S, S.enumerate_upsets(cap), insertion=False)
     return ClosureResult(tuple(rels), algebra_from_upsets(S, rels), S)
+
+
+def full_dq(S: RelStructure, cap: int = 1 << 20) -> FiniteDqRA:
+    """The algebra of all upsets of the pair poset (see full_dq_family)."""
+    return full_dq_family(S, cap).algebra
 
 
 # --- structure enumeration and sampling -------------------------------------

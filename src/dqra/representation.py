@@ -11,19 +11,19 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import FiniteDqRA, LawCheck, LawViolationError, ValidationReport
+from .algebra import (FiniteDqRA, LawCheck, LawViolationError,
+                      ValidationReport, _first_bad)
 from .contraction import contract, is_psi, NotPsiError
 from .relations import (
     BinRel,
     CarrierMismatchError,
     RelStructure,
+    _checked_upset,
     _compose,
+    _lookup,
     _minus_bits,
     _neg_bits,
     _tilde_bits,
-    lneg_minus,
-    lneg_tilde,
-    neg,
     validate_structure,
 )
 
@@ -47,7 +47,12 @@ class Embedding:
 
 def verify_embedding(e: Embedding) -> ValidationReport:
     """Exhaustively check injectivity, the unit condition and preservation of
-    all six operations; failures carry element witnesses."""
+    all six operations; failures carry element witnesses.
+
+    Once the images are known to be distinct upsets, each operation's table
+    on the images is computed with the int kernel and mapped back to element
+    indices (-1 outside the image set); the witness is the first row-major
+    cell that differs from the algebra's table."""
     A, S = e.algebra, e.structure
     if len(e.assignment) != A.size:
         raise ValueError("assignment must cover every element")
@@ -84,35 +89,25 @@ def verify_embedding(e: Embedding) -> ValidationReport:
     if not ValidationReport(tuple(checks)).ok:
         return ValidationReport(tuple(checks))
 
-    phi = e.assignment
-    mt, jt, M = A.meet_table, A.join_table, A.mult
-
-    def first_pair(pred) -> Optional[tuple[int, int]]:
-        for a in range(A.size):
-            for b in range(A.size):
-                if not pred(a, b):
-                    return (a, b)
-        return None
-
-    add("preserves-meet",
-        first_pair(lambda a, b: phi[mt[a, b]] == phi[a].intersection(phi[b])))
-    add("preserves-join",
-        first_pair(lambda a, b: phi[jt[a, b]] == phi[a].union(phi[b])))
-    add("preserves-product",
-        first_pair(lambda a, b: phi[M[a, b]] == phi[a].compose(phi[b])))
-
-    def first_elt(pred) -> Optional[tuple[int]]:
-        for a in range(A.size):
-            if not pred(a):
-                return (a,)
-        return None
-
-    add("preserves-tilde",
-        first_elt(lambda a: phi[A.tilde[a]] == lneg_tilde(S, phi[a])))
-    add("preserves-minus",
-        first_elt(lambda a: phi[A.minus[a]] == lneg_minus(S, phi[a])))
-    add("preserves-neg",
-        first_elt(lambda a: phi[A.negn[a]] == neg(S, phi[a])))
+    bits = [R.bits for R in e.assignment]
+    index = {r: a for a, r in enumerate(bits)}
+    col = np.array(bits, dtype=object)[:, None]
+    row = col.T
+    for name, table, got in (("preserves-meet", A.meet_table, col & row),
+                             ("preserves-join", A.join_table, col | row),
+                             ("preserves-product", A.mult,
+                              _compose(S.n, col, row))):
+        bad = table != _lookup(index, got)
+        add(name, _first_bad(bad) if bad.any() else None)
+    for name, table, op in (("preserves-tilde", A.tilde, _tilde_bits),
+                            ("preserves-minus", A.minus, _minus_bits),
+                            ("preserves-neg", A.negn, _neg_bits)):
+        got = [op(S, r) for r in bits]
+        bad = table != _lookup(index, got)
+        w = _first_bad(bad) if bad.any() else None
+        if w is not None:
+            _checked_upset(S, BinRel(S.n, got[w[0]]))
+        add(name, w)
     return ValidationReport(tuple(checks))
 
 

@@ -101,6 +101,23 @@ def test_build_dq_cap_checked_on_a_wide_pair_poset(tmp_path, capsys):
     assert "cap exceeded" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text,check", [
+    # alpha swaps the points of a chain: no order automorphism
+    ("struct swap 2\nleq\n11\n01\nE\n11\n11\nalpha 1 0\nbeta 0 1\n",
+     "alpha-order-automorphism"),
+    # E is not transitive
+    ("struct loose 3\nleq\n100\n010\n001\nE\n110\n111\n011\n"
+     "alpha 0 1 2\nbeta 0 1 2\n", "E-transitive"),
+])
+def test_build_dq_rejects_an_invalid_structure(tmp_path, capsys, text, check):
+    struct = tmp_path / "bad.struct"
+    struct.write_text(text)
+    assert main(["build-dq", str(struct)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: FAIL " + check)
+    assert "Traceback" not in err
+
+
 def test_closure_command(tmp_path):
     gens = tmp_path / "gens.assign"
     gens.write_text("assign gens\nra: {(w,w),(x,x),(y,y),(z,z),"

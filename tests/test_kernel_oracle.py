@@ -14,6 +14,7 @@ from dqra import (
     neg,
     rel_residuals,
 )
+from dqra.relations import _compose
 
 
 def prod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -148,3 +149,20 @@ def test_is_upset_and_enumerate_upsets_equal_brute_force_filter():
             ups = S.enumerate_upsets()
             assert len(ups) == len(brute)
             assert {R.key() for R in ups} == brute
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(0, (1 << n * n) - 1), min_size=1, max_size=6),
+    st.lists(st.integers(0, (1 << n * n) - 1), min_size=1, max_size=6))))
+def test_compose_broadcasts_over_object_arrays(case):
+    """Composition over object arrays of relation ints equals composition
+    cell by cell and leaves both operands as they were."""
+    n, left, right = case
+    col = np.array(left, dtype=object)[:, None]
+    row = np.array(right, dtype=object)[None, :]
+    got = _compose(n, col, row)
+    assert got.shape == (len(left), len(right))
+    assert got.tolist() == [[_compose(n, a, b) for b in right] for a in left]
+    assert col[:, 0].tolist() == left and row[0].tolist() == right

@@ -298,3 +298,14 @@ def test_candidate_order_is_size_then_key(example_structure):
     assert len(ups) == 1 << 16
     by_bits = sorted(ups, key=lambda r: (r.bits.bit_count(), r.bits))
     assert by_bits == sorted(ups, key=lambda r: (len(r), r.key()))
+
+
+def test_verify_embedding_raises_on_an_invalid_structure():
+    # alpha swaps the points of a chain, so it is no order automorphism and
+    # the negation of the order relation is not an upset
+    leq = BinRel.from_pairs(2, [(0, 0), (1, 1), (0, 1)])
+    S = RelStructure(2, leq, BinRel.full(2), (1, 0), (0, 1))
+    assert not validate_structure(S).ok
+    A1 = FiniteDqRA(1, [[1]], [[0]], [0], [0], [0], 0)
+    with pytest.raises(LawViolationError):
+        verify_embedding(Embedding(A1, S, (leq,)))

@@ -1,15 +1,24 @@
 """Cross-validation of the vectorized table layer against naive versions.
 
-`algebra_from_upsets` finds each result matrix by a sorted keyed search and
-`join_generators` marks reducible elements in one pass over the join table.
-The references below resolve every cell by a dictionary keyed on packed
-bytes and test join-irreducibility literally, over all pairs.
+`algebra_from_upsets` computes every cell with the int kernel broadcast over
+the family and maps it to its index through one dictionary keyed on relation
+ints; `verify_embedding` compares tables computed the same way with the
+algebra's; `join_generators` marks reducible elements in one pass over the
+join table.  The references below take each cell from numpy matrix formulas
+and a dictionary keyed on packed bytes, check an embedding pair by pair
+through the checked negations, and test join-irreducibility literally, over
+all pairs.
 """
 
 import numpy as np
 import pytest
 
-from dqra import BinRel, FiniteDqRA, RelStructure, dq_closure, full_dq_family
+from typing import Optional
+
+from dqra import (BinRel, CarrierMismatchError, Embedding, FiniteDqRA,
+                  LawViolationError, RelStructure, dq_closure, full_dq_family,
+                  lneg_minus, lneg_tilde, neg, verify_embedding)
+from dqra.algebra import LawCheck, ValidationReport
 from dqra.relations import algebra_from_upsets, enumerate_structures
 
 from conftest import ALL_NAMES
@@ -147,3 +156,150 @@ def test_table_key_beyond_one_byte(full_families):
     other = FiniteDqRA(A.size, A.leq, A.mult, A.tilde, A.minus, A.negn,
                        (A.unit + 1) % A.size)
     assert other.table_key() != key
+
+
+def pairwise_verify(e: Embedding) -> ValidationReport:
+    """verify_embedding checked one pair and one element at a time, with the
+    negations that check their results are upsets."""
+    A, S = e.algebra, e.structure
+    if len(e.assignment) != A.size:
+        raise ValueError("assignment must cover every element")
+    for R in e.assignment:
+        if R.n != S.n:
+            raise CarrierMismatchError(
+                "assignment relation carrier does not match the structure")
+    checks: list[LawCheck] = []
+
+    def add(name, witness, detail=""):
+        checks.append(LawCheck(name, witness is None, witness, detail))
+
+    w = None
+    for a, R in enumerate(e.assignment):
+        if not S.is_upset(R):
+            w = (a,)
+            break
+    add("images-are-upsets", w)
+
+    w = None
+    seen: dict[BinRel, int] = {}
+    for a, R in enumerate(e.assignment):
+        if R in seen:
+            w = (seen[R], a)
+            break
+        seen[R] = a
+    add("injective", w)
+
+    add("unit-is-order",
+        None if e.assignment[A.unit] == S.leq else (A.unit,))
+
+    if not A.is_lattice:
+        raise LawViolationError("algebra order is not a lattice; validate first")
+    if not ValidationReport(tuple(checks)).ok:
+        return ValidationReport(tuple(checks))
+
+    phi = e.assignment
+    mt, jt, M = A.meet_table, A.join_table, A.mult
+
+    def first_pair(pred) -> Optional[tuple[int, int]]:
+        for a in range(A.size):
+            for b in range(A.size):
+                if not pred(a, b):
+                    return (a, b)
+        return None
+
+    add("preserves-meet",
+        first_pair(lambda a, b: phi[mt[a, b]] == phi[a].intersection(phi[b])))
+    add("preserves-join",
+        first_pair(lambda a, b: phi[jt[a, b]] == phi[a].union(phi[b])))
+    add("preserves-product",
+        first_pair(lambda a, b: phi[M[a, b]] == phi[a].compose(phi[b])))
+
+    def first_elt(pred) -> Optional[tuple[int]]:
+        for a in range(A.size):
+            if not pred(a):
+                return (a,)
+        return None
+
+    add("preserves-tilde",
+        first_elt(lambda a: phi[A.tilde[a]] == lneg_tilde(S, phi[a])))
+    add("preserves-minus",
+        first_elt(lambda a: phi[A.minus[a]] == lneg_minus(S, phi[a])))
+    add("preserves-neg",
+        first_elt(lambda a: phi[A.negn[a]] == neg(S, phi[a])))
+    return ValidationReport(tuple(checks))
+
+
+def outcome(verify, e: Embedding) -> str:
+    """The report text, or the type and message of what was raised."""
+    try:
+        return str(verify(e))
+    except (ValueError, LawViolationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def mutants(e: Embedding) -> list[Embedding]:
+    """Two images swapped, an image replaced by another upset, by a non-upset
+    or by a duplicate of another image, at a few spread positions."""
+    S, phi = e.structure, list(e.assignment)
+    m = len(phi)
+    spots = sorted({0, 1, e.algebra.unit, m // 3, m // 2, m - 2, m - 1})
+    ups = S.enumerate_upsets()
+    out = []
+
+    def mutant(changes: dict[int, BinRel]) -> None:
+        imgs = list(phi)
+        for i, R in changes.items():
+            imgs[i] = R
+        out.append(Embedding(e.algebra, S, tuple(imgs)))
+
+    for i, j in zip(spots, spots[1:]):
+        mutant({i: phi[j], j: phi[i]})
+        mutant({j: phi[i]})
+    for i in spots[:-1]:
+        mutant({i: phi[i + 1], i + 1: phi[i]})
+    outside = [U for U in ups if U not in phi]
+    for k, i in enumerate(spots):
+        mutant({i: next(U for U in ups if U != phi[i])})
+        if outside:
+            mutant({i: outside[k % len(outside)]})
+        for p in range(S.n * S.n):
+            R = BinRel(S.n, phi[i].bits ^ 1 << p)
+            if not S.is_upset(R):
+                mutant({i: R})
+                break
+    return out
+
+
+@pytest.fixture(scope="module")
+def embeddings(six_embedding, full_families) -> dict[str, Embedding]:
+    out = {"D^6_{3,5,2}": six_embedding}
+    for k in (70, 168, 256):
+        fam = full_families[k]
+        out[f"full-{k}"] = Embedding(fam.algebra, fam.structure,
+                                     fam.relations)
+    return out
+
+
+@pytest.mark.parametrize("name", ["D^6_{3,5,2}", "full-70", "full-168",
+                                  "full-256"])
+def test_verify_embedding_matches_pairwise_oracle(embeddings, name):
+    e = embeddings[name]
+    assert verify_embedding(e).ok
+    assert str(verify_embedding(e)) == str(pairwise_verify(e))
+    cases = mutants(e)
+    assert len(cases) >= 20
+    reports = [outcome(verify_embedding, c) for c in cases]
+    assert reports == [outcome(pairwise_verify, c) for c in cases]
+    for op in ("meet", "join", "product", "tilde", "minus", "neg"):
+        assert any(f"FAIL preserves-{op}" in r for r in reports), op
+
+
+def test_verify_embedding_on_an_invalid_structure_matches_oracle():
+    # alpha swaps the points of a chain: the negations leave the upsets
+    leq = BinRel.from_pairs(2, [(0, 0), (1, 1), (0, 1)])
+    S = RelStructure(2, leq, BinRel.full(2), (1, 0), (0, 1))
+    A1 = FiniteDqRA(1, [[1]], [[0]], [0], [0], [0], 0)
+    e = Embedding(A1, S, (leq,))
+    got = outcome(verify_embedding, e)
+    assert got.startswith("LawViolationError")
+    assert got == outcome(pairwise_verify, e)
