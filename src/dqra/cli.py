@@ -131,11 +131,17 @@ def cmd_contract(args) -> int:
     return EXIT_OK
 
 
-def cmd_build_dq(args) -> int:
-    name, S = _load_structure(args.file)
+def _invalid(S: RelStructure) -> bool:
+    """Print the structure's first failing check, if any, as invalid input."""
     report = validate_structure(S)
     if not report.ok:
         print(f"invalid input: {report.failures[0]}", file=sys.stderr)
+    return not report.ok
+
+
+def cmd_build_dq(args) -> int:
+    name, S = _load_structure(args.file)
+    if _invalid(S):
         return EXIT_VALIDATION
     A = full_dq(S, cap=args.cap)
     _write(emit_algebra(f"Dq_{name}", A,
@@ -176,6 +182,8 @@ def cmd_find_embedding(args) -> int:
         return 2
     if args.structure is not None:
         _, S = _load_structure(args.structure)
+        if _invalid(S):
+            return EXIT_VALIDATION
         result = find_embedding(A, S, budget=args.budget,
                                 upset_cap=args.upset_cap)
         if result.found:

@@ -418,22 +418,31 @@ class RelStructure:
         return [_rel(self.n, bits) for bits in self._upset_bits(cap)]
 
     def _upset_bits(self, cap: int) -> list[int]:
-        """The relation bits of every upset, in enumeration order: depth
-        first, splitting on a maximal remaining pair, upsets containing it
-        first.  Iterative, so the pair count sets no recursion limit."""
+        """The relation bits of every upset, in enumeration order.  Counts
+        first and refuses to start if the total exceeds the cap."""
         self.count_upsets(cap)
+        return self._upsets_between(0, self.E.bits)
+
+    def _upsets_between(self, lo: int, hi: int) -> list[int]:
+        """The relation bits of every upset r with lo <= r <= hi, for upsets
+        lo and hi: depth first from members lo with the pairs of hi & ~lo
+        remaining, splitting on a maximal remaining pair, upsets containing
+        it first.  Iterative, so the pair count sets no recursion limit."""
+        if lo & ~hi:
+            return []
         n = self.n
         pairs = self.pair_list
         k = len(pairs)
-        prec = self._pair_precedes
-        below = [frozenset(p for p in range(k) if p != q and prec[p, q])
+        prec = self._pair_precedes.tolist()
+        below = [frozenset(p for p in range(k) if p != q and prec[p][q])
                  for q in range(k)]
-        strictly_above = [frozenset(q for q in range(k) if q != p and prec[p, q])
+        strictly_above = [frozenset(q for q in range(k) if q != p and prec[p][q])
                           for p in range(k)]
         bit = [_cell(n, x, y) for x, y in pairs]
+        free = hi & ~lo
 
         out: list[int] = []
-        stack = [(0, frozenset(range(k)))]
+        stack = [(lo, frozenset(p for p in range(k) if bit[p] & free))]
         while stack:
             members, remaining = stack.pop()
             if not remaining:

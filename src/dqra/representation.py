@@ -125,6 +125,7 @@ class SearchResult:
     status: SearchStatus
     embedding: Optional[Embedding]
     nodes: int
+    candidates: int = 0     # upsets enumerated, summed over the branches
 
     @property
     def found(self) -> bool:
@@ -139,21 +140,29 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
                    upset_cap: int = 1 << 16) -> SearchResult:
     """Backtracking search for an embedding of A into the upset algebra of S.
 
+    The upsets are counted first (`CapExceededError` above `upset_cap`).
     The unit's image is forced to the order relation; images of the three
     unary operations, of meets, joins and products of assigned elements are
-    propagated, so only join generators are branched on.  Generators are
-    ordered by decreasing constraint degree (unary orbit size plus number of
-    comparabilities) since one choice inside an orbit forces the rest.
-    Candidates are scanned in a canonical order, so the first embedding found
-    is the lexicographically least one and the outcome is reproducible.
+    propagated, so only join generators are branched on.  This root
+    propagation needs no upsets, so a structure it refutes costs 0 nodes
+    and 0 candidates.  Generators are ordered by decreasing constraint
+    degree (unary orbit size plus number of comparabilities) since one
+    choice inside an orbit forces the rest.  The candidates for a
+    generator x are the upsets r with lo <= r <= hi, where lo is the union
+    of the images below x and hi the intersection of the images above it
+    (E when there is none); they are enumerated at each branch and scanned
+    in the canonical (len, key) order, so the first embedding found is the
+    lexicographically least one and the outcome is reproducible.  Bounds
+    that are not upsets mean S is not a valid structure, and raise
+    `LawViolationError`.
 
     NOT_FOUND means the whole space was refuted within budget and is
     definitive; BUDGET_EXHAUSTED is reported separately.
     """
-    ups = S._upset_bits(upset_cap)
-    ups.sort(key=lambda r: (r.bit_count(), r))     # the order of (len, key())
+    S.count_upsets(upset_cap)
     n = A.size
     nS = S.n
+    E = S.E.bits
     leq = A.leq
     tilde, minus, negn = A.tilde.tolist(), A.minus.tolist(), A.negn.tolist()
     mult, meet, join = (A.mult.tolist(), A.meet_table.tolist(),
@@ -161,29 +170,11 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
     above = [[y for y in range(n) if y != x and leq[x, y]] for x in range(n)]
     below = [[y for y in range(n) if y != x and leq[y, x]] for x in range(n)]
 
-    # static branching order over join generators
-    orbit_size = {}
-    for g in A.join_generators:
-        orbit = {g}
-        frontier = [g]
-        while frontier:
-            x = frontier.pop()
-            for tab in (tilde, minus, negn):
-                y = tab[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        orbit_size[g] = len(orbit)
-    comparables = {g: int(leq[g, :].sum() + leq[:, g].sum()) for g in A.join_generators}
-    order = sorted(
-        A.join_generators,
-        key=lambda g: (g != A.unit, -(orbit_size[g] + comparables[g]), g),
-    )
-
     # images as relation bits
     phi: list[Optional[int]] = [None] * n
     used: dict[int, int] = {}
     nodes = 0
+    candidates = 0
 
     def fits_order(x: int, r: int) -> bool:
         """r respects the order against every assigned element."""
@@ -238,8 +229,52 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
             used.pop(phi[x], None)
             phi[x] = None
 
+    trail0: list[int] = []
+    queue0: list[int] = []
+    if not (assign(A.unit, S.leq.bits, trail0, queue0)
+            and propagate(trail0, queue0)):
+        return SearchResult(SearchStatus.NOT_FOUND, None, 0)
+
+    # static branching order over join generators
+    orbit_size = {}
+    for g in A.join_generators:
+        orbit = {g}
+        frontier = [g]
+        while frontier:
+            x = frontier.pop()
+            for tab in (tilde, minus, negn):
+                y = tab[x]
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        orbit_size[g] = len(orbit)
+    comparables = {g: int(leq[g, :].sum() + leq[:, g].sum()) for g in A.join_generators}
+    order = sorted(
+        A.join_generators,
+        key=lambda g: (g != A.unit, -(orbit_size[g] + comparables[g]), g),
+    )
+
+    def interval(x: int) -> list[int]:
+        """The upsets between the images below x and above x, in the
+        (len, key) order."""
+        lo, hi = 0, E
+        for y in below[x]:
+            q = phi[y]
+            if q is not None:
+                lo |= q
+        for y in above[x]:
+            q = phi[y]
+            if q is not None:
+                hi &= q
+        if not (S.is_upset(BinRel(nS, lo)) and S.is_upset(BinRel(nS, hi))):
+            raise LawViolationError(
+                "search bounds are not upsets; invalid structure")
+        ups = S._upsets_between(lo, hi)
+        ups.sort(key=lambda r: (r.bit_count(), r))  # the order of (len, key())
+        return ups
+
     def backtrack(i: int) -> Optional[Embedding]:
-        nonlocal nodes
+        nonlocal nodes, candidates
         while i < len(order) and phi[order[i]] is not None:
             i += 1
         if i == len(order):
@@ -248,8 +283,10 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
             cand = Embedding(A, S, tuple(BinRel(nS, r) for r in phi))
             return cand if verify_embedding(cand).ok else None  # final gate
         x = order[i]
+        ups = interval(x)
+        candidates += len(ups)
         for r in ups:
-            if r in used or not fits_order(x, r):
+            if r in used:
                 continue
             nodes += 1
             if nodes > budget:
@@ -263,18 +300,14 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
             undo(trail)
         return None
 
-    trail0: list[int] = []
-    queue0: list[int] = []
-    if not (assign(A.unit, S.leq.bits, trail0, queue0)
-            and propagate(trail0, queue0)):
-        return SearchResult(SearchStatus.NOT_FOUND, None, 0)
     try:
         found = backtrack(0)
     except _BudgetExhausted:
-        return SearchResult(SearchStatus.BUDGET_EXHAUSTED, None, nodes)
+        return SearchResult(SearchStatus.BUDGET_EXHAUSTED, None, nodes,
+                            candidates)
     if found is None:
-        return SearchResult(SearchStatus.NOT_FOUND, None, nodes)
-    return SearchResult(SearchStatus.FOUND, found, nodes)
+        return SearchResult(SearchStatus.NOT_FOUND, None, nodes, candidates)
+    return SearchResult(SearchStatus.FOUND, found, nodes, candidates)
 
 
 # --- quotient construction ---------------------------------------------------

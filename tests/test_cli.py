@@ -101,14 +101,17 @@ def test_build_dq_cap_checked_on_a_wide_pair_poset(tmp_path, capsys):
     assert "cap exceeded" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("text,check", [
+INVALID_STRUCTURES = [
     # alpha swaps the points of a chain: no order automorphism
     ("struct swap 2\nleq\n11\n01\nE\n11\n11\nalpha 1 0\nbeta 0 1\n",
      "alpha-order-automorphism"),
     # E is not transitive
     ("struct loose 3\nleq\n100\n010\n001\nE\n110\n111\n011\n"
      "alpha 0 1 2\nbeta 0 1 2\n", "E-transitive"),
-])
+]
+
+
+@pytest.mark.parametrize("text,check", INVALID_STRUCTURES)
 def test_build_dq_rejects_an_invalid_structure(tmp_path, capsys, text, check):
     struct = tmp_path / "bad.struct"
     struct.write_text(text)
@@ -166,6 +169,29 @@ def test_find_embedding_not_found(tmp_path, capsys):
 
 def test_find_embedding_requires_target(capsys):
     assert main(["find-embedding", data_path(SIX)]) == 2
+
+
+def test_find_embedding_refutes_d3_over_four_points(capsys):
+    # acceptance criterion 7 one size up: every structure with n <= 4
+    assert main(["find-embedding", data_path("D^3_{1,1}"),
+                 "--max-size", "4"]) == 4
+    assert capsys.readouterr().out == (
+        "not-found-definitive over all 652 structure(s) "
+        "with at most 4 point(s)\n")
+
+
+@pytest.mark.parametrize("name", ["D^3_{1,1}", "D^4_{1,1}", SIX])
+@pytest.mark.parametrize("text,check", INVALID_STRUCTURES)
+def test_find_embedding_rejects_an_invalid_structure(tmp_path, capsys, name,
+                                                     text, check):
+    # a search over an invalid structure would claim a definitive not-found
+    struct = tmp_path / "bad.struct"
+    struct.write_text(text)
+    assert main(["find-embedding", data_path(name), str(struct)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invalid input: FAIL " + check)
+    assert "Traceback" not in err
 
 
 def test_quotient_command(tmp_path):
