@@ -76,6 +76,45 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _bound_table(rows: np.ndarray) -> np.ndarray:
+    """Entry (a, b) is the x whose row of the boolean matrix is the
+    intersection of rows a and b, -1 where there is none.  On the transposed
+    order that is the meet (the set below x is the set of common lower
+    bounds), on the order itself the join; one dictionary keyed on row
+    bitmasks resolves every pair."""
+    masks = _row_masks(rows)
+    get = {m: x for x, m in enumerate(masks)}.get
+    return _freeze(np.array([[get(a & b, -1) for b in masks] for a in masks],
+                            dtype=np.int64))
+
+
+def lattice_tables(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The meet and join tables of an order matrix; -1 marks pairs without
+    a greatest lower or least upper bound."""
+    leq = np.asarray(leq, dtype=bool)
+    return _bound_table(leq.T), _bound_table(leq)
+
+
+def join_generators(join: np.ndarray) -> tuple[int, ...]:
+    """Elements that are not the join of two strictly smaller ones, in index
+    order.  Every element is a join of these.  The bottom (the empty join)
+    is always one: a join lies above its arguments, so a bottom that is a
+    join of b and c equals both."""
+    n = join.shape[0]
+    idx = np.arange(n)
+    proper = (join >= 0) & (join != idx[:, None]) & (join != idx[None, :])
+    reducible = np.zeros(n, dtype=bool)
+    reducible[join[proper]] = True
+    return tuple(int(a) for a in np.flatnonzero(~reducible))
+
+
+def _order_bad(L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of a boolean relation matrix that break reflexivity (on the
+    diagonal), antisymmetry and transitivity."""
+    off_diagonal = ~np.eye(L.shape[0], dtype=bool)
+    return ~L.diagonal(), L & L.T & off_diagonal, (L @ L) & ~L
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteDqRA:
     """A finite algebra in the signature (meet, join, product, three
@@ -147,42 +186,14 @@ class FiniteDqRA:
     # --- derived lattice structure ---------------------------------------
 
     @cached_property
-    def _below_masks(self) -> tuple[int, ...]:
-        """Bitmask per element of everything at or below it."""
-        return tuple(_row_masks(self.leq.T))
-
-    @cached_property
-    def _above_masks(self) -> tuple[int, ...]:
-        return tuple(_row_masks(self.leq))
-
-    @cached_property
     def meet_table(self) -> np.ndarray:
-        """Greatest lower bounds; -1 marks pairs without one.
-
-        x is the meet of (a, b) exactly when the set below x equals the
-        intersection of the sets below a and below b, so a dictionary keyed
-        on below-masks resolves every pair.
-        """
-        n = self.size
-        by_mask = {m: i for i, m in enumerate(self._below_masks)}
-        out = np.full((n, n), -1, dtype=np.int64)
-        bm = self._below_masks
-        for a in range(n):
-            for b in range(n):
-                out[a, b] = by_mask.get(bm[a] & bm[b], -1)
-        return _freeze(out)
+        """Greatest lower bounds; -1 marks pairs without one."""
+        return _bound_table(self.leq.T)
 
     @cached_property
     def join_table(self) -> np.ndarray:
         """Least upper bounds; -1 marks pairs without one."""
-        n = self.size
-        by_mask = {m: i for i, m in enumerate(self._above_masks)}
-        out = np.full((n, n), -1, dtype=np.int64)
-        am = self._above_masks
-        for a in range(n):
-            for b in range(n):
-                out[a, b] = by_mask.get(am[a] & am[b], -1)
-        return _freeze(out)
+        return _bound_table(self.leq)
 
     @property
     def is_lattice(self) -> bool:
@@ -216,20 +227,10 @@ class FiniteDqRA:
 
     @cached_property
     def join_generators(self) -> tuple[int, ...]:
-        """Elements that are not the join of two strictly smaller ones.
-
-        Every element is a join of these (the bottom is the empty join and is
-        included explicitly), which is what drives table extension and
-        embedding search.
-        """
-        jt = self.join_table
-        idx = np.arange(self.size)
-        proper = (jt >= 0) & (jt != idx[:, None]) & (jt != idx[None, :])
-        reducible = np.zeros(self.size, dtype=bool)
-        reducible[jt[proper]] = True
-        if self.bottom is not None:
-            reducible[self.bottom] = False
-        return tuple(int(a) for a in np.flatnonzero(~reducible))
+        """Elements that are not the join of two strictly smaller ones (see
+        `join_generators`), which drive table extension and embedding
+        search."""
+        return join_generators(self.join_table)
 
     def table_key(self) -> bytes:
         """Canonical bytes identifying the tables (labels excluded)."""
@@ -257,9 +258,13 @@ class FiniteDqRA:
 # --- validation -----------------------------------------------------------
 
 
-def _first_bad(bad: np.ndarray, prefix: tuple[int, ...] = ()) -> tuple[int, ...]:
-    idx = np.argwhere(bad)
-    return prefix + tuple(int(v) for v in idx[0])
+def _first_bad(bad: np.ndarray, prefix: tuple[int, ...] = ()
+               ) -> Optional[tuple[int, ...]]:
+    """The prefix plus the first row-major cell of `bad` that is set, or None
+    when there is none."""
+    if not bad.any():
+        return None
+    return prefix + tuple(int(v) for v in np.argwhere(bad)[0])
 
 
 def validate_dqra(A: FiniteDqRA) -> ValidationReport:
@@ -276,55 +281,54 @@ def validate_dqra(A: FiniteDqRA) -> ValidationReport:
     til, mns, ngn = A.tilde, A.minus, A.negn
     checks: list[LawCheck] = []
 
-    def add(name: str, ok: bool, witness=None, detail: str = "") -> None:
-        checks.append(LawCheck(name, bool(ok), witness, detail))
+    def add(name: str, witness, detail: str = "") -> None:
+        checks.append(LawCheck(name, witness is None, witness, detail))
 
     # partial order
-    refl = bool(L.diagonal().all())
-    add("order-reflexive", refl,
-        None if refl else _first_bad(~L.diagonal()), "a <= a")
-    anti_bad = L & L.T & ~np.eye(n, dtype=bool)
-    add("order-antisymmetric", not anti_bad.any(),
-        None if not anti_bad.any() else _first_bad(anti_bad))
-    Lu = L.astype(np.uint8)
-    trans_bad = ((Lu @ Lu) > 0) & ~L
-    add("order-transitive", not trans_bad.any(),
-        None if not trans_bad.any() else _first_bad(trans_bad))
-    order_ok = refl and not anti_bad.any() and not trans_bad.any()
-    if not order_ok:
+    order_bad = _order_bad(L)
+    for name, bad, detail in zip(
+            ("order-reflexive", "order-antisymmetric", "order-transitive"),
+            order_bad, ("a <= a", "", "")):
+        add(name, _first_bad(bad), detail)
+    if any(bad.any() for bad in order_bad):
         # lattice and law checks below presume a partial order
         return ValidationReport(tuple(checks))
 
     mt, jt = A.meet_table, A.join_table
-    add("meets-exist", bool((mt >= 0).all()),
-        None if (mt >= 0).all() else _first_bad(mt < 0))
-    add("joins-exist", bool((jt >= 0).all()),
-        None if (jt >= 0).all() else _first_bad(jt < 0))
+    add("meets-exist", _first_bad(mt < 0))
+    add("joins-exist", _first_bad(jt < 0))
     if not ((mt >= 0).all() and (jt >= 0).all()):
         return ValidationReport(tuple(checks))
+
+    # the row loops below fill these m x m buffers in place; every index is
+    # in range, so take's "clip" mode is exact and needs no copy of `out`
+    ints = [np.empty((n, n), dtype=np.int64) for _ in range(3)]
+    lhs, rhs, bad = (np.empty((n, n), dtype=bool) for _ in range(3))
+
+    def take(src, idx, axis, out):
+        return src.take(idx, axis, out, "clip")
 
     # distributivity: a /\ (b \/ c) == (a /\ b) \/ (a /\ c)
     dist_w = None
     for a in range(n):
-        lhs = mt[a].take(jt)                # [b, c]
-        rhs = jt.take(mt[a], 0).take(mt[a], 1)
-        bad = lhs != rhs
-        if bad.any():
+        take(mt[a], jt, None, ints[0])                      # [b, c]
+        take(take(jt, mt[a], 0, ints[1]), mt[a], 1, ints[2])
+        if np.not_equal(ints[0], ints[2], out=bad).any():
             dist_w = _first_bad(bad, (a,))
             break
-    add("lattice-distributive", dist_w is None, dist_w)
+    add("lattice-distributive", dist_w)
 
     # monoid laws
-    unit_bad = (M[A.unit, :] != np.arange(n)) | (M[:, A.unit] != np.arange(n))
-    add("monoid-unit", not unit_bad.any(),
-        None if not unit_bad.any() else _first_bad(unit_bad))
+    add("monoid-unit", _first_bad(
+        (M[A.unit, :] != np.arange(n)) | (M[:, A.unit] != np.arange(n))))
     assoc_w = None
     for a in range(n):
-        bad = M.take(M[a], 0) != M[a].take(M)   # [b, c]
-        if bad.any():
+        take(M, M[a], 0, ints[0])                           # [b, c]
+        take(M[a], M, None, ints[1])
+        if np.not_equal(ints[0], ints[1], out=bad).any():
             assoc_w = _first_bad(bad, (a,))
             break
-    add("monoid-associative", assoc_w is None, assoc_w)
+    add("monoid-associative", assoc_w)
 
     # residuation equivalences: a.b <= c iff a <= -(b.~c) iff b <= ~(-c.a)
     mid_target = mns[M[:, til]]             # [b, c] -> -(b.~c)
@@ -332,43 +336,35 @@ def validate_dqra(A: FiniteDqRA) -> ValidationReport:
     LT = L.T.copy()
     res1_w = res2_w = None
     for a in range(n):
-        lhs = L.take(M[a], 0)                   # [b, c]: a.b <= c
-        mid = L[a].take(mid_target)             # [b, c]
+        take(L, M[a], 0, lhs)                               # [b, c]: a.b <= c
         if res1_w is None:
-            bad = lhs != mid
-            if bad.any():
+            take(L[a], mid_target, None, rhs)               # [b, c]
+            if np.not_equal(lhs, rhs, out=bad).any():
                 res1_w = _first_bad(bad, (a,))
-        rgt = LT.take(right_src_t[a], 0).T      # [b, c]: b <= ~(-c.a)
         if res2_w is None:
-            bad = lhs != rgt
-            if bad.any():
+            take(LT, right_src_t[a], 0, rhs)                # [c, b]
+            if np.not_equal(lhs, rhs.T, out=bad).any():     # b <= ~(-c.a)
                 res2_w = _first_bad(bad, (a,))
         if res1_w is not None and res2_w is not None:
             break
-    add("residuation-left", res1_w is None, res1_w,
-        "a.b <= c iff a <= -(b.~c)")
-    add("residuation-right", res2_w is None, res2_w,
-        "a.b <= c iff b <= ~(-c.a)")
+    add("residuation-left", res1_w, "a.b <= c iff a <= -(b.~c)")
+    add("residuation-right", res2_w, "a.b <= c iff b <= ~(-c.a)")
 
     # linear negation involution: ~-a == a == -~a
-    inv_bad = (til[mns] != np.arange(n)) | (mns[til] != np.arange(n))
-    add("linear-involution", not inv_bad.any(),
-        None if not inv_bad.any() else _first_bad(inv_bad), "~-a = a = -~a")
+    add("linear-involution", _first_bad(
+        (til[mns] != np.arange(n)) | (mns[til] != np.arange(n))),
+        "~-a = a = -~a")
 
     # third negation: involutive, De Morgan over joins and over products
-    negi_bad = ngn[ngn] != np.arange(n)
-    add("neg-involution", not negi_bad.any(),
-        None if not negi_bad.any() else _first_bad(negi_bad))
-    dm_bad = ngn[jt] != mt[ngn[:, None], ngn[None, :]]
-    add("de-morgan-join", not dm_bad.any(),
-        None if not dm_bad.any() else _first_bad(dm_bad),
+    add("neg-involution", _first_bad(ngn[ngn] != np.arange(n)))
+    add("de-morgan-join",
+        _first_bad(ngn[jt] != mt[ngn[:, None], ngn[None, :]]),
         "neg(a v b) = neg(a) ^ neg(b)")
     # a + b = ~(-b.-a); the factor flip makes + the true dual of the
     # (generally noncommutative) product, and equals -(~b.~a)
     plus_tab = til[M[mns[:, None], mns[None, :]]].T
-    dp_bad = ngn[M] != plus_tab[ngn[:, None], ngn[None, :]]
-    add("de-morgan-product", not dp_bad.any(),
-        None if not dp_bad.any() else _first_bad(dp_bad),
+    add("de-morgan-product",
+        _first_bad(ngn[M] != plus_tab[ngn[:, None], ngn[None, :]]),
         "neg(a.b) = neg(a) + neg(b)")
 
     return ValidationReport(tuple(checks))
@@ -430,23 +426,17 @@ def check_di(A: FiniteDqRA) -> ValidationReport:
     n = A.size
     til, mns, ngn, M, L = A.tilde, A.minus, A.negn, A.mult, A.leq
     checks = []
-    di_bad = ngn[til] != mns[ngn]
-    checks.append(LawCheck(
-        "de-morgan-involution", not di_bad.any(),
-        None if not di_bad.any() else _first_bad(di_bad),
-        "neg(~a) = -(neg a)"))
+
+    def add(name: str, bad: np.ndarray, detail: str) -> None:
+        w = _first_bad(bad)
+        checks.append(LawCheck(name, w is None, w, detail))
+
+    add("de-morgan-involution", ngn[til] != mns[ngn], "neg(~a) = -(neg a)")
     m1 = int(mns[A.unit])
     star1_bad = L != L[M[np.arange(n)[:, None], til[None, :]], m1]
     star2 = np.empty((n, n), dtype=bool)  # [a, b]: (-b).a <= -1
     for a in range(n):
         star2[a, :] = L[M[mns, a], m1]
-    star2_bad = L != star2
-    checks.append(LawCheck(
-        "order-via-tilde", not star1_bad.any(),
-        None if not star1_bad.any() else _first_bad(star1_bad),
-        "a <= b iff a.~b <= -1"))
-    checks.append(LawCheck(
-        "order-via-minus", not star2_bad.any(),
-        None if not star2_bad.any() else _first_bad(star2_bad),
-        "a <= b iff (-b).a <= -1"))
+    add("order-via-tilde", star1_bad, "a <= b iff a.~b <= -1")
+    add("order-via-minus", L != star2, "a <= b iff (-b).a <= -1")
     return ValidationReport(tuple(checks))

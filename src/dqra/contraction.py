@@ -105,17 +105,14 @@ def contract(A: FiniteDqRA, p: int) -> Contraction:
         if int(A.mult[A.mult[p, x], p]) == x
     )
     sel = np.array(members)
-    back = {x: k for k, x in enumerate(members)}
+    back = np.full(A.size, -1, dtype=np.int64)    # parent -> member index
+    back[sel] = np.arange(len(members))
 
     def reindex(table: np.ndarray) -> np.ndarray:
-        out = np.empty(table.shape, dtype=np.int64)
-        flat = table.ravel()
-        outf = out.ravel()
-        for i, v in enumerate(flat):
-            if int(v) not in back:
-                raise LawViolationError(
-                    "contraction members are not closed under the operations")
-            outf[i] = back[int(v)]
+        out = back[table]
+        if (out < 0).any():
+            raise LawViolationError(
+                "contraction members are not closed under the operations")
         return out
 
     leq = A.leq[sel][:, sel]
@@ -125,7 +122,7 @@ def contract(A: FiniteDqRA, p: int) -> Contraction:
     ngn = reindex(A.negn[sel])
     labels = tuple(A.labels[x] for x in members)
     algebra = FiniteDqRA(len(members), leq, mult, til, mns, ngn,
-                         back[p], labels)
+                         int(back[p]), labels)
     report = validate_dqra(algebra)
     if not report.ok:
         raise LawViolationError(

@@ -34,7 +34,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import FiniteDqRA, validate_dqra
+from .algebra import (FiniteDqRA, join_generators, lattice_tables,
+                      validate_dqra)
 from .isomorphism import algebras_isomorphic
 
 
@@ -131,23 +132,6 @@ def _closure_leq(n: int, covers: Sequence[tuple[int, int]]) -> np.ndarray:
     return leq
 
 
-def _lattice_tables(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = leq.shape[0]
-    below = [sum(1 << x for x in range(n) if leq[x, a]) for a in range(n)]
-    above = [sum(1 << x for x in range(n) if leq[a, x]) for a in range(n)]
-    bidx = {m: a for a, m in enumerate(below)}
-    aidx = {m: a for a, m in enumerate(above)}
-    meet = np.full((n, n), -1, dtype=np.int64)
-    join = np.full((n, n), -1, dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            meet[a, b] = bidx.get(below[a] & below[b], -1)
-            join[a, b] = aidx.get(above[a] & above[b], -1)
-    if (meet < 0).any() or (join < 0).any():
-        raise ValueError("diagram is not a lattice")
-    return meet, join
-
-
 def _dual_isos(leq: np.ndarray) -> list[tuple[int, ...]]:
     n = leq.shape[0]
     out = []
@@ -167,15 +151,12 @@ def reconstruct(diagram: Diagram,
     n = len(labels)
     ix = {l: i for i, l in enumerate(labels)}
     leq = _closure_leq(n, [(ix[a], ix[b]) for a, b in diagram.covers])
-    meet, join = _lattice_tables(leq)
+    meet, join = lattice_tables(leq)
+    if (meet < 0).any() or (join < 0).any():
+        raise ValueError("diagram is not a lattice")
     unit = ix[diagram.unit]
     bot = next(a for a in range(n) if leq[a].all())
-
-    gens = [a for a in range(n)
-            if a == bot or not any(
-                join[b, c] == a for b in range(n) for c in range(n)
-                if b != a and c != a)]
-    gens = [g for g in gens if g != bot]
+    gens = [g for g in join_generators(join) if g != bot]
     gen_below = [[g for g in gens if leq[g, a]] for a in range(n)]
 
     annot = {(ix[x], ix[y]): ix[v] for x, y, v in diagram.products}

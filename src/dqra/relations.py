@@ -20,7 +20,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .algebra import (FiniteDqRA, LawCheck, LawViolationError,
-                      ValidationReport, _freeze, _row_masks)
+                      ValidationReport, _first_bad, _freeze, _order_bad,
+                      _row_masks)
 
 
 class CarrierMismatchError(ValueError):
@@ -270,13 +271,9 @@ def _converse(n: int, a: int) -> int:
     return f(a)
 
 
-def _is_permutation(fn: Sequence[int], n: int) -> bool:
-    return len(fn) == n and sorted(fn) == list(range(n))
-
-
 def _perm_witness(fn: Sequence[int], n: int) -> Optional[tuple[int, ...]]:
     """First position at which fn stops being a permutation of 0..n-1."""
-    if _is_permutation(fn, n):
+    if len(fn) == n and sorted(fn) == list(range(n)):
         return None
     if len(fn) != n:
         return (min(len(fn), n - 1),)
@@ -465,58 +462,35 @@ def validate_structure(S: RelStructure) -> ValidationReport:
     checks: list[LawCheck] = []
     L, E = S.leq.mat, S.E.mat
 
-    def add(name, ok, witness=None, detail=""):
-        checks.append(LawCheck(name, bool(ok), witness, detail))
+    def add(name, witness, detail=""):
+        checks.append(LawCheck(name, witness is None, witness, detail))
 
-    def first(bad: np.ndarray) -> Optional[tuple[int, ...]]:
-        if not bad.any():
-            return None
-        return tuple(int(v) for v in np.argwhere(bad)[0])
+    for name, bad in zip(("leq-reflexive", "leq-antisymmetric",
+                          "leq-transitive"), _order_bad(L)):
+        add(name, _first_bad(bad))
+    erefl_bad, _, etr_bad = _order_bad(E)
+    add("E-reflexive", _first_bad(erefl_bad))
+    add("E-symmetric", _first_bad(E != E.T))
+    add("E-transitive", _first_bad(etr_bad))
+    add("leq-within-E", _first_bad(L & ~E), "leq is inside E")
 
-    refl_bad = ~L.diagonal()
-    add("leq-reflexive", not refl_bad.any(), first(refl_bad))
-    anti_bad = L & L.T & ~np.eye(n, dtype=bool)
-    add("leq-antisymmetric", not anti_bad.any(), first(anti_bad))
-    Lu = L.astype(np.uint8)
-    ltr_bad = ((Lu @ Lu) > 0) & ~L
-    add("leq-transitive", not ltr_bad.any(), first(ltr_bad))
-
-    erefl_bad = ~E.diagonal()
-    add("E-reflexive", not erefl_bad.any(), first(erefl_bad))
-    esym_bad = E != E.T
-    add("E-symmetric", not esym_bad.any(), first(esym_bad))
-    Eu = E.astype(np.uint8)
-    etr_bad = ((Eu @ Eu) > 0) & ~E
-    add("E-transitive", not etr_bad.any(), first(etr_bad))
-
-    inc_bad = L & ~E
-    add("leq-within-E", not inc_bad.any(), first(inc_bad), "leq is inside E")
-
-    aperm = _is_permutation(S.alpha, n)
-    add("alpha-permutation", aperm, _perm_witness(S.alpha, n))
-    bperm = _is_permutation(S.beta, n)
-    add("beta-permutation", bperm, _perm_witness(S.beta, n))
-    if not (aperm and bperm):
+    alpha_w = _perm_witness(S.alpha, n)
+    add("alpha-permutation", alpha_w)
+    beta_w = _perm_witness(S.beta, n)
+    add("beta-permutation", beta_w)
+    if alpha_w or beta_w:
         return ValidationReport(tuple(checks))
 
     a = np.array(S.alpha)
     b = np.array(S.beta)
-    aauto_bad = L != L[a][:, a]
-    add("alpha-order-automorphism", not aauto_bad.any(), first(aauto_bad),
+    add("alpha-order-automorphism", _first_bad(L != L[a][:, a]),
         "x <= y iff alpha(x) <= alpha(y)")
-    agraph_bad = ~E[np.arange(n), a]
-    add("alpha-within-E", not agraph_bad.any(), first(agraph_bad))
-
-    bself_bad = b[b] != np.arange(n)
-    add("beta-self-inverse", not bself_bad.any(), first(bself_bad))
-    bdual_bad = L != L[b][:, b].T
-    add("beta-dual-automorphism", not bdual_bad.any(), first(bdual_bad),
+    add("alpha-within-E", _first_bad(~E[np.arange(n), a]))
+    add("beta-self-inverse", _first_bad(b[b] != np.arange(n)))
+    add("beta-dual-automorphism", _first_bad(L != L[b][:, b].T),
         "x <= y iff beta(y) <= beta(x)")
-    bgraph_bad = ~E[np.arange(n), b]
-    add("beta-within-E", not bgraph_bad.any(), first(bgraph_bad))
-
-    compat_bad = a[b[a]] != b
-    add("beta-alpha-compatible", not compat_bad.any(), first(compat_bad),
+    add("beta-within-E", _first_bad(~E[np.arange(n), b]))
+    add("beta-alpha-compatible", _first_bad(a[b[a]] != b),
         "beta = alpha;beta;alpha")
     return ValidationReport(tuple(checks))
 
@@ -715,17 +689,17 @@ def full_dq(S: RelStructure, cap: int = 1 << 20) -> FiniteDqRA:
 def _all_posets(n: int) -> Iterator[np.ndarray]:
     """All partial orders on n labelled points (reflexive matrices)."""
     off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    both_ways = [1 << k | 1 << off.index((j, i))
+                 for k, (i, j) in enumerate(off) if i < j]
     for bits in range(1 << len(off)):
+        if any(bits & pair == pair for pair in both_ways):
+            continue    # never antisymmetric; skipped before building it
         m = np.eye(n, dtype=bool)
         for k, (i, j) in enumerate(off):
             if bits >> k & 1:
                 m[i, j] = True
-        if (m & m.T & ~np.eye(n, dtype=bool)).any():
-            continue
-        mu = m.astype(np.uint8)
-        if (((mu @ mu) > 0) & ~m).any():
-            continue
-        yield m
+        if not any(bad.any() for bad in _order_bad(m)):
+            yield m
 
 
 def _partitions(items: list[int]) -> Iterator[list[list[int]]]:

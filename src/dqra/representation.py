@@ -18,8 +18,10 @@ from .relations import (
     BinRel,
     CarrierMismatchError,
     RelStructure,
+    _OrMap,
     _checked_upset,
     _compose,
+    _converse,
     _lookup,
     _minus_bits,
     _neg_bits,
@@ -335,6 +337,23 @@ def _require(cond: bool, message: str, witness=None) -> None:
         raise LawViolationError(message + w)
 
 
+def _require_empty(n: int, bad: int, message: str) -> None:
+    """Fail with the first row-major cell of relation bits `bad`, if any:
+    the most significant set bit."""
+    _require(not bad, message, divmod(n * n - bad.bit_length(), n))
+
+
+def _class_restriction(n: int, class_map, reps) -> _OrMap:
+    """Relation bits over n points -> bits over the classes: cell
+    (reps[i], reps[j]) goes to cell (i, j), every other cell to nothing."""
+    nq, top = len(reps), n * n - 1
+    is_rep = [reps[c] == x for x, c in enumerate(class_map)]
+    return _OrMap([
+        1 << (nq * nq - 1 - class_map[x] * nq - class_map[y])
+        if is_rep[x] and is_rep[y] else 0
+        for x, y in (divmod(top - b, n) for b in range(n * n))])
+
+
 def quotient_representation(e: Embedding, p: int) -> QuotientStructure:
     """Collapse the carrier along the image of p and rebuild the structure.
 
@@ -342,7 +361,10 @@ def quotient_representation(e: Embedding, p: int) -> QuotientStructure:
     images are checked to be invariant under alpha (covariantly) and beta
     (contravariantly), and the induced maps are checked to be well defined
     on every class member, not just representatives.  Any failure aborts
-    with a witness since it signals invalid inputs.
+    with a witness since it signals invalid inputs.  Every check is on
+    relation bits: the order and equivalence of the quotient are the cells
+    between class representatives, and they are well defined when pulling
+    them back along x -> rep(x) gives the originals.
     """
     A, S = e.algebra, e.structure
     if not is_psi(A, p):
@@ -353,62 +375,48 @@ def quotient_representation(e: Embedding, p: int) -> QuotientStructure:
         raise LawViolationError(
             "embedding does not verify: " + "; ".join(str(c) for c in rep.failures))
 
-    P = e.assignment[p].mat
+    P = e.assignment[p].bits
     nx = S.n
-    _require(bool(P.diagonal().all()), "image of p is not reflexive")
-    Pu = P.astype(np.uint8)
-    tr_bad = ((Pu @ Pu) > 0) & ~P
-    _require(not tr_bad.any(), "image of p is not transitive",
-             tuple(int(v) for v in np.argwhere(tr_bad)[0]) if tr_bad.any() else None)
-    inc_bad = S.leq.mat & ~P
-    _require(not inc_bad.any(), "image of p does not contain the order")
+    a, b = S.alpha_rel.bits, S.beta_rel.bits
+    _require(not BinRel.identity(nx).bits & ~P, "image of p is not reflexive")
+    _require_empty(nx, _compose(nx, P, P) & ~P, "image of p is not transitive")
+    _require(not S.leq.bits & ~P, "image of p does not contain the order")
+    # (x, y) -> (alpha x, alpha y) is alpha ; P ; alpha^-1, and dually for beta
+    _require_empty(nx, P ^ _compose(nx, _compose(nx, a, P), _converse(nx, a)),
+                   "image of p is not alpha-invariant")
+    _require_empty(nx, P ^ _converse(nx, _compose(
+        nx, _compose(nx, b, P), _converse(nx, b))),
+        "image of p is not beta-reversed-invariant")
 
-    a = np.array(S.alpha)
-    b = np.array(S.beta)
-    alpha_bad = P != P[a][:, a]
-    _require(not alpha_bad.any(), "image of p is not alpha-invariant",
-             tuple(int(v) for v in np.argwhere(alpha_bad)[0]) if alpha_bad.any() else None)
-    beta_bad = P != P[b][:, b].T
-    _require(not beta_bad.any(), "image of p is not beta-reversed-invariant",
-             tuple(int(v) for v in np.argwhere(beta_bad)[0]) if beta_bad.any() else None)
-
-    eqv = P & P.T
+    eqv = P & _converse(nx, P)
     reps: list[int] = []
     class_map = [-1] * nx
     for x in range(nx):
         if class_map[x] >= 0:
             continue
-        ci = len(reps)
         reps.append(x)
         for y in range(nx):
-            if eqv[x, y]:
-                class_map[y] = ci
-    cm = np.array(class_map)
+            if eqv >> (nx * nx - 1 - x * nx - y) & 1:
+                class_map[y] = len(reps) - 1
     nq = len(reps)
-    ridx = np.array(reps)
 
-    leq_q = P[ridx][:, ridx]
     # well-definedness over every member, not only representatives
-    wd_bad = P != leq_q[cm][:, cm]
-    _require(not wd_bad.any(), "quotient order is not well defined",
-             tuple(int(v) for v in np.argwhere(wd_bad)[0]) if wd_bad.any() else None)
-    E_q = S.E.mat[ridx][:, ridx]
-    ewd_bad = S.E.mat != E_q[cm][:, cm]
-    _require(not ewd_bad.any(), "quotient equivalence is not well defined",
-             tuple(int(v) for v in np.argwhere(ewd_bad)[0]) if ewd_bad.any() else None)
+    to_rep = BinRel.from_function([reps[c] for c in class_map]).bits
+    for R, what in ((P, "order"), (S.E.bits, "equivalence")):
+        pulled = _compose(nx, _compose(nx, to_rep, R), _converse(nx, to_rep))
+        _require_empty(nx, R ^ pulled, f"quotient {what} is not well defined")
 
-    alpha_q = tuple(int(cm[a[r]]) for r in reps)
-    awd_bad = np.array([alpha_q[cm[x]] != cm[a[x]] for x in range(nx)])
-    _require(not awd_bad.any(), "induced alpha is not well defined",
-             (int(np.argwhere(awd_bad)[0][0]),) if awd_bad.any() else None)
-    beta_q = tuple(int(cm[b[r]]) for r in reps)
-    bwd_bad = np.array([beta_q[cm[x]] != cm[b[x]] for x in range(nx)])
-    _require(not bwd_bad.any(), "induced beta is not well defined",
-             (int(np.argwhere(bwd_bad)[0][0]),) if bwd_bad.any() else None)
+    alpha_q = tuple(class_map[S.alpha[r]] for r in reps)
+    beta_q = tuple(class_map[S.beta[r]] for r in reps)
+    for fq, f, what in ((alpha_q, S.alpha, "alpha"), (beta_q, S.beta, "beta")):
+        x = next((x for x in range(nx)
+                  if fq[class_map[x]] != class_map[f[x]]), None)
+        _require(x is None, f"induced {what} is not well defined", (x,))
 
     labels = tuple(f"[{S.labels[r]}]" for r in reps)
-    quotient = RelStructure(nq, BinRel.from_matrix(nq, leq_q),
-                            BinRel.from_matrix(nq, E_q),
+    restrict = _class_restriction(nx, class_map, reps)
+    quotient = RelStructure(nq, BinRel(nq, restrict(P)),
+                            BinRel(nq, restrict(S.E.bits)),
                             alpha_q, beta_q, labels)
     qrep = validate_structure(quotient)
     if not qrep.ok:
@@ -420,20 +428,16 @@ def quotient_representation(e: Embedding, p: int) -> QuotientStructure:
 
 def induced_embedding(e: Embedding, p: int) -> Embedding:
     """Push the embedding down to the contraction at p: the image of a member
-    is the set of class pairs covering its original image.  The result is
-    verified; the unit of the contraction lands on the quotient order."""
+    is the set of class pairs covering its original image.  A member x
+    satisfies p.x.p = x, so its image is a union of class blocks and is
+    read off at the class representatives.  The result is verified; the
+    unit of the contraction lands on the quotient order."""
     q = quotient_representation(e, p)
     c = contract(e.algebra, p)
-    cm = np.array(q.class_map)
-    nq = q.n_classes
-    images = []
-    for parent_elt in c.members:
-        src = e.assignment[parent_elt].mat
-        psi = np.zeros((nq, nq), dtype=bool)
-        xs, ys = np.nonzero(src)
-        psi[cm[xs], cm[ys]] = True
-        images.append(BinRel.from_matrix(nq, psi))
-    emb = Embedding(c.algebra, q.quotient, tuple(images))
+    restrict = _class_restriction(e.structure.n, q.class_map, q.representatives)
+    images = tuple(BinRel(q.n_classes, restrict(e.assignment[x].bits))
+                   for x in c.members)
+    emb = Embedding(c.algebra, q.quotient, images)
     rep = verify_embedding(emb)
     if not rep.ok:
         raise LawViolationError(

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dqra import (
@@ -17,6 +17,7 @@ from dqra import (
     residuals,
     validate_dqra,
 )
+from dqra.algebra import join_generators, lattice_tables
 from dqra.relations import BinRel, RelStructure, full_dq
 
 from conftest import ALL_NAMES
@@ -32,6 +33,18 @@ def test_six_element_file_validates(six):
 
 def test_one_element_algebra_validates():
     assert validate_dqra(one_element_algebra()).ok
+
+
+def test_transitivity_failure_found_past_256_elements():
+    # (0, 1) is missing although 256 paths 0 <= b <= 1 exist: a path count
+    # kept in 8 bits wraps to 0 and would hide it
+    n = 258
+    leq = np.ones((n, n), dtype=bool)
+    leq[0, 1] = False
+    zeros = np.zeros(n, dtype=np.int64)
+    A = FiniteDqRA(n, leq, np.zeros((n, n), dtype=np.int64), zeros, zeros,
+                   zeros, 0)
+    assert validate_dqra(A)["order-transitive"].witness == (0, 1)
 
 
 def test_degenerate_zero_and_plus():
@@ -196,6 +209,47 @@ def test_meet_join_tables_agree_with_order(algebras, name):
             upper = [x for x in range(n) if A.le(a, x) and A.le(b, x)]
             assert A.le(a, j) and A.le(b, j)
             assert all(A.le(j, x) for x in upper)
+
+
+@st.composite
+def partial_orders(draw):
+    """The transitive closure of random edges that go forward in a random
+    point order; lattices or not."""
+    n = draw(st.integers(1, 7))
+    perm = draw(st.permutations(range(n)))
+    leq = np.eye(n, dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            leq[perm[i], perm[j]] = draw(st.booleans())
+    for k in range(n):
+        leq |= leq[:, k][:, None] & leq[k, :][None, :]
+    return leq
+
+
+@given(partial_orders())
+@example(np.eye(2, dtype=bool))                 # two incomparable points
+@example(np.array([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]],
+                  dtype=bool))                  # the four-element square
+@settings(max_examples=200, deadline=None)
+def test_lattice_tables_match_brute_force_bounds(leq):
+    n = leq.shape[0]
+    rng = range(n)
+
+    def best(cands, le):
+        top = [x for x in cands if all(le(y, x) for y in cands)]
+        return top[0] if top else -1
+
+    glb = [[best([x for x in rng if leq[x, a] and leq[x, b]],
+                 lambda y, x: leq[y, x]) for b in rng] for a in rng]
+    lub = [[best([x for x in rng if leq[a, x] and leq[b, x]],
+                 lambda y, x: leq[x, y]) for b in rng] for a in rng]
+    meet, join = lattice_tables(leq)
+    assert meet.tolist() == glb and join.tolist() == lub
+
+    bottom = next((a for a in rng if leq[a].all()), None)
+    gens = tuple(a for a in rng if a == bottom or not any(
+        lub[b][c] == a for b in rng for c in rng if a not in (b, c)))
+    assert join_generators(join) == gens
 
 
 def test_validation_is_idempotent(six):

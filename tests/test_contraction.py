@@ -3,6 +3,7 @@
 import pytest
 
 from dqra import (
+    FiniteDqRA,
     LawViolationError,
     NotPsiError,
     algebras_isomorphic,
@@ -142,3 +143,14 @@ def test_operations_restrict_from_parent(six):
         for j, y in enumerate(c.members):
             assert bool(six.leq[x, y]) == bool(sub.leq[i, j])
             assert int(six.mult[x, y]) == c.members[int(sub.mult[i, j])]
+
+
+def test_contract_rejects_members_not_closed_under_the_operations():
+    # p = 1 is a positive symmetric idempotent whose only member is itself,
+    # but the negations send it outside the members
+    A = FiniteDqRA(2, [[1, 1], [0, 1]], [[0, 1], [1, 1]], [1, 0], [1, 0],
+                   [1, 0], 0)
+    assert is_psi(A, 1)
+    with pytest.raises(LawViolationError,
+                       match="contraction members are not closed"):
+        contract(A, 1)
