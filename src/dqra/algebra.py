@@ -2,8 +2,12 @@
 
 An algebra is described by its order predicate, a product table, the three
 unary operation tables and a designated unit.  Meets and joins are recomputed
-from the order predicate rather than trusted, and every law is checked
-exhaustively over the (finite) carrier.
+from the order predicate rather than trusted.  Every law gets an exact
+verdict: the three-variable laws (distributivity, associativity, both
+residuation laws) by criteria over the join-irreducibles (Birkhoff, "Rings of
+sets", 1937; Davey & Priestley, *Introduction to Lattices and Order*, 2002,
+ch. 5 and 7), the others cell by cell.  A failing law's witness is the first
+violation in a row-major scan.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ class LawCheck:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of an exhaustive law scan: one LawCheck per law."""
+    """Outcome of a law check: one LawCheck per law, exact in its verdict,
+    with the first row-major violation as witness for a failure."""
 
     checks: tuple[LawCheck, ...]
 
@@ -213,17 +218,13 @@ class FiniteDqRA:
 
     @cached_property
     def bottom(self) -> Optional[int]:
-        for a in range(self.size):
-            if self.leq[a, :].all():
-                return a
-        return None
+        below_all = np.flatnonzero(self.leq.all(axis=1))
+        return int(below_all[0]) if below_all.size else None
 
     @cached_property
     def top(self) -> Optional[int]:
-        for a in range(self.size):
-            if self.leq[:, a].all():
-                return a
-        return None
+        above_all = np.flatnonzero(self.leq.all(axis=0))
+        return int(above_all[0]) if above_all.size else None
 
     @cached_property
     def join_generators(self) -> tuple[int, ...]:
@@ -267,13 +268,95 @@ def _first_bad(bad: np.ndarray, prefix: tuple[int, ...] = ()
     return prefix + tuple(int(v) for v in np.argwhere(bad)[0])
 
 
+def _residuation_verdicts(L: np.ndarray, P: np.ndarray, J: np.ndarray,
+                          jt: np.ndarray) -> tuple[bool, bool]:
+    """Whether the left and the right residuation law hold.
+
+    P[k][r] (k = 0 left, 1 right) is a map f for each parameter r, and
+    P[k + 2][r] its claimed upper adjoint g.  The law holds iff every such
+    f, g is a Galois connection: f(g(c)) <= c, x <= g(f(x)) and both maps
+    monotone.  Every x <= y is a chain of steps x <= x \\/ j with j
+    join-irreducible, so monotonicity is checked on those steps."""
+    n = L.shape[0]
+    Lf, LTf = L.ravel(), L.T.ravel()        # flat [a, b] and [b, a]: a <= b
+    F, G = P[:2], P[2:]
+    rows = np.arange(0, 2 * n * n, n).reshape(2, n, 1)
+    idx = np.arange(n)
+    # every array of P's size is filled in place: temporaries that large
+    # would raise the peak memory of the process.  Every index is in range,
+    # so take's "clip" mode is exact and needs no copy of `out`
+    step = np.empty_like(P)
+    ok = np.empty(P.shape, dtype=bool)
+    fg, gf = step[:2], step[2:]
+    np.add(G, rows, out=gf)
+    F.ravel().take(gf, None, fg, "clip")    # [k, r, c]: f(g(c))
+    fg *= n
+    fg += idx
+    Lf.take(fg, None, ok[:2], "clip")       # f(g(c)) <= c
+    np.add(F, rows, out=fg)
+    G.ravel().take(fg, None, gf, "clip")    # [k, r, x]: g(f(x))
+    gf *= n
+    gf += idx
+    LTf.take(gf, None, ok[2:], "clip")      # x <= g(f(x))
+    look = np.empty_like(ok)
+    for j in J:
+        P.take(jt[j], 2, step, "clip")      # [.., x]: h(x \/ j) for each map h
+        step *= n
+        step += P
+        ok &= LTf.take(step, None, look, "clip")
+    left, right = ok.reshape(2, 2, -1).all(axis=(0, 2))
+    return bool(left), bool(right)
+
+
+def _law_verdicts(A: FiniteDqRA) -> tuple[bool, Optional[bool], bool, bool]:
+    """Exact verdicts on distributivity, associativity and the left and
+    right residuation laws of an algebra whose order is a lattice.
+
+    Everything runs over J, the join-irreducibles (`join_generators` without
+    the bottom): every element is the join of those below it.  The lattice
+    is distributive iff every j in J is join-prime (Birkhoff, "Rings of
+    sets", 1937).  Each residuation law holds iff its maps form Galois
+    connections (Davey & Priestley, *Introduction to Lattices and Order*,
+    2002, ch. 7).  Once both hold, the product preserves all joins in each
+    argument, the empty one included, so associativity on J^3 is
+    associativity everywhere; otherwise it is left undecided (None)."""
+    n, L, M, til, mns = A.size, A.leq, A.mult, A.tilde, A.minus
+    # a down-set D is the down-set of some d in D iff |down-set of d| = |D|;
+    # j is join-irreducible iff the elements strictly below it form such a
+    # down-set, and join-prime iff the elements not above it do
+    down = L.sum(axis=0)                    # size of each down-set
+    J = np.flatnonzero((L & (down[:, None] == down - 1)).any(axis=0))
+    up = L.take(J, 0)
+    dist = bool((~up & (down == n - up.sum(axis=1)[:, None]))
+                .any(axis=1).all())
+    # [b, x]: x.b and [a, y]: a.y, with upper adjoints [b, c]: -(b.~c) and
+    # [a, c]: ~(-c.a)
+    P = np.empty((4, n, n), dtype=np.int64)
+    P[0], P[1] = M.T, M
+    mns.take(M.take(til, 1), None, P[2], "clip")
+    til.take(M.take(mns, 0).T, None, P[3], "clip")
+    left, right = _residuation_verdicts(L, P, J, A.join_table)
+    assoc = None
+    if left and right:                      # (a.b).c == a.(b.c) on J^3
+        MJ = M.take(J, 0)
+        MJJ = MJ.take(J, 1)
+        assoc = bool((M.take(MJJ, 0).take(J, 2) == MJ.take(MJJ, 1)).all())
+    return dist, assoc, left, right
+
+
 def validate_dqra(A: FiniteDqRA) -> ValidationReport:
-    """Exhaustively check every defining law of a distributive quasi relation
-    algebra, returning one verdict per law with witnesses for failures.
+    """Check every defining law of a distributive quasi relation algebra,
+    returning one verdict per law with witnesses for failures.
 
     Covers: partial order, existence of meets and joins, distributivity,
     monoid laws, the residuation equivalences, the linear-negation involution
     law, involutivity of the third negation, and both De Morgan laws.
+
+    Distributivity, associativity and the residuation laws are decided
+    without the m^3 scan, by exact criteria over the join-irreducibles (see
+    `_law_verdicts`).  Only a law that fails, or associativity when a
+    residuation law fails, is scanned row-major, which gives the first
+    witness.
     """
     n = A.size
     L = A.leq
@@ -300,53 +383,61 @@ def validate_dqra(A: FiniteDqRA) -> ValidationReport:
     if not ((mt >= 0).all() and (jt >= 0).all()):
         return ValidationReport(tuple(checks))
 
-    # the row loops below fill these m x m buffers in place; every index is
-    # in range, so take's "clip" mode is exact and needs no copy of `out`
-    ints = [np.empty((n, n), dtype=np.int64) for _ in range(3)]
-    lhs, rhs, bad = (np.empty((n, n), dtype=bool) for _ in range(3))
+    dist_ok, assoc_ok, res1_ok, res2_ok = _law_verdicts(A)
+    if not (dist_ok and assoc_ok and res1_ok and res2_ok):
+        # the row loops below run only for a law that fails, to find its
+        # first row-major witness.  They fill these m x m buffers in place;
+        # every index is in range, so take's "clip" mode is exact and needs
+        # no copy of `out`
+        ints = [np.empty((n, n), dtype=np.int64) for _ in range(3)]
+        lhs, rhs, bad = (np.empty((n, n), dtype=bool) for _ in range(3))
 
     def take(src, idx, axis, out):
         return src.take(idx, axis, out, "clip")
 
     # distributivity: a /\ (b \/ c) == (a /\ b) \/ (a /\ c)
     dist_w = None
-    for a in range(n):
-        take(mt[a], jt, None, ints[0])                      # [b, c]
-        take(take(jt, mt[a], 0, ints[1]), mt[a], 1, ints[2])
-        if np.not_equal(ints[0], ints[2], out=bad).any():
-            dist_w = _first_bad(bad, (a,))
-            break
+    if not dist_ok:
+        for a in range(n):
+            take(mt[a], jt, None, ints[0])                  # [b, c]
+            take(take(jt, mt[a], 0, ints[1]), mt[a], 1, ints[2])
+            if np.not_equal(ints[0], ints[2], out=bad).any():
+                dist_w = _first_bad(bad, (a,))
+                break
     add("lattice-distributive", dist_w)
 
     # monoid laws
     add("monoid-unit", _first_bad(
         (M[A.unit, :] != np.arange(n)) | (M[:, A.unit] != np.arange(n))))
     assoc_w = None
-    for a in range(n):
-        take(M, M[a], 0, ints[0])                           # [b, c]
-        take(M[a], M, None, ints[1])
-        if np.not_equal(ints[0], ints[1], out=bad).any():
-            assoc_w = _first_bad(bad, (a,))
-            break
+    if not assoc_ok:
+        for a in range(n):
+            take(M, M[a], 0, ints[0])                       # [b, c]
+            take(M[a], M, None, ints[1])
+            if np.not_equal(ints[0], ints[1], out=bad).any():
+                assoc_w = _first_bad(bad, (a,))
+                break
     add("monoid-associative", assoc_w)
 
     # residuation equivalences: a.b <= c iff a <= -(b.~c) iff b <= ~(-c.a)
-    mid_target = mns[M[:, til]]             # [b, c] -> -(b.~c)
-    right_src_t = til[M[mns, :]].T.copy()   # [a, c] -> ~(-c.a)
-    LT = L.T.copy()
     res1_w = res2_w = None
-    for a in range(n):
-        take(L, M[a], 0, lhs)                               # [b, c]: a.b <= c
-        if res1_w is None:
-            take(L[a], mid_target, None, rhs)               # [b, c]
-            if np.not_equal(lhs, rhs, out=bad).any():
-                res1_w = _first_bad(bad, (a,))
-        if res2_w is None:
-            take(LT, right_src_t[a], 0, rhs)                # [c, b]
-            if np.not_equal(lhs, rhs.T, out=bad).any():     # b <= ~(-c.a)
-                res2_w = _first_bad(bad, (a,))
-        if res1_w is not None and res2_w is not None:
-            break
+    if not (res1_ok and res2_ok):
+        mid_target = mns[M[:, til]]                         # [b, c] -> -(b.~c)
+        right_src_t = til[M[mns, :]].T.copy()               # [a, c] -> ~(-c.a)
+        LT = L.T.copy()
+        for a in range(n):
+            take(L, M[a], 0, lhs)                           # [b, c]: a.b <= c
+            if not res1_ok and res1_w is None:
+                take(L[a], mid_target, None, rhs)           # [b, c]
+                if np.not_equal(lhs, rhs, out=bad).any():
+                    res1_w = _first_bad(bad, (a,))
+            if not res2_ok and res2_w is None:
+                take(LT, right_src_t[a], 0, rhs)            # [c, b]
+                if np.not_equal(lhs, rhs.T, out=bad).any():  # b <= ~(-c.a)
+                    res2_w = _first_bad(bad, (a,))
+            if ((res1_ok or res1_w is not None)
+                    and (res2_ok or res2_w is not None)):
+                break
     add("residuation-left", res1_w, "a.b <= c iff a <= -(b.~c)")
     add("residuation-right", res2_w, "a.b <= c iff b <= ~(-c.a)")
 

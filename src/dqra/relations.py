@@ -348,8 +348,8 @@ class RelStructure:
         """precedes[p, q]: pair p is below pair q in the pair poset."""
         pairs = self.pair_list
         L = self.leq.mat
-        u = np.array([p[0] for p in pairs])
-        v = np.array([p[1] for p in pairs])
+        u = np.array([p[0] for p in pairs], dtype=np.intp)
+        v = np.array([p[1] for p in pairs], dtype=np.intp)
         return L[u[None, :], u[:, None]] & L[v[:, None], v[None, :]]
 
     def is_upset(self, R: BinRel) -> bool:

@@ -47,6 +47,18 @@ def test_transitivity_failure_found_past_256_elements():
     assert validate_dqra(A)["order-transitive"].witness == (0, 1)
 
 
+def test_bottom_and_top_are_the_first_extremes_or_none(algebras):
+    for A in algebras.values():
+        assert A.bottom == next(a for a in range(A.size) if A.leq[a].all())
+        assert A.top == next(a for a in range(A.size) if A.leq[:, a].all())
+    # a 2-antichain below a top has no bottom
+    leq = np.array([[1, 0, 1], [0, 1, 1], [0, 0, 1]], dtype=bool)
+    zeros = np.zeros(3, dtype=np.int64)
+    A = FiniteDqRA(3, leq, np.zeros((3, 3), dtype=np.int64), zeros, zeros,
+                   zeros, 0)
+    assert (A.bottom, A.top) == (None, 2)
+
+
 def test_degenerate_zero_and_plus():
     A = one_element_algebra()
     assert derived_zero(A) == 0

@@ -309,6 +309,15 @@ def test_count_upsets_has_no_recursion_limit():
     assert exc.value.count == 1 << (n * n)
 
 
+def test_empty_E_has_only_the_empty_upset():
+    # an invalid structure, but upset enumeration must not fail on it
+    S = RelStructure(1, BinRel.identity(1), BinRel.empty(1), (0,), (0,))
+    assert S.count_upsets() == 1
+    assert S.enumerate_upsets() == [BinRel.empty(1)]
+    # the order relation is always the unit, even when it is not an upset
+    assert full_dq_family(S).relations == (BinRel.empty(1), S.leq)
+
+
 def test_count_upsets_rejects_a_preorder():
     S = RelStructure(2, BinRel.full(2), BinRel.full(2), (0, 1), (0, 1))
     with pytest.raises(LawViolationError):
