@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -268,6 +268,18 @@ def _first_bad(bad: np.ndarray, prefix: tuple[int, ...] = ()
     return prefix + tuple(int(v) for v in np.argwhere(bad)[0])
 
 
+def _row_scan(n: int, row_bad: Callable[[int], np.ndarray]
+              ) -> Optional[tuple[int, ...]]:
+    """The first row-major witness (a, b, c) of a three-variable law, where
+    `row_bad(a)` marks the cells (b, c) of row a that break it; None when no
+    row has one."""
+    for a in range(n):
+        w = _first_bad(row_bad(a), (a,))
+        if w is not None:
+            return w
+    return None
+
+
 def _residuation_verdicts(L: np.ndarray, P: np.ndarray, J: np.ndarray,
                           jt: np.ndarray) -> tuple[bool, bool]:
     """Whether the left and the right residuation law hold.
@@ -355,8 +367,8 @@ def validate_dqra(A: FiniteDqRA) -> ValidationReport:
     Distributivity, associativity and the residuation laws are decided
     without the m^3 scan, by exact criteria over the join-irreducibles (see
     `_law_verdicts`).  Only a law that fails, or associativity when a
-    residuation law fails, is scanned row-major, which gives the first
-    witness.
+    residuation law fails, is scanned row-major (`_row_scan`), which gives
+    the first witness.
     """
     n = A.size
     L = A.leq
@@ -384,62 +396,26 @@ def validate_dqra(A: FiniteDqRA) -> ValidationReport:
         return ValidationReport(tuple(checks))
 
     dist_ok, assoc_ok, res1_ok, res2_ok = _law_verdicts(A)
-    if not (dist_ok and assoc_ok and res1_ok and res2_ok):
-        # the row loops below run only for a law that fails, to find its
-        # first row-major witness.  They fill these m x m buffers in place;
-        # every index is in range, so take's "clip" mode is exact and needs
-        # no copy of `out`
-        ints = [np.empty((n, n), dtype=np.int64) for _ in range(3)]
-        lhs, rhs, bad = (np.empty((n, n), dtype=bool) for _ in range(3))
-
-    def take(src, idx, axis, out):
-        return src.take(idx, axis, out, "clip")
 
     # distributivity: a /\ (b \/ c) == (a /\ b) \/ (a /\ c)
-    dist_w = None
-    if not dist_ok:
-        for a in range(n):
-            take(mt[a], jt, None, ints[0])                  # [b, c]
-            take(take(jt, mt[a], 0, ints[1]), mt[a], 1, ints[2])
-            if np.not_equal(ints[0], ints[2], out=bad).any():
-                dist_w = _first_bad(bad, (a,))
-                break
-    add("lattice-distributive", dist_w)
+    add("lattice-distributive", None if dist_ok else _row_scan(
+        n, lambda a: mt[a][jt] != jt[mt[a]][:, mt[a]]))
 
     # monoid laws
     add("monoid-unit", _first_bad(
         (M[A.unit, :] != np.arange(n)) | (M[:, A.unit] != np.arange(n))))
-    assoc_w = None
-    if not assoc_ok:
-        for a in range(n):
-            take(M, M[a], 0, ints[0])                       # [b, c]
-            take(M[a], M, None, ints[1])
-            if np.not_equal(ints[0], ints[1], out=bad).any():
-                assoc_w = _first_bad(bad, (a,))
-                break
-    add("monoid-associative", assoc_w)
+    add("monoid-associative", None if assoc_ok else _row_scan(
+        n, lambda a: M[M[a]] != M[a][M]))
 
     # residuation equivalences: a.b <= c iff a <= -(b.~c) iff b <= ~(-c.a)
-    res1_w = res2_w = None
-    if not (res1_ok and res2_ok):
-        mid_target = mns[M[:, til]]                         # [b, c] -> -(b.~c)
-        right_src_t = til[M[mns, :]].T.copy()               # [a, c] -> ~(-c.a)
-        LT = L.T.copy()
-        for a in range(n):
-            take(L, M[a], 0, lhs)                           # [b, c]: a.b <= c
-            if not res1_ok and res1_w is None:
-                take(L[a], mid_target, None, rhs)           # [b, c]
-                if np.not_equal(lhs, rhs, out=bad).any():
-                    res1_w = _first_bad(bad, (a,))
-            if not res2_ok and res2_w is None:
-                take(LT, right_src_t[a], 0, rhs)            # [c, b]
-                if np.not_equal(lhs, rhs.T, out=bad).any():  # b <= ~(-c.a)
-                    res2_w = _first_bad(bad, (a,))
-            if ((res1_ok or res1_w is not None)
-                    and (res2_ok or res2_w is not None)):
-                break
+    res1_w = None
+    if not res1_ok:
+        mid = mns[M[:, til]]                # [b, c]: -(b.~c), built once
+        res1_w = _row_scan(n, lambda a: L[M[a]] != L[a][mid])
     add("residuation-left", res1_w, "a.b <= c iff a <= -(b.~c)")
-    add("residuation-right", res2_w, "a.b <= c iff b <= ~(-c.a)")
+    add("residuation-right", None if res2_ok else _row_scan(
+        n, lambda a: L[M[a]] != L[:, til[M[mns, a]]]),
+        "a.b <= c iff b <= ~(-c.a)")
 
     # linear negation involution: ~-a == a == -~a
     add("linear-involution", _first_bad(
@@ -514,7 +490,6 @@ def check_di(A: FiniteDqRA) -> ValidationReport:
     """Check the De Morgan involution neg(~a) = -(neg a) for every element,
     and the divisibility-style order criterion
     a <= b iff a.~b <= -1 iff (-b).a <= -1."""
-    n = A.size
     til, mns, ngn, M, L = A.tilde, A.minus, A.negn, A.mult, A.leq
     checks = []
 
@@ -524,10 +499,6 @@ def check_di(A: FiniteDqRA) -> ValidationReport:
 
     add("de-morgan-involution", ngn[til] != mns[ngn], "neg(~a) = -(neg a)")
     m1 = int(mns[A.unit])
-    star1_bad = L != L[M[np.arange(n)[:, None], til[None, :]], m1]
-    star2 = np.empty((n, n), dtype=bool)  # [a, b]: (-b).a <= -1
-    for a in range(n):
-        star2[a, :] = L[M[mns, a], m1]
-    add("order-via-tilde", star1_bad, "a <= b iff a.~b <= -1")
-    add("order-via-minus", L != star2, "a <= b iff (-b).a <= -1")
+    add("order-via-tilde", L != L[M[:, til], m1], "a <= b iff a.~b <= -1")
+    add("order-via-minus", L != L[M[mns], m1].T, "a <= b iff (-b).a <= -1")
     return ValidationReport(tuple(checks))

@@ -12,7 +12,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .algebra import FiniteDqRA, LawViolationError, MalformedAlgebraError, validate_dqra
+from .algebra import (FiniteDqRA, LawViolationError, MalformedAlgebraError,
+                      ValidationReport, validate_dqra)
 from .catalogue import CATALOGUE
 from .contraction import NotPsiError, contract, psi_elements
 from .dot import algebra_dot, structure_dot
@@ -66,12 +67,16 @@ def _write(text: str, output: Optional[str]) -> None:
         Path(output).write_text(text)
 
 
-def _detect_kind(text: str) -> str:
-    for raw in text.splitlines():
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            return body.split()[0]
-    return ""
+def _load_either(path: str) -> tuple[str, FiniteDqRA | RelStructure]:
+    """An algebra or a structure file, told apart by its first token."""
+    text = _read(path)
+    bodies = (raw.split("#", 1)[0].split() for raw in text.splitlines())
+    kind = next((body[0] for body in bodies if body), "")
+    if kind == "dqra":
+        return parse_algebra(text)
+    if kind == "struct":
+        return parse_structure(text)
+    raise ParseError(f"unrecognised header token {kind!r}", 1)
 
 
 def _load_algebra(path: str) -> tuple[str, FiniteDqRA]:
@@ -94,16 +99,9 @@ def _elt(A: FiniteDqRA, token: str) -> int:
 
 
 def cmd_validate(args) -> int:
-    text = _read(args.file)
-    kind = _detect_kind(text)
-    if kind == "dqra":
-        name, A = parse_algebra(text)
-        report = validate_dqra(A)
-    elif kind == "struct":
-        name, S = parse_structure(text)
-        report = validate_structure(S)
-    else:
-        raise ParseError(f"unrecognised header token {kind!r}", 1)
+    name, X = _load_either(args.file)
+    report = (validate_dqra(X) if isinstance(X, FiniteDqRA)
+              else validate_structure(X))
     print(f"{name}: {'valid' if report.ok else 'INVALID'}")
     print(report)
     return EXIT_OK if report.ok else EXIT_VALIDATION
@@ -131,9 +129,8 @@ def cmd_contract(args) -> int:
     return EXIT_OK
 
 
-def _invalid(S: RelStructure) -> bool:
-    """Print the structure's first failing check, if any, as invalid input."""
-    report = validate_structure(S)
+def _invalid(report: ValidationReport) -> bool:
+    """Print an input's first failing check, if any, as invalid input."""
     if not report.ok:
         print(f"invalid input: {report.failures[0]}", file=sys.stderr)
     return not report.ok
@@ -141,7 +138,7 @@ def _invalid(S: RelStructure) -> bool:
 
 def cmd_build_dq(args) -> int:
     name, S = _load_structure(args.file)
-    if _invalid(S):
+    if _invalid(validate_structure(S)):
         return EXIT_VALIDATION
     A = full_dq(S, cap=args.cap)
     _write(emit_algebra(f"Dq_{name}", A,
@@ -180,9 +177,11 @@ def cmd_find_embedding(args) -> int:
         print("find-embedding: give a structure file or --max-size",
               file=sys.stderr)
         return 2
+    if _invalid(validate_dqra(A)):
+        return EXIT_VALIDATION
     if args.structure is not None:
         _, S = _load_structure(args.structure)
-        if _invalid(S):
+        if _invalid(validate_structure(S)):
             return EXIT_VALIDATION
         result = find_embedding(A, S, budget=args.budget,
                                 upset_cap=args.upset_cap)
@@ -275,16 +274,9 @@ def cmd_scan_contractions(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    text = _read(args.file)
-    kind = _detect_kind(text)
-    if kind == "dqra":
-        name, A = parse_algebra(text)
-        _write(algebra_dot(name, A), args.output)
-    elif kind == "struct":
-        name, S = parse_structure(text)
-        _write(structure_dot(name, S), args.output)
-    else:
-        raise ParseError(f"unrecognised header token {kind!r}", 1)
+    name, X = _load_either(args.file)
+    dot = algebra_dot if isinstance(X, FiniteDqRA) else structure_dot
+    _write(dot(name, X), args.output)
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ def _quote(s: str) -> str:
 def _covers(leq: np.ndarray) -> list[tuple[int, int]]:
     n = leq.shape[0]
     strict = leq & ~np.eye(n, dtype=bool)
-    via = (strict.astype(np.uint8) @ strict.astype(np.uint8)) > 0
+    via = strict @ strict       # a boolean product: path counts cannot wrap
     return [(int(i), int(j)) for i, j in np.argwhere(strict & ~via)]
 
 

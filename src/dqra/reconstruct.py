@@ -178,8 +178,8 @@ def reconstruct(diagram: Diagram,
             if ngn[unit] != zero:
                 continue
             _search_products(
-                n, leq, meet, join, unit, zero, gens, gen_below, annot,
-                til, mns, ngn, labels, solutions)
+                n, leq, join, unit, bot, gens, gen_below, annot, til, mns,
+                ngn, labels, solutions)
 
     sols = list(solutions.values())
     note = ""
@@ -199,11 +199,10 @@ def reconstruct(diagram: Diagram,
     return ReconstructionOutcome(diagram, tuple(sols), "unique", note)
 
 
-def _search_products(n, leq, meet, join, unit, zero, gens, gen_below, annot,
+def _search_products(n, leq, join, unit, bot, gens, gen_below, annot,
                      til, mns, ngn, labels, solutions) -> None:
     """Backtrack over join-generator products for fixed unary tables."""
     m1 = mns[unit]
-    bot_val = next(a for a in range(n) if leq[a].all())
     slots = []
     for g in gens:
         for h in gens:
@@ -251,7 +250,7 @@ def _search_products(n, leq, meet, join, unit, zero, gens, gen_below, annot,
                         else:
                             w = assign[(g, h)]
                         v = w if v is None else join[v, w]
-                mult[a, b] = bot_val if v is None else v
+                mult[a, b] = bot if v is None else v
         return mult
 
     def leaf() -> None:

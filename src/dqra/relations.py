@@ -578,7 +578,7 @@ def _canonical_order(S: RelStructure, rels: Iterable[BinRel],
     order (closures) or a size/bytes sort (full algebras)."""
     rels = list(rels)
     head = [S.leq]
-    if any(not r.bits for r in rels):
+    if S.leq.bits and any(not r.bits for r in rels):
         head.insert(0, BinRel.empty(S.n))
     head_bits = {r.bits for r in head}
     rest = [r for r in rels if r.bits not in head_bits]

@@ -194,6 +194,34 @@ def test_find_embedding_rejects_an_invalid_structure(tmp_path, capsys, name,
     assert "Traceback" not in err
 
 
+INVALID_ALGEBRAS = [
+    # three incomparable elements: no meets, so no lattice
+    ("dqra anti 3\norder\n100\n010\n001\nmult\nx y z\ny y z\nz z z\n"
+     "tilde x y z\nminus x y z\nneg x y z\nunit x\nlabels x y z\n",
+     "meets-exist"),
+    # a 3-chain with (a.bot).a = a but a.(bot.a) = bot
+    ("dqra skew 3\norder\n111\n011\n001\nmult\nbot a bot\nbot bot a\n"
+     "bot a 1\ntilde 1 a bot\nminus 1 a bot\nneg 1 a bot\nunit 1\n"
+     "labels bot a 1\n", "monoid-associative"),
+]
+
+
+@pytest.mark.parametrize("mode", ["structure", "max-size"])
+@pytest.mark.parametrize("text,check", INVALID_ALGEBRAS)
+def test_find_embedding_rejects_an_invalid_algebra(tmp_path, capsys, mode,
+                                                   text, check):
+    # a search for an invalid algebra would claim a definitive not-found
+    alg = tmp_path / "bad.dqra"
+    alg.write_text(text)
+    target = ([data_path(SIX, "structure")] if mode == "structure"
+              else ["--max-size", "2"])
+    assert main(["find-embedding", str(alg), *target]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invalid input: FAIL " + check)
+    assert "Traceback" not in err
+
+
 def test_quotient_command(tmp_path):
     struct_out = tmp_path / "q.struct"
     emb_out = tmp_path / "q.assign"

@@ -1,6 +1,8 @@
 """DOT emission shape checks."""
 
-from dqra import BinRel, RelStructure
+import numpy as np
+
+from dqra import BinRel, FiniteDqRA, RelStructure
 from dqra.dot import algebra_dot, structure_dot
 
 
@@ -40,3 +42,16 @@ def test_hasse_diagram_of_the_six_element_algebra(six):
 def test_labels_are_quoted(six):
     out = algebra_dot('we"ird', six)
     assert '"we\\"ird"' in out
+
+
+def test_hasse_diagram_of_a_258_element_chain():
+    # 256 paths of length two run from the bottom to the top, which wraps a
+    # uint8 path count to 0 and would draw a cover (0, 257)
+    n = 258
+    idx = np.arange(n)
+    A = FiniteDqRA(n, idx[:, None] <= idx[None, :], np.minimum.outer(idx, idx),
+                   idx[::-1], idx[::-1], idx[::-1], n - 1)
+    out = algebra_dot("chain", A)
+    assert out.count("arrowhead=none") == n - 1
+    for i in range(n - 1):
+        assert f"n{i} -> n{i + 1} [arrowhead=none];" in out

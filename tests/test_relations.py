@@ -318,6 +318,15 @@ def test_empty_E_has_only_the_empty_upset():
     assert full_dq_family(S).relations == (BinRel.empty(1), S.leq)
 
 
+def test_an_empty_order_relation_is_listed_once():
+    # an invalid structure whose order relation is the empty relation: the
+    # empty upset and the unit are then one element, not two
+    S = RelStructure(1, BinRel(1, 0), BinRel(1, 0), (0,), (0,))
+    family = full_dq_family(S)
+    assert family.relations == (S.leq,)
+    assert validate_dqra(family.algebra).ok
+
+
 def test_count_upsets_rejects_a_preorder():
     S = RelStructure(2, BinRel.full(2), BinRel.full(2), (0, 1), (0, 1))
     with pytest.raises(LawViolationError):
