@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -118,6 +118,52 @@ def _order_bad(L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     diagonal), antisymmetry and transitivity."""
     off_diagonal = ~np.eye(L.shape[0], dtype=bool)
     return ~L.diagonal(), L & L.T & off_diagonal, (L @ L) & ~L
+
+
+def order_maps(L: np.ndarray, T: np.ndarray,
+               dual: bool = False) -> Iterator[tuple[int, ...]]:
+    """Every point bijection p with L[a][b] == T[p[a]][p[b]] for all a, b
+    (T[p[b]][p[a]] when `dual`), in lexicographic order: the isomorphisms
+    from relation L onto T, or onto its converse.  Backtracks point by
+    point, checking each new image against the points already placed and
+    trying only images with as many successors and predecessors; the stack
+    is explicit, so the carrier size sets no recursion limit."""
+    Lm, Tm = np.asarray(L, dtype=bool), np.asarray(T, dtype=bool)
+    if Lm.shape != Tm.shape:
+        return
+    if dual:
+        Tm = Tm.T
+    Lr, Lc, Tr, Tc = (m.tolist() for m in (Lm, Lm.T, Tm, Tm.T))
+    n = len(Lr)
+    deg_L, deg_T = (list(zip(m.sum(axis=1).tolist(), m.sum(axis=0).tolist()))
+                    for m in (Lm, Tm))
+    images = [[v for v in range(n) if deg_T[v] == deg_L[a]] for a in range(n)]
+
+    def fits(a: int, v: int) -> bool:
+        row, col, trow, tcol = Lr[a], Lc[a], Tr[v], Tc[v]
+        return trow[v] == row[a] and all(
+            trow[w] == row[b] and tcol[w] == col[b] for b, w in enumerate(p))
+
+    p: list[int] = []
+    used = [False] * n
+    start = 0
+    while True:
+        a = len(p)
+        v = None if a == n else next(
+            (v for v in images[a] if v >= start and not used[v] and fits(a, v)),
+            None)
+        if v is not None:
+            p.append(v)
+            used[v] = True
+            start = 0
+            continue
+        if a == n:
+            yield tuple(p)
+        if not p:
+            return
+        start = p.pop()
+        used[start] = False
+        start += 1
 
 
 @dataclass(frozen=True, eq=False)

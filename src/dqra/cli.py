@@ -8,6 +8,7 @@ preconditions), 4 search failure (nothing found, budget or cap exceeded),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Optional
@@ -37,6 +38,7 @@ from .representation import (
 )
 from .textio import (
     ParseError,
+    _index,
     emit_algebra,
     emit_assignment,
     emit_structure,
@@ -90,8 +92,9 @@ def _load_structure(path: str) -> tuple[str, RelStructure]:
 def _elt(A: FiniteDqRA, token: str) -> int:
     if token in A.labels:
         return A.index_of(token)
-    if token.isdigit() and int(token) < A.size:
-        return int(token)
+    v = _index(token)
+    if v is not None and v < A.size:
+        return v
     raise KeyError(f"no element {token!r} in the algebra")
 
 
@@ -175,6 +178,10 @@ def cmd_find_embedding(args) -> int:
     aname, A = _load_algebra(args.algebra)
     if args.structure is None and args.max_size is None:
         print("find-embedding: give a structure file or --max-size",
+              file=sys.stderr)
+        return 2
+    if args.max_size is not None and args.max_size < 1:
+        print("find-embedding: --max-size must be at least 1",
               file=sys.stderr)
         return 2
     if _invalid(validate_dqra(A)):
@@ -280,7 +287,11 @@ def cmd_dot(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every later call:
+    parsing keeps no state in it (no append actions, no mutable
+    defaults)."""
     parser = argparse.ArgumentParser(
         prog="dqra",
         description="computing with finite distributive quasi relation algebras")
@@ -359,8 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -1,18 +1,17 @@
 """Isomorphism tests for finite algebras and ordered structures.
 
-Brute force over bijections with invariant pruning; the carriers involved
+Backtracking over bijections with invariant pruning; the carriers involved
 are small (at most a few hundred elements for algebras extracted from
 relational closures, and single digits for ordered structures).
 """
 
 from __future__ import annotations
 
-from itertools import permutations
 from typing import Optional
 
 import numpy as np
 
-from .algebra import FiniteDqRA
+from .algebra import FiniteDqRA, order_maps
 
 
 def _algebra_profile(A: FiniteDqRA, a: int) -> tuple:
@@ -100,17 +99,15 @@ def algebras_isomorphic(A: FiniteDqRA, B: FiniteDqRA) -> bool:
 
 
 def structure_isomorphism(S, T) -> Optional[tuple[int, ...]]:
-    """A point bijection carrying (leq, E, alpha, beta) of S onto those of T,
-    or None.  Exhaustive over permutations; carriers here are tiny."""
+    """The lexicographically first point bijection carrying (leq, E, alpha,
+    beta) of S onto those of T, or None: the first order isomorphism that
+    also carries E, alpha and beta."""
     if S.n != T.n:
         return None
     n = S.n
-    sl, tl = S.leq.mat, T.leq.mat
     se, te = S.E.mat, T.E.mat
-    for perm in permutations(range(n)):
+    for perm in order_maps(S.leq.mat, T.leq.mat):
         q = np.array(perm)
-        if not np.array_equal(sl, tl[q][:, q]):
-            continue
         if not np.array_equal(se, te[q][:, q]):
             continue
         if any(perm[S.alpha[x]] != T.alpha[perm[x]] for x in range(n)):

@@ -29,13 +29,12 @@ entries need documented extra steps:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .algebra import (FiniteDqRA, join_generators, lattice_tables,
-                      validate_dqra)
+                      order_maps, validate_dqra)
 from .isomorphism import algebras_isomorphic
 
 
@@ -132,16 +131,6 @@ def _closure_leq(n: int, covers: Sequence[tuple[int, int]]) -> np.ndarray:
     return leq
 
 
-def _dual_isos(leq: np.ndarray) -> list[tuple[int, ...]]:
-    n = leq.shape[0]
-    out = []
-    for p in permutations(range(n)):
-        q = np.array(p)
-        if np.array_equal(leq, leq[q][:, q].T):
-            out.append(p)
-    return out
-
-
 def reconstruct(diagram: Diagram,
                 resolved: Optional[dict[str, "ReconstructionOutcome"]] = None,
                 ) -> ReconstructionOutcome:
@@ -162,7 +151,7 @@ def reconstruct(diagram: Diagram,
     annot = {(ix[x], ix[y]): ix[v] for x, y, v in diagram.products}
 
     solutions: dict[bytes, FiniteDqRA] = {}
-    duals = _dual_isos(leq)
+    duals = list(order_maps(leq, leq, dual=True))
     for til in duals:
         mns = [0] * n
         for a in range(n):

@@ -14,14 +14,14 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations, repeat
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .algebra import (FiniteDqRA, LawCheck, LawViolationError,
                       ValidationReport, _first_bad, _freeze, _order_bad,
-                      _row_masks)
+                      _row_masks, order_maps)
 
 
 class CarrierMismatchError(ValueError):
@@ -687,19 +687,28 @@ def full_dq(S: RelStructure, cap: int = 1 << 20) -> FiniteDqRA:
 
 
 def _all_posets(n: int) -> Iterator[np.ndarray]:
-    """All partial orders on n labelled points (reflexive matrices)."""
-    off = [(i, j) for i in range(n) for j in range(n) if i != j]
-    both_ways = [1 << k | 1 << off.index((j, i))
-                 for k, (i, j) in enumerate(off) if i < j]
-    for bits in range(1 << len(off)):
-        if any(bits & pair == pair for pair in both_ways):
-            continue    # never antisymmetric; skipped before building it
-        m = np.eye(n, dtype=bool)
-        for k, (i, j) in enumerate(off):
-            if bits >> k & 1:
-                m[i, j] = True
-        if not any(bad.any() for bad in _order_bad(m)):
-            yield m
+    """All partial orders on n labelled points (reflexive matrices), in the
+    order of their off-diagonal cells read as bits (cell k of `off` at bit
+    k).  Patterns are tested 2^16 at a time: those with a pair of opposite
+    cells are dropped before any matrix is built, then the transitive ones
+    are kept."""
+    off = np.array([(i, j) for i in range(n) for j in range(n) if i != j],
+                   dtype=np.intp).reshape(-1, 2)
+    k = len(off)
+    index = {(int(i), int(j)): b for b, (i, j) in enumerate(off)}
+    both_ways = [1 << b | 1 << index[j, i]
+                 for (i, j), b in index.items() if i < j]
+    shifts = np.arange(k)
+    width = 1 << min(k, 16)
+    for start in range(0, 1 << k, width):
+        bits = np.arange(start, start + width, dtype=np.int64)
+        for pair in both_ways:
+            bits = bits[bits & pair != pair]
+        m = np.zeros((len(bits), n, n), dtype=np.uint8)
+        m[:, np.arange(n), np.arange(n)] = 1
+        m[:, off[:, 0], off[:, 1]] = bits[:, None] >> shifts & 1
+        transitive = ~((m @ m > 0) & (m == 0)).any(axis=(1, 2))
+        yield from m[transitive].astype(bool)
 
 
 def _partitions(items: list[int]) -> Iterator[list[list[int]]]:
@@ -717,28 +726,30 @@ def enumerate_structures(n: int) -> Iterator[RelStructure]:
     """Every valid structure on n labelled points: all compatible choices of
     partial order, equivalence containing it, order automorphism and
     self-inverse dual order automorphism with beta = alpha;beta;alpha."""
-    perms = list(permutations(range(n)))
+    equivalences = []
+    for part in _partitions(list(range(n))):
+        block = [0] * n
+        for k, members in enumerate(part):
+            for i in members:
+                block[i] = k
+        E = BinRel.from_matrix(n, np.equal.outer(block, block))
+        equivalences.append((block, E))
     for L in _all_posets(n):
-        for part in _partitions(list(range(n))):
-            E = np.zeros((n, n), dtype=bool)
-            for block in part:
-                for i in block:
-                    for j in block:
-                        E[i, j] = True
-            if (L & ~E).any():
+        leq = BinRel.from_matrix(n, L)
+        autos = list(order_maps(L, L))
+        duals = [p for p in order_maps(L, L, dual=True)
+                 if all(p[p[x]] == x for x in range(n))]
+        for block, E in equivalences:
+            if leq.bits & ~E.bits:
                 continue
-            alphas = [p for p in perms
-                      if np.array_equal(L, L[np.array(p)][:, np.array(p)])
-                      and all(E[x, p[x]] for x in range(n))]
-            betas = [p for p in perms
-                     if all(p[p[x]] == x for x in range(n))
-                     and np.array_equal(L, L[np.array(p)][:, np.array(p)].T)
-                     and all(E[x, p[x]] for x in range(n))]
+            alphas = [p for p in autos
+                      if all(block[x] == block[p[x]] for x in range(n))]
+            betas = [p for p in duals
+                     if all(block[x] == block[p[x]] for x in range(n))]
             for a in alphas:
                 for b in betas:
                     if all(a[b[a[x]]] == b[x] for x in range(n)):
-                        yield RelStructure(n, BinRel.from_matrix(n, L),
-                                           BinRel.from_matrix(n, E), a, b)
+                        yield RelStructure(n, leq, E, a, b)
 
 
 def sample_structures(max_n: int, count: int, seed: int,

@@ -96,13 +96,25 @@ class _Lines:
             raise ParseError(f"unexpected trailing content {got[1]!r}", got[0])
 
 
+def _index(token: str) -> Optional[int]:
+    """The decimal index a token spells, or None.  ASCII digits only, since
+    `str.isdigit` also accepts digits such as '³' that `int` rejects, and
+    no longer than `int` converts (4300 digits by default)."""
+    if not (token.isascii() and token.isdigit()):
+        return None
+    try:
+        return int(token)
+    except ValueError:
+        return None
+
+
 def _resolve(token: str, labels: Sequence[str], size: int, line: int,
              what: str) -> int:
     if token in labels:
         return list(labels).index(token)
-    if token.isdigit():
-        v = int(token)
-        if 0 <= v < size:
+    v = _index(token)
+    if v is not None:
+        if v < size:
             return v
         raise ParseError(f"{what} index {v} out of range 0..{size - 1}", line)
     raise ParseError(f"unknown {what} reference {token!r}", line)
@@ -128,9 +140,10 @@ def _split_header(lines: _Lines, token: str) -> tuple[str, int]:
     parts = body.split()
     if len(parts) != 3 or parts[0] != token:
         raise ParseError(f"expected header '{token} <name> <size>'", no)
-    if not parts[2].isdigit() or int(parts[2]) <= 0:
+    size = _index(parts[2])
+    if not size:
         raise ParseError("size must be a positive integer", no)
-    return parts[1], int(parts[2])
+    return parts[1], size
 
 
 def _keyword_row(lines: _Lines, keyword: str, n: int) -> tuple[int, list[str]]:

@@ -1,7 +1,13 @@
 """Command-line behaviour: outputs, formats, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import dqra
 from dqra import CATALOGUE, load_algebra, validate_dqra
 from dqra.catalogue import _read, data_dir
 from dqra.cli import main
@@ -271,3 +277,79 @@ def test_catalogue_name_shortcut(capsys):
     # catalogue names double as file arguments
     assert main(["psi-list", SIX]) == 0
     assert capsys.readouterr().out.split() == ["1", "a", "b", "top"]
+
+
+# --- non-ASCII digits, --max-size bounds, one parser per process ---------------
+
+
+@pytest.mark.parametrize("edit", [
+    ("dqra D^3_{1,1} 3", "dqra D^3_{1,1} ³"),   # the size field
+    ("unit 1", "unit ²"),                      # an element reference
+])
+def test_non_ascii_digits_in_a_file_are_a_parse_error(tmp_path, capsys, edit):
+    # '³'.isdigit() holds but int('³') raises: a reference must be ASCII
+    p = tmp_path / "digits.dqra"
+    p.write_text(_read(CATALOGUE["D^3_{1,1}"].algebra_file).replace(*edit))
+    assert main(["validate", str(p)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("token", ["²", "٣"])
+def test_non_ascii_digit_p_is_invalid_input(capsys, token):
+    assert main(["contract", data_path(SIX), "-p", token]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"invalid input: \"no element '{token}' in the algebra\"\n"
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_find_embedding_rejects_max_size_below_one(capsys, size):
+    assert main(["find-embedding", data_path("D^3_{1,1}"),
+                 "--max-size", size]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "find-embedding: --max-size must be at least 1\n"
+
+
+def test_reused_parser_forgets_an_earlier_output_option(tmp_path, capsys):
+    out = tmp_path / "aAa.dqra"
+    argv = ["contract", data_path(SIX), "-p", "a"]
+    assert main(argv + ["--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
+def test_reused_parser_after_a_usage_error(capsys):
+    argv = ["check-nonfinrep", data_path("D^4_{3,1}")]
+    assert main(argv) == 0
+    alone = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["contract", data_path(SIX), "--bogus"])
+    assert exc.value.code == 2
+    assert "usage: dqra" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert capsys.readouterr() == alone
+
+
+def _run_module(*argv: str):
+    """`python -m dqra.cli` in a fresh interpreter, with this checkout's
+    sources first on the path."""
+    src = str(Path(dqra.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-m", "dqra.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_module_entry_point_in_a_real_process(tmp_path):
+    ok = _run_module("validate", "D^3_{1,1}")
+    assert ok.returncode == 0
+    assert ok.stdout.startswith("D^3_{1,1}: valid\n") and ok.stderr == ""
+    bad = tmp_path / "digits.dqra"
+    bad.write_text("dqra x ³\n")
+    failed = _run_module("validate", str(bad))
+    assert failed.returncode == 5
+    assert failed.stdout == ""
+    assert failed.stderr == "parse error: line 1: size must be a positive integer\n"
