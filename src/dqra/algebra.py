@@ -120,37 +120,21 @@ def _order_bad(L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ~L.diagonal(), L & L.T & off_diagonal, (L @ L) & ~L
 
 
-def order_maps(L: np.ndarray, T: np.ndarray,
-               dual: bool = False) -> Iterator[tuple[int, ...]]:
-    """Every point bijection p with L[a][b] == T[p[a]][p[b]] for all a, b
-    (T[p[b]][p[a]] when `dual`), in lexicographic order: the isomorphisms
-    from relation L onto T, or onto its converse.  Backtracks point by
-    point, checking each new image against the points already placed and
-    trying only images with as many successors and predecessors; the stack
-    is explicit, so the carrier size sets no recursion limit."""
-    Lm, Tm = np.asarray(L, dtype=bool), np.asarray(T, dtype=bool)
-    if Lm.shape != Tm.shape:
-        return
-    if dual:
-        Tm = Tm.T
-    Lr, Lc, Tr, Tc = (m.tolist() for m in (Lm, Lm.T, Tm, Tm.T))
-    n = len(Lr)
-    deg_L, deg_T = (list(zip(m.sum(axis=1).tolist(), m.sum(axis=0).tolist()))
-                    for m in (Lm, Tm))
-    images = [[v for v in range(n) if deg_T[v] == deg_L[a]] for a in range(n)]
-
-    def fits(a: int, v: int) -> bool:
-        row, col, trow, tcol = Lr[a], Lc[a], Tr[v], Tc[v]
-        return trow[v] == row[a] and all(
-            trow[w] == row[b] and tcol[w] == col[b] for b, w in enumerate(p))
-
+def _bijections(images: Sequence[Sequence[int]],
+                fits: Callable[[list[int], int, int], bool]
+                ) -> Iterator[tuple[int, ...]]:
+    """Every bijection p of range(n) with p[a] in images[a] (each list
+    ascending) and fits(p[:a], a, p[a]) at every point a, in lexicographic
+    order.  Backtracks point by point on an explicit stack, so the carrier
+    size sets no recursion limit."""
+    n = len(images)
     p: list[int] = []
     used = [False] * n
     start = 0
     while True:
         a = len(p)
         v = None if a == n else next(
-            (v for v in images[a] if v >= start and not used[v] and fits(a, v)),
+            (v for v in images[a] if v >= start and not used[v] and fits(p, a, v)),
             None)
         if v is not None:
             p.append(v)
@@ -164,6 +148,32 @@ def order_maps(L: np.ndarray, T: np.ndarray,
         start = p.pop()
         used[start] = False
         start += 1
+
+
+def order_maps(L: np.ndarray, T: np.ndarray,
+               dual: bool = False) -> Iterator[tuple[int, ...]]:
+    """Every point bijection p with L[a][b] == T[p[a]][p[b]] for all a, b
+    (T[p[b]][p[a]] when `dual`), in lexicographic order: the isomorphisms
+    from relation L onto T, or onto its converse.  Tries only images with as
+    many successors and predecessors, and checks each new image against the
+    points already placed."""
+    Lm, Tm = np.asarray(L, dtype=bool), np.asarray(T, dtype=bool)
+    if Lm.shape != Tm.shape:
+        return iter(())
+    if dual:
+        Tm = Tm.T
+    Lr, Lc, Tr, Tc = (m.tolist() for m in (Lm, Lm.T, Tm, Tm.T))
+    n = len(Lr)
+    deg_L, deg_T = (list(zip(m.sum(axis=1).tolist(), m.sum(axis=0).tolist()))
+                    for m in (Lm, Tm))
+    images = [[v for v in range(n) if deg_T[v] == deg_L[a]] for a in range(n)]
+
+    def fits(p: list[int], a: int, v: int) -> bool:
+        row, col, trow, tcol = Lr[a], Lc[a], Tr[v], Tc[v]
+        return trow[v] == row[a] and all(
+            trow[w] == row[b] and tcol[w] == col[b] for b, w in enumerate(p))
+
+    return _bijections(images, fits)
 
 
 @dataclass(frozen=True, eq=False)

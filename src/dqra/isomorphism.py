@@ -1,96 +1,70 @@
 """Isomorphism tests for finite algebras and ordered structures.
 
-Backtracking over bijections with invariant pruning; the carriers involved
-are small (at most a few hundred elements for algebras extracted from
-relational closures, and single digits for ordered structures).
+Both searches run on `algebra._bijections`, the one lexicographic bijection
+walk (which `order_maps` also uses), with invariant pruning.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .algebra import FiniteDqRA, order_maps
+from .algebra import FiniteDqRA, _bijections, order_maps
 
 
-def _algebra_profile(A: FiniteDqRA, a: int) -> tuple:
-    """Invariant fingerprint of an element under any isomorphism."""
-    return (
-        int(A.leq[:, a].sum()),          # elements below
-        int(A.leq[a, :].sum()),          # elements above
-        a == A.unit,
-        int(A.tilde[a] == a),
-        int(A.minus[a] == a),
-        int(A.negn[a] == a),
-        int(A.mult[a, a] == a),
-        int((A.mult[a, :] == a).sum()),
-        int((A.mult[:, a] == a).sum()),
-    )
+def _algebra_profiles(A: FiniteDqRA) -> list[tuple[int, ...]]:
+    """Invariant fingerprint of each element under any isomorphism: elements
+    below and above, whether it is the unit, fixed by each unary operation
+    or idempotent, and how often it occurs in its product row and column."""
+    idx = np.arange(A.size)
+    M = A.mult
+    cols = np.column_stack((
+        A.leq.sum(axis=0), A.leq.sum(axis=1), idx == A.unit,
+        A.tilde == idx, A.minus == idx, A.negn == idx, M[idx, idx] == idx,
+        (M == idx[:, None]).sum(axis=1), (M == idx).sum(axis=0)))
+    return list(map(tuple, cols.tolist()))
 
 
 def algebra_isomorphism(A: FiniteDqRA, B: FiniteDqRA) -> Optional[tuple[int, ...]]:
-    """A bijection p with p(unit)=unit preserving order, product and the
-    three unary operations, or None.  Searches profile-compatible
-    candidates element by element."""
+    """The lexicographically first bijection p with p(unit)=unit preserving
+    order, product and the three unary operations, or None.  Places elements
+    in index order among profile-compatible images, checking each against
+    the elements already placed; a complete map has its tables compared in
+    full."""
     if A.size != B.size:
         return None
-    n = A.size
-    profA = [_algebra_profile(A, a) for a in range(n)]
-    profB = [_algebra_profile(B, b) for b in range(n)]
+    profA, profB = _algebra_profiles(A), _algebra_profiles(B)
     if sorted(profA) != sorted(profB):
         return None
-    cands = [[b for b in range(n) if profB[b] == profA[a]] for a in range(n)]
+    same: dict[tuple[int, ...], list[int]] = {}
+    for b, prof in enumerate(profB):
+        same.setdefault(prof, []).append(b)
+    images = [same[prof] for prof in profA]
 
-    p: list[int] = [-1] * n
-    used = [False] * n
+    (Al, Ag, Am, At, Au), (Bl, Bg, Bm, Bt, Bu) = (
+        (X.leq.tolist(), X.leq.T.tolist(), X.mult.tolist(), X.mult.T.tolist(),
+         np.column_stack((X.tilde, X.minus, X.negn)).tolist())
+        for X in (A, B))
 
-    def consistent(a: int, b: int) -> bool:
-        for x in range(n):
-            y = p[x]
-            if y < 0:
-                continue
-            if A.leq[a, x] != B.leq[b, y] or A.leq[x, a] != B.leq[y, b]:
-                return False
-            for (u, v), (s, t) in (((a, x), (b, y)), ((x, a), (y, b))):
-                w = p[A.mult[u, v]]
-                if w >= 0 and w != B.mult[s, t]:
-                    return False
-        for tab_a, tab_b in ((A.tilde, B.tilde), (A.minus, B.minus), (A.negn, B.negn)):
-            w = p[tab_a[a]]
-            if w >= 0 and w != tab_b[b]:
-                return False
-        return True
+    def fits(placed: list[int], a: int, v: int) -> bool:
+        q = placed + [v]
+        if ([Bl[v][y] for y in q] != Al[a][:a + 1]
+                or [Bg[v][y] for y in q] != Ag[a][:a + 1]):
+            return False
+        # a product or unary value that is already placed goes to its image
+        values = chain(zip(Am[a], (Bm[v][y] for y in q)),
+                       zip(At[a], (Bt[v][y] for y in q)), zip(Au[a], Bu[v]))
+        return all(z > a or q[z] == w for z, w in values)
 
-    def extend(a: int) -> bool:
-        if a == n:
-            # full check of every table under the completed map
-            q = np.array(p)
-            if not np.array_equal(A.leq, B.leq[q][:, q]):
-                return False
-            if not (q[A.mult] == B.mult[q][:, q]).all():
-                return False
-            for tab_a, tab_b in ((A.tilde, B.tilde), (A.minus, B.minus),
-                                 (A.negn, B.negn)):
-                if not (q[tab_a] == tab_b[q]).all():
-                    return False
-            return True
-        for b in cands[a]:
-            if used[b]:
-                continue
-            if a == A.unit and b != B.unit:
-                continue
-            if consistent(a, b):
-                p[a] = b
-                used[b] = True
-                if extend(a + 1):
-                    return True
-                p[a] = -1
-                used[b] = False
-        return False
-
-    if extend(0):
-        return tuple(p)
+    for p in _bijections(images, fits):
+        q = np.array(p)
+        if (np.array_equal(A.leq, B.leq[q][:, q])
+                and np.array_equal(q[A.mult], B.mult[q][:, q])
+                and all(np.array_equal(q[ta], tb[q]) for ta, tb in
+                        ((A.tilde, B.tilde), (A.minus, B.minus), (A.negn, B.negn)))):
+            return p
     return None
 
 

@@ -1,6 +1,7 @@
-"""Robustness of the command line: on mutated catalogue files and mutated
-`-p` tokens, every read-only subcommand ends with a documented exit code
-(argparse usage errors count as 2) and never with a traceback."""
+"""Robustness of the command line: on mutated catalogue files (algebras, and
+the structure and assignment of D^6_{3,5,2}) and mutated `-p` tokens, every
+subcommand ends with a documented exit code (argparse usage errors count as
+2) and never with a traceback."""
 
 import contextlib
 import io
@@ -12,7 +13,7 @@ from dqra import CATALOGUE
 from dqra.catalogue import _read
 from dqra.cli import main
 
-from conftest import ALL_NAMES
+from conftest import ALL_NAMES, SIX
 
 # tokens of the algebra format, a few foreign ones, and digits that
 # `str.isdigit` accepts but ASCII does not contain
@@ -23,14 +24,22 @@ _PIECES = ["0", "1", "2", "3", "7", "12", "-1", "999999999999", "²", "³",
 _COMMANDS = ["validate", "psi-list", "contract", "dot", "check-nonfinrep",
              "scan-contractions"]
 
+# tokens of the structure and assignment formats
+_FILE_PIECES = _PIECES + ["struct", "leq", "E", "alpha", "beta", "assign",
+                          "w", "x", "y", "z", "1111", "0000", "10", "{}", "{",
+                          "}", "(w,w)", "(x,y)", "(z,w", ",", ":", "bot:"]
+
+_FILE_COMMANDS = ["build-dq", "closure", "verify-embedding", "find-embedding",
+                  "quotient", "validate", "dot"]
+
 
 @st.composite
-def mutated(draw, text: str) -> str:
+def mutated(draw, text: str, pieces: list[str] = _PIECES) -> str:
     """The text after one to three edits: a whitespace-separated token
     replaced, a piece inserted, a span deleted, or a line dropped."""
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["token", "insert", "delete", "drop"]))
-        piece = draw(st.sampled_from(_PIECES))
+        piece = draw(st.sampled_from(pieces))
         if kind == "token":
             lines = [line.split(" ") for line in text.split("\n")]
             i = draw(st.integers(0, len(lines) - 1))
@@ -85,6 +94,36 @@ def test_mutated_inputs_end_with_a_documented_exit_code(workdir, data):
     argv = [command, str(path)]
     if command == "contract":
         argv += ["-p", data.draw(_p_tokens(name))]
+    code, err = _exit_code(argv)
+    assert code in {0, 2, 3, 4, 5}
+    assert "Traceback" not in err
+
+
+def _file_text(path: str):
+    """A catalogue file as it is, or mutated."""
+    text = _read(path)
+    return st.one_of(st.just(text), mutated(text, _FILE_PIECES))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_mutated_structure_files_end_with_a_documented_exit_code(workdir, data):
+    entry = CATALOGUE[SIX]
+    command = data.draw(st.sampled_from(_FILE_COMMANDS))
+    struct, assign = workdir / "input.struct", workdir / "input.assign"
+    struct.write_text(data.draw(_file_text(entry.structure_file)))
+    assign.write_text(data.draw(_file_text(entry.assignment_file)))
+    if command in ("validate", "dot", "build-dq"):
+        argv = [command, str(struct)]
+    elif command == "closure":
+        argv = [command, str(struct), str(assign)]
+    elif command == "find-embedding":
+        argv = [command, SIX, str(struct), "--budget", "50"]
+    else:
+        argv = [command, SIX, str(struct), str(assign)]
+        if command == "quotient":
+            argv += ["-p", data.draw(_p_tokens(SIX))]
     code, err = _exit_code(argv)
     assert code in {0, 2, 3, 4, 5}
     assert "Traceback" not in err

@@ -1,7 +1,10 @@
 """Relation calculus, structures, negations, closures and full algebras."""
 
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dqra import (
     BinRel,
@@ -298,6 +301,29 @@ def test_count_upsets_matches_brute_force():
                                                  if mask >> i & 1]))
                 for mask in range(1 << len(pairs)))
             assert S.count_upsets() == brute
+
+
+@cache
+def structures_with_small_E() -> list[RelStructure]:
+    """Every labelled structure with at most 5 points and 16 pairs in E."""
+    return [S for n in range(1, 6) for S in enumerate_structures(n)
+            if len(S.E.pairs()) <= 16]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_count_upsets_matches_a_count_over_every_subset(data):
+    S = data.draw(st.sampled_from(structures_with_small_E()))
+    pairs = S.E.pairs()
+    L = S.leq.mat
+    subsets = np.arange(1 << len(pairs))
+    closed = np.ones(len(subsets), dtype=bool)
+    for i, (x, y) in enumerate(pairs):
+        # the pairs (u, v) of E above (x, y): u <= x and y <= v
+        up = sum(1 << j for j, (u, v) in enumerate(pairs) if L[u, x] and L[y, v])
+        closed &= (subsets >> i & 1 == 0) | (subsets & up == up)
+    assert S.count_upsets(1 << 16) == int(closed.sum())
 
 
 def test_count_upsets_has_no_recursion_limit():

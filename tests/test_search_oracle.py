@@ -45,10 +45,12 @@ def old_upset_bits(S, cap: int) -> list[int]:
     n = S.n
     pairs = S.pair_list
     k = len(pairs)
-    prec = S._pair_precedes
-    below = [frozenset(p for p in range(k) if p != q and prec[p, q])
+    # pair (x, y) lies below (u, v) iff u <= x and y <= v
+    L = S.leq.mat
+    prec = [[bool(L[u, x] and L[y, v]) for u, v in pairs] for x, y in pairs]
+    below = [frozenset(p for p in range(k) if p != q and prec[p][q])
              for q in range(k)]
-    strictly_above = [frozenset(q for q in range(k) if q != p and prec[p, q])
+    strictly_above = [frozenset(q for q in range(k) if q != p and prec[p][q])
                       for p in range(k)]
     bit = [_cell(n, x, y) for x, y in pairs]
 
