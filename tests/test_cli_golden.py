@@ -1,7 +1,8 @@
 """Golden digests of the command line: one SHA-256 of (exit code, stdout,
 stderr) per call, over every read-only subcommand on every catalogue entry,
-the quotient at every idempotent of the shipped representation, and the
-shipped structure.
+the quotient at every idempotent of the shipped representation, the shipped
+structure, and the closure, embedding check and embedding searches around
+the shipped representation.
 
 Refactors must leave every output byte-identical, so the digests are
 compared exactly.  Re-record them only when an output is meant to change:
@@ -42,6 +43,14 @@ def golden_calls() -> list[list[str]]:
                "--output", "-", "--embedding-output", "-"]
               for p in psi_elements(six)]
     calls += [[cmd, struct] for cmd in ("validate", "dot", "build-dq")]
+    calls += [
+        ["closure", struct, assign],
+        ["verify-embedding", SIX, struct, assign],
+        ["find-embedding", SIX, struct],
+        ["find-embedding", "D^3_{1,1}", "--max-size", "3"],
+        ["find-embedding", SIX, "--max-size", "4", "--budget", "2000",
+         "--output", "-"],
+    ]
     return calls
 
 
