@@ -65,6 +65,12 @@ class ValidationReport:
                 return c
         raise KeyError(name)
 
+    def raise_if_failed(self, what: str) -> None:
+        """Raise LawViolationError listing every failure after `what: `."""
+        if not self.ok:
+            raise LawViolationError(
+                f"{what}: " + "; ".join(str(c) for c in self.failures))
+
     def __str__(self) -> str:
         return "\n".join(str(c) for c in self.checks)
 

@@ -38,6 +38,7 @@ from .representation import (
 )
 from .textio import (
     ParseError,
+    _emit_pair_set,
     _index,
     emit_algebra,
     emit_assignment,
@@ -157,8 +158,8 @@ def cmd_closure(args) -> int:
     result = dq_closure(S, gens, cap=args.cap)
     comments = [f"closure of {len(gens)} generator(s) from {gname} over {sname}"]
     for i, rel in enumerate(result.relations):
-        pairs = ", ".join(f"({S.labels[x]},{S.labels[y]})" for x, y in rel.pairs())
-        comments.append(f"element {result.algebra.labels[i]} = {{{pairs}}}")
+        comments.append(
+            f"element {result.algebra.labels[i]} = {_emit_pair_set(rel, S)}")
     _write(emit_algebra(f"closure_{gname}", result.algebra, comments),
            args.output)
     return EXIT_OK

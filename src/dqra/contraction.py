@@ -123,9 +123,5 @@ def contract(A: FiniteDqRA, p: int) -> Contraction:
     labels = tuple(A.labels[x] for x in members)
     algebra = FiniteDqRA(len(members), leq, mult, til, mns, ngn,
                          int(back[p]), labels)
-    report = validate_dqra(algebra)
-    if not report.ok:
-        raise LawViolationError(
-            "contraction failed validation: " + "; ".join(
-                str(c) for c in report.failures))
+    validate_dqra(algebra).raise_if_failed("contraction failed validation")
     return Contraction(A, p, members, algebra)

@@ -405,8 +405,12 @@ class RelStructure:
                 stack += (mask, keep, rest)
         total = memo[full]
         if total > cap:
-            raise CapExceededError(
-                f"{total} upsets exceed cap {cap}", count=total)
+            try:
+                count = str(total)
+            except ValueError:  # past the interpreter's int-to-decimal limit
+                count = f"at least 2^{total.bit_length() - 1}"
+            raise CapExceededError(f"{count} upsets exceed cap {cap}",
+                                   count=total)
         return total
 
     def enumerate_upsets(self, cap: int = 1 << 20) -> list[BinRel]:
@@ -595,38 +599,43 @@ def _lookup(index: dict[int, int], results) -> np.ndarray:
     return np.fromiter(found, dtype=np.int64, count=res.size).reshape(res.shape)
 
 
+def _family_tables(S: RelStructure, bits: Sequence[int]
+                   ) -> tuple[dict[int, int], np.ndarray, list[np.ndarray]]:
+    """The table-extraction kernel for a family of upsets given by relation
+    ints: the index of each int in the family (a relation listed twice maps
+    to its last occurrence), the family as an object column, and the family
+    index (-1 outside the family) of every product, then of each element's
+    tilde, minus and third negation.  Products are the int kernel broadcast
+    over the family grid; negations are taken once per element."""
+    index = {r: i for i, r in enumerate(bits)}
+    col = np.array(bits, dtype=object)[:, None]
+    tables = [_lookup(index, _compose(S.n, col, col.T))]
+    tables += [_lookup(index, [op(S, r) for r in bits])
+               for op in (_tilde_bits, _minus_bits, _neg_bits)]
+    return index, col, tables
+
+
 def algebra_from_upsets(S: RelStructure, rels: Sequence[BinRel],
                         labels: Optional[Sequence[str]] = None) -> FiniteDqRA:
     """Operation tables for a family of upsets that is closed under the six
     operations, ordered by inclusion with the order relation as unit.
 
-    The family's relation ints form an object array, so the order and
-    product tables are the int kernel broadcast over the family grid and the
-    negations are taken once per element.  Every result is mapped to its
-    family index by one dictionary; a relation listed twice maps to its last
-    occurrence.  Raises ValueError when some result is not in the family,
-    that is, when the family is not closed under the operations.
+    The tables come from `_family_tables`; a relation listed twice maps to
+    its last occurrence.  Raises ValueError when some result is not in the
+    family, that is, when the family is not closed under the operations.
     """
     rels = list(rels)
-    n = S.n
-    if any(r.n != n for r in rels):
+    if any(r.n != S.n for r in rels):
         raise CarrierMismatchError("family carrier does not match structure")
     if S.leq not in rels:
         raise ValueError("the family must contain the order relation")
-    bits = [r.bits for r in rels]
-    index = {r: i for i, r in enumerate(bits)}
-    col = np.array(bits, dtype=object)[:, None]
-    row = col.T
-    leq = (col & ~row) == 0
-    tables = [_lookup(index, _compose(n, col, row))]
-    for op in (_tilde_bits, _minus_bits, _neg_bits):
-        tables.append(_lookup(index, [op(S, r) for r in bits]))
+    _, col, tables = _family_tables(S, [r.bits for r in rels])
     if any((t < 0).any() for t in tables):
         raise ValueError("family is not closed under the operations")
     if labels is None:
         labels = tuple(f"r{i}" for i in range(len(rels)))
-    return FiniteDqRA(len(rels), leq, *tables, rels.index(S.leq),
-                      tuple(labels))
+    return FiniteDqRA(len(rels), (col & ~col.T) == 0, *tables,
+                      rels.index(S.leq), tuple(labels))
 
 
 def dq_closure(S: RelStructure, generators: Sequence[BinRel],

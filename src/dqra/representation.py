@@ -9,8 +9,6 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .algebra import (FiniteDqRA, LawCheck, LawViolationError,
                       ValidationReport, _first_bad)
 from .contraction import contract, is_psi, NotPsiError
@@ -22,6 +20,7 @@ from .relations import (
     _checked_upset,
     _compose,
     _converse,
+    _family_tables,
     _lookup,
     _minus_bits,
     _neg_bits,
@@ -52,9 +51,9 @@ def verify_embedding(e: Embedding) -> ValidationReport:
     all six operations; failures carry element witnesses.
 
     Once the images are known to be distinct upsets, each operation's table
-    on the images is computed with the int kernel and mapped back to element
-    indices (-1 outside the image set); the witness is the first row-major
-    cell that differs from the algebra's table."""
+    on the images comes from `_family_tables` (meets and joins from the
+    same index and column), with -1 outside the image set; the witness is
+    the first row-major cell that differs from the algebra's table."""
     A, S = e.algebra, e.structure
     if len(e.assignment) != A.size:
         raise ValueError("assignment must cover every element")
@@ -67,12 +66,8 @@ def verify_embedding(e: Embedding) -> ValidationReport:
     def add(name, witness, detail=""):
         checks.append(LawCheck(name, witness is None, witness, detail))
 
-    w = None
-    for a, R in enumerate(e.assignment):
-        if not S.is_upset(R):
-            w = (a,)
-            break
-    add("images-are-upsets", w)
+    add("images-are-upsets", next(
+        ((a,) for a, R in enumerate(e.assignment) if not S.is_upset(R)), None))
 
     w = None
     seen: dict[BinRel, int] = {}
@@ -92,23 +87,19 @@ def verify_embedding(e: Embedding) -> ValidationReport:
         return ValidationReport(tuple(checks))
 
     bits = [R.bits for R in e.assignment]
-    index = {r: a for a, r in enumerate(bits)}
-    col = np.array(bits, dtype=object)[:, None]
-    row = col.T
-    for name, table, got in (("preserves-meet", A.meet_table, col & row),
-                             ("preserves-join", A.join_table, col | row),
-                             ("preserves-product", A.mult,
-                              _compose(S.n, col, row))):
-        bad = table != _lookup(index, got)
-        add(name, _first_bad(bad) if bad.any() else None)
-    for name, table, op in (("preserves-tilde", A.tilde, _tilde_bits),
-                            ("preserves-minus", A.minus, _minus_bits),
-                            ("preserves-neg", A.negn, _neg_bits)):
-        got = [op(S, r) for r in bits]
-        bad = table != _lookup(index, got)
-        w = _first_bad(bad) if bad.any() else None
+    index, col, (product, *negations) = _family_tables(S, bits)
+    for name, table, got in (
+            ("preserves-meet", A.meet_table, _lookup(index, col & col.T)),
+            ("preserves-join", A.join_table, _lookup(index, col | col.T)),
+            ("preserves-product", A.mult, product)):
+        add(name, _first_bad(table != got))
+    for name, table, got, op in zip(
+            ("preserves-tilde", "preserves-minus", "preserves-neg"),
+            (A.tilde, A.minus, A.negn), negations,
+            (_tilde_bits, _minus_bits, _neg_bits)):
+        w = _first_bad(table != got)
         if w is not None:
-            _checked_upset(S, BinRel(S.n, got[w[0]]))
+            _checked_upset(S, BinRel(S.n, op(S, bits[w[0]])))
         add(name, w)
     return ValidationReport(tuple(checks))
 
@@ -370,10 +361,7 @@ def quotient_representation(e: Embedding, p: int) -> QuotientStructure:
     if not is_psi(A, p):
         raise NotPsiError(
             f"element {A.label(p)} is not a positive symmetric idempotent")
-    rep = verify_embedding(e)
-    if not rep.ok:
-        raise LawViolationError(
-            "embedding does not verify: " + "; ".join(str(c) for c in rep.failures))
+    verify_embedding(e).raise_if_failed("embedding does not verify")
 
     P = e.assignment[p].bits
     nx = S.n
@@ -418,11 +406,8 @@ def quotient_representation(e: Embedding, p: int) -> QuotientStructure:
     quotient = RelStructure(nq, BinRel(nq, restrict(P)),
                             BinRel(nq, restrict(S.E.bits)),
                             alpha_q, beta_q, labels)
-    qrep = validate_structure(quotient)
-    if not qrep.ok:
-        raise LawViolationError(
-            "quotient fails structure validation: "
-            + "; ".join(str(c) for c in qrep.failures))
+    validate_structure(quotient).raise_if_failed(
+        "quotient fails structure validation")
     return QuotientStructure(S, tuple(class_map), tuple(reps), quotient)
 
 
@@ -438,9 +423,5 @@ def induced_embedding(e: Embedding, p: int) -> Embedding:
     images = tuple(BinRel(q.n_classes, restrict(e.assignment[x].bits))
                    for x in c.members)
     emb = Embedding(c.algebra, q.quotient, images)
-    rep = verify_embedding(emb)
-    if not rep.ok:
-        raise LawViolationError(
-            "induced map is not an embedding: "
-            + "; ".join(str(ch) for ch in rep.failures))
+    verify_embedding(emb).raise_if_failed("induced map is not an embedding")
     return emb

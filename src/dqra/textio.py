@@ -305,6 +305,12 @@ def _parse_pair_set(body: str, no: int, S: RelStructure) -> BinRel:
     return BinRel.from_pairs(S.n, pairs)
 
 
+def _emit_pair_set(R: BinRel, S: RelStructure) -> str:
+    """R as `{(x,y), ...}` with point labels, as `_parse_pair_set` reads it."""
+    return "{" + ", ".join(f"({S.labels[x]},{S.labels[y]})"
+                           for x, y in R.pairs()) + "}"
+
+
 def parse_relation_list(text: str,
                         S: RelStructure) -> tuple[str, list[tuple[str, BinRel, int]]]:
     """Parse an `assign`-format file as a bare list of named relations over
@@ -351,9 +357,7 @@ def emit_assignment(name: str, e: Embedding,
                     comments: Sequence[str] = ()) -> str:
     out = [f"# {c}" for c in comments]
     out.append(f"assign {name}")
-    S = e.structure
     for a in range(e.algebra.size):
-        pairs = ", ".join(
-            f"({S.labels[x]},{S.labels[y]})" for x, y in e.assignment[a].pairs())
-        out.append(f"{e.algebra.labels[a]}: {{{pairs}}}")
+        out.append(f"{e.algebra.labels[a]}: "
+                   f"{_emit_pair_set(e.assignment[a], e.structure)}")
     return "\n".join(out) + "\n"

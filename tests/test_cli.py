@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import dqra
-from dqra import CATALOGUE, load_algebra, validate_dqra
+from dqra import CATALOGUE, CapExceededError, load_algebra, validate_dqra
 from dqra.catalogue import _read, data_dir
 from dqra.cli import main
 from dqra.textio import parse_algebra, parse_assignment, parse_structure
@@ -93,18 +93,43 @@ def test_build_dq_cap_exceeded(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
-def test_build_dq_cap_checked_on_a_wide_pair_poset(tmp_path, capsys):
-    # 32-point antichain with full E: 1024 incomparable pairs, 2^1024 upsets
-    n = 32
+def _antichain_file(tmp_path, n: int) -> Path:
+    """An n-point antichain with full E: n*n incomparable pairs, 2^(n*n)
+    upsets."""
     rows = ["".join("1" if i == j else "0" for j in range(n)) for i in range(n)]
     ident = " ".join(map(str, range(n)))
     struct = tmp_path / "wide.struct"
     struct.write_text("\n".join([f"struct wide {n}", "leq", *rows, "E",
                                  *["1" * n] * n, f"alpha {ident}",
                                  f"beta {ident}"]) + "\n")
+    return struct
+
+
+def test_build_dq_cap_checked_on_a_wide_pair_poset(tmp_path, capsys):
+    struct = _antichain_file(tmp_path, 32)
     assert main(["build-dq", str(struct), "--cap", "4096"]) == 4
     err = capsys.readouterr().err
     assert "cap exceeded" in err and "Traceback" not in err
+
+
+def test_cap_exceeded_past_the_int_decimal_limit(tmp_path, capsys):
+    # 2^2209 upsets has 665 decimal digits, past a limit lowered to 640
+    struct = _antichain_file(tmp_path, 47)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        _, S = parse_structure(struct.read_text())
+        with pytest.raises(CapExceededError) as exc:
+            S.count_upsets(1 << 16)
+        assert exc.value.count == 1 << 2209
+        for argv, cap in ((["build-dq", str(struct)], 4096),
+                          (["find-embedding", "D^3_{1,1}", str(struct)],
+                           1 << 16)):
+            assert main(argv) == 4
+            assert capsys.readouterr().err == (
+                f"cap exceeded: at least 2^2209 upsets exceed cap {cap}\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 INVALID_STRUCTURES = [

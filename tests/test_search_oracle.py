@@ -292,6 +292,9 @@ def test_cap_is_checked_before_a_root_refutation(algebras, example_structure):
 
 
 def test_enumeration_order_is_unchanged():
+    # The order is not an output (full algebras and search candidates sort
+    # by size and bits), but perfbench's seed-1 `kernel` digest indexes
+    # upsets in it: a new order needs that digest re-recorded.
     for S in SMALL + four_point_classes():
         assert [R.bits for R in S.enumerate_upsets(1 << 16)] == \
             old_upset_bits(S, 1 << 16)
