@@ -119,11 +119,29 @@ def join_generators(join: np.ndarray) -> tuple[int, ...]:
     return tuple(int(a) for a in np.flatnonzero(~reducible))
 
 
+def _transitive(L: np.ndarray) -> bool:
+    """Whether a boolean relation matrix is transitive: row b lies within
+    row a for every a <= b, decided on packed rows, a block of such pairs
+    at a time."""
+    rows = np.packbits(L, axis=1)
+    a, b = np.divmod(np.flatnonzero(L), L.shape[0])
+    block = 1 << 14
+    return not any((rows[b[i:i + block]] & ~rows[a[i:i + block]]).any()
+                   for i in range(0, len(a), block))
+
+
 def _order_bad(L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The cells of a boolean relation matrix that break reflexivity (on the
-    diagonal), antisymmetry and transitivity."""
+    diagonal), antisymmetry and transitivity.  The transitivity cells, those
+    of L;L outside L, come from a boolean product that numpy runs in m^3
+    steps without BLAS; past 32 elements it runs only once `_transitive`
+    has failed."""
     off_diagonal = ~np.eye(L.shape[0], dtype=bool)
-    return ~L.diagonal(), L & L.T & off_diagonal, (L @ L) & ~L
+    if L.shape[0] > 32 and _transitive(L):
+        trans_bad = np.zeros_like(off_diagonal)
+    else:
+        trans_bad = (L @ L) & ~L
+    return ~L.diagonal(), L & L.T & off_diagonal, trans_bad
 
 
 def _bijections(images: Sequence[Sequence[int]],
@@ -316,6 +334,13 @@ class FiniteDqRA:
 
     def __repr__(self) -> str:
         return f"FiniteDqRA(size={self.size}, unit={self.labels[self.unit]!r})"
+
+
+def _set_lattice_tables(A: FiniteDqRA, meet: np.ndarray,
+                        join: np.ndarray) -> None:
+    """Give A its meet and join tables instead of deriving them from the
+    order; only for tables that equal what `_bound_table` would derive."""
+    A.__dict__.update(meet_table=_freeze(meet), join_table=_freeze(join))
 
 
 # --- validation -----------------------------------------------------------

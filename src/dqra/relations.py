@@ -13,15 +13,15 @@ from __future__ import annotations
 import operator
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import repeat
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import cached_property, reduce
+from itertools import compress, repeat
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .algebra import (FiniteDqRA, LawCheck, LawViolationError,
                       ValidationReport, _first_bad, _freeze, _order_bad,
-                      _row_masks, order_maps)
+                      _set_lattice_tables, order_maps)
 
 
 class CarrierMismatchError(ValueError):
@@ -213,7 +213,8 @@ def _compose(n: int, a: int, b: int) -> int:
     into each row of the result whose cell in column n-1-k of a is set: the
     shifted column of a has one bit at the foot of each selected row, and
     multiplying it by the row copies the row there without carries.  Only
-    >>, &, * and | are used, so a and b may also be object arrays of ints,
+    >>, &, * and | are used, so a and b may also be arrays of relation ints
+    (int64 when n*n <= 63: no product carries past bit n*n; object beyond),
     which broadcast like any ndarray (neither is modified)."""
     low = _LOW_COLUMN.get(n)
     if low is None:
@@ -237,7 +238,9 @@ class _OrMap:
     """A map on relation bits that preserves unions, given by the image of
     each single bit (bit p counted from the least significant) and applied
     four bits at a time through 16-entry tables (small, since every
-    structure keeps one)."""
+    structure keeps one).  An array of relation ints (int64, or object for
+    relations wider than a machine word) is mapped elementwise through the
+    same tables as arrays of its dtype."""
 
     __slots__ = ("tables",)
 
@@ -249,11 +252,18 @@ class _OrMap:
                 table += [t | image for t in table]
             self.tables.append(table)
 
-    def __call__(self, bits: int) -> int:
+    def __call__(self, bits: int | np.ndarray) -> int | np.ndarray:
         out = 0
-        for table in self.tables:
-            out |= table[bits & 15]
-            bits >>= 4
+        try:
+            for table in self.tables:
+                out |= table[bits & 15]
+                bits >>= 4
+        except TypeError:  # an array, which no list takes as an index
+            out = np.zeros_like(bits)
+            for table in self.tables:
+                out |= np.array(table, dtype=bits.dtype)[
+                    (bits & 15).astype(np.intp)]
+                bits = bits >> 4
         return out
 
 
@@ -269,6 +279,20 @@ def _converse(n: int, a: int) -> int:
             1 << (top - (q % n * n + q // n))
             for q in (top - p for p in range(n * n))])
     return f(a)
+
+
+def _bit_indices(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _spread(rows: list[list[bool]], masks: list[int]) -> list[int]:
+    """For each row i of a boolean matrix, the union of masks[j] over the
+    columns j set in row i."""
+    return [reduce(operator.or_, compress(masks, row), 0) for row in rows]
 
 
 def _perm_witness(fn: Sequence[int], n: int) -> Optional[tuple[int, ...]]:
@@ -344,13 +368,25 @@ class RelStructure:
         return self.E.pairs()
 
     @cached_property
-    def _pair_precedes(self) -> np.ndarray:
-        """precedes[p, q]: pair p is below pair q in the pair poset."""
-        pairs = self.pair_list
-        L = self.leq.mat
-        u = np.array([p[0] for p in pairs], dtype=np.intp)
-        v = np.array([p[1] for p in pairs], dtype=np.intp)
-        return L[u[None, :], u[:, None]] & L[v[:, None], v[None, :]]
+    def _pair_masks(self) -> tuple[list[int], list[int]]:
+        """For each pair p of `pair_list`, the pairs strictly below p and the
+        pairs strictly above p, as masks with bit q for pair q.  Built from
+        the rows of leq: the pairs (u, .) with x <= u and the pairs (., v)
+        with v <= y meet in those below (x, y), and dually."""
+        leq = self.leq.mat
+        L, Lt = leq.tolist(), leq.T.tolist()
+        first, second = [0] * self.n, [0] * self.n
+        for q, (u, v) in enumerate(self.pair_list):
+            first[u] |= 1 << q
+            second[v] |= 1 << q
+        up_first, up_second = _spread(L, first), _spread(L, second)
+        down_first, down_second = _spread(Lt, first), _spread(Lt, second)
+        below, above = [], []
+        for p, (x, y) in enumerate(self.pair_list):
+            bit = 1 << p
+            below.append((up_first[x] & down_second[y] | bit) ^ bit)
+            above.append((down_first[x] & up_second[y] | bit) ^ bit)
+        return below, above
 
     def is_upset(self, R: BinRel) -> bool:
         """R lies within E and is upward closed in the pair poset.  The
@@ -376,34 +412,44 @@ class RelStructure:
     # --- upset enumeration -------------------------------------------------
 
     def count_upsets(self, cap: int = 1 << 20) -> int:
-        """Number of upsets of the pair poset, by splitting on a maximal
-        remaining pair (in or out) with memoisation on the remaining-pair
-        mask.  Iterative, so the pair count sets no recursion limit."""
-        strict = self._pair_precedes & ~np.eye(len(self.pair_list), dtype=bool)
-        below = _row_masks(strict.T)
-        strictly_above = _row_masks(strict)
-        memo: dict[int, int] = {0: 1}
-        full = (1 << len(self.pair_list)) - 1
-        stack = [full]
-        while stack:
-            mask = stack.pop()
-            if mask in memo:
-                continue
-            # split on the lowest-numbered maximal remaining pair
-            m = mask
-            while m and strictly_above[(m & -m).bit_length() - 1] & mask:
-                m &= m - 1
-            if not m:
-                raise LawViolationError(
-                    "pair order has no maximal pair; leq is not a partial order")
-            x = (m & -m).bit_length() - 1
-            rest = mask & ~(1 << x)
-            keep = rest & ~below[x]
-            if rest in memo and keep in memo:
-                memo[mask] = memo[rest] + memo[keep]
-            else:
-                stack += (mask, keep, rest)
-        total = memo[full]
+        """Number of upsets of the pair poset: the product of the counts of
+        the connected components of the pair order.  A component is counted
+        by splitting on a maximal remaining pair (in or out) with
+        memoisation on the remaining-pair mask.  Iterative, so the pair
+        count sets no recursion limit."""
+        below, strictly_above = self._pair_masks
+        total = 1
+        remaining = (1 << len(below)) - 1
+        while remaining:
+            component = frontier = remaining & -remaining
+            while frontier:
+                grown = 0
+                for p in _bit_indices(frontier):
+                    grown |= below[p] | strictly_above[p]
+                frontier = grown & ~component
+                component |= frontier
+            remaining ^= component
+            memo: dict[int, int] = {0: 1}
+            stack = [component]
+            while stack:
+                mask = stack.pop()
+                if mask in memo:
+                    continue
+                # split on the lowest-numbered maximal remaining pair
+                m = mask
+                while m and strictly_above[(m & -m).bit_length() - 1] & mask:
+                    m &= m - 1
+                if not m:
+                    raise LawViolationError("pair order has no maximal pair; "
+                                            "leq is not a partial order")
+                x = (m & -m).bit_length() - 1
+                rest = mask & ~(1 << x)
+                keep = rest & ~below[x]
+                if rest in memo and keep in memo:
+                    memo[mask] = memo[rest] + memo[keep]
+                else:
+                    stack += (mask, keep, rest)
+            total *= memo[component]
         if total > cap:
             try:
                 count = str(total)
@@ -434,11 +480,8 @@ class RelStructure:
         n = self.n
         pairs = self.pair_list
         k = len(pairs)
-        prec = self._pair_precedes.tolist()
-        below = [frozenset(p for p in range(k) if p != q and prec[p][q])
-                 for q in range(k)]
-        strictly_above = [frozenset(q for q in range(k) if q != p and prec[p][q])
-                          for p in range(k)]
+        below, strictly_above = ([frozenset(_bit_indices(m)) for m in masks]
+                                 for masks in self._pair_masks)
         bit = [_cell(n, x, y) for x, y in pairs]
         free = hi & ~lo
 
@@ -591,28 +634,51 @@ def _canonical_order(S: RelStructure, rels: Iterable[BinRel],
     return head + rest
 
 
-def _lookup(index: dict[int, int], results) -> np.ndarray:
-    """The index of each relation int of `results` (a sequence or an object
-    array) in `index`, -1 where it is absent, in the shape of `results`."""
-    res = np.asarray(results, dtype=object)
-    found = map(index.get, res.ravel().tolist(), repeat(-1))
-    return np.fromiter(found, dtype=np.int64, count=res.size).reshape(res.shape)
+def _lookup(family: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from an array of relation ints to their indices in `family`
+    (a column of relation ints; a relation listed twice maps to its last
+    occurrence), -1 where absent, in the shape of the array.  An int64
+    column resolves the whole array at once by binary search in its sorted
+    distinct keys, each carrying the index of its last occurrence; an object
+    column goes through one dictionary."""
+    if family.dtype == object:
+        get = {r: i for i, r in enumerate(family.tolist())}.get
+
+        def lookup(results: np.ndarray) -> np.ndarray:
+            found = map(get, results.ravel().tolist(), repeat(-1))
+            return np.fromiter(found, dtype=np.int64,
+                               count=results.size).reshape(results.shape)
+        return lookup
+    keys, first = np.unique(family[::-1], return_index=True)
+    last = len(family) - 1 - first
+
+    def lookup(results: np.ndarray) -> np.ndarray:
+        pos = np.minimum(np.searchsorted(keys, results), len(keys) - 1)
+        return np.where(keys[pos] == results, last[pos], -1)
+    return lookup
 
 
 def _family_tables(S: RelStructure, bits: Sequence[int]
-                   ) -> tuple[dict[int, int], np.ndarray, list[np.ndarray]]:
+                   ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """The table-extraction kernel for a family of upsets given by relation
-    ints: the index of each int in the family (a relation listed twice maps
-    to its last occurrence), the family as an object column, and the family
-    index (-1 outside the family) of every product, then of each element's
-    tilde, minus and third negation.  Products are the int kernel broadcast
-    over the family grid; negations are taken once per element."""
-    index = {r: i for i, r in enumerate(bits)}
-    col = np.array(bits, dtype=object)[:, None]
-    tables = [_lookup(index, _compose(S.n, col, col.T))]
-    tables += [_lookup(index, [op(S, r) for r in bits])
-               for op in (_tilde_bits, _minus_bits, _neg_bits)]
-    return index, col, tables
+    ints: the family as a column, int64 when a relation fits a machine word
+    (n*n <= 63) and object beyond; the family index (-1 outside the family)
+    of every product, intersection and union; and that of each element's
+    tilde, minus and third negation.  A relation listed twice maps to its
+    last occurrence.  Every operation is the int kernel applied to the whole
+    column (products broadcast over the family grid); only the negations of
+    a family of fewer than 16 relations are taken one relation at a time."""
+    col = np.array(bits, dtype=np.int64 if S.n * S.n <= 63 else object)
+    lookup = _lookup(col)
+    r, s = col[:, None], col[None, :]
+    grid = [lookup(t) for t in (_compose(S.n, r, s), r & s, r | s)]
+    ops = (_tilde_bits, _minus_bits, _neg_bits)
+    if len(bits) < 16:  # numpy's cost per call would exceed the work
+        unary = [np.array([op(S, b) for b in bits], dtype=col.dtype)
+                 for op in ops]
+    else:
+        unary = [op(S, col) for op in ops]
+    return col, grid, [lookup(t) for t in unary]
 
 
 def algebra_from_upsets(S: RelStructure, rels: Sequence[BinRel],
@@ -623,19 +689,26 @@ def algebra_from_upsets(S: RelStructure, rels: Sequence[BinRel],
     The tables come from `_family_tables`; a relation listed twice maps to
     its last occurrence.  Raises ValueError when some result is not in the
     family, that is, when the family is not closed under the operations.
+    When the family holds every intersection and union and no relation
+    twice, those are the meets and joins of the inclusion order, and become
+    the algebra's lattice tables; otherwise they are derived from the order.
     """
     rels = list(rels)
     if any(r.n != S.n for r in rels):
         raise CarrierMismatchError("family carrier does not match structure")
     if S.leq not in rels:
         raise ValueError("the family must contain the order relation")
-    _, col, tables = _family_tables(S, [r.bits for r in rels])
-    if any((t < 0).any() for t in tables):
+    bits = [r.bits for r in rels]
+    col, (product, meet, join), unary = _family_tables(S, bits)
+    if (product < 0).any() or any((t < 0).any() for t in unary):
         raise ValueError("family is not closed under the operations")
     if labels is None:
         labels = tuple(f"r{i}" for i in range(len(rels)))
-    return FiniteDqRA(len(rels), (col & ~col.T) == 0, *tables,
-                      rels.index(S.leq), tuple(labels))
+    A = FiniteDqRA(len(rels), (col[:, None] & ~col) == 0, product, *unary,
+                   rels.index(S.leq), tuple(labels))
+    if len(set(bits)) == len(bits) and (meet >= 0).all() and (join >= 0).all():
+        _set_lattice_tables(A, meet, join)
+    return A
 
 
 def dq_closure(S: RelStructure, generators: Sequence[BinRel],

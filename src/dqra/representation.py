@@ -21,7 +21,6 @@ from .relations import (
     _compose,
     _converse,
     _family_tables,
-    _lookup,
     _minus_bits,
     _neg_bits,
     _tilde_bits,
@@ -51,9 +50,9 @@ def verify_embedding(e: Embedding) -> ValidationReport:
     all six operations; failures carry element witnesses.
 
     Once the images are known to be distinct upsets, each operation's table
-    on the images comes from `_family_tables` (meets and joins from the
-    same index and column), with -1 outside the image set; the witness is
-    the first row-major cell that differs from the algebra's table."""
+    on the images (meets and joins as intersections and unions) comes from
+    `_family_tables`, with -1 outside the image set; the witness is the
+    first row-major cell that differs from the algebra's table."""
     A, S = e.algebra, e.structure
     if len(e.assignment) != A.size:
         raise ValueError("assignment must cover every element")
@@ -87,11 +86,10 @@ def verify_embedding(e: Embedding) -> ValidationReport:
         return ValidationReport(tuple(checks))
 
     bits = [R.bits for R in e.assignment]
-    index, col, (product, *negations) = _family_tables(S, bits)
-    for name, table, got in (
-            ("preserves-meet", A.meet_table, _lookup(index, col & col.T)),
-            ("preserves-join", A.join_table, _lookup(index, col | col.T)),
-            ("preserves-product", A.mult, product)):
+    _, (product, meet, join), negations = _family_tables(S, bits)
+    for name, table, got in (("preserves-meet", A.meet_table, meet),
+                             ("preserves-join", A.join_table, join),
+                             ("preserves-product", A.mult, product)):
         add(name, _first_bad(table != got))
     for name, table, got, op in zip(
             ("preserves-tilde", "preserves-minus", "preserves-neg"),

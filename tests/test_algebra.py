@@ -17,7 +17,7 @@ from dqra import (
     residuals,
     validate_dqra,
 )
-from dqra.algebra import join_generators, lattice_tables
+from dqra.algebra import _order_bad, join_generators, lattice_tables
 from dqra.relations import BinRel, RelStructure, full_dq
 
 from conftest import ALL_NAMES
@@ -45,6 +45,27 @@ def test_transitivity_failure_found_past_256_elements():
     A = FiniteDqRA(n, leq, np.zeros((n, n), dtype=np.int64), zeros, zeros,
                    zeros, 0)
     assert validate_dqra(A)["order-transitive"].witness == (0, 1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 80), st.integers(0, 2**32 - 1), st.floats(0, 1))
+def test_order_bad_matches_the_matrix_formulas(m, seed, density):
+    # a random relation, its transitive closure, and the closure less one
+    # cell, on both sides of the 32 elements past which transitivity is
+    # decided before the product is taken
+    rng = np.random.default_rng(seed)
+    L = rng.random((m, m)) < density
+    closure = L.copy()
+    for k in range(m):
+        closure |= closure[:, k:k + 1] & closure[k]
+    cut = closure.copy()
+    cut.flat[rng.integers(m * m)] = False
+    for R in (L, closure, cut):
+        refl, anti, trans = _order_bad(R)
+        assert np.array_equal(refl, ~R.diagonal())
+        assert np.array_equal(anti, R & R.T & ~np.eye(m, dtype=bool))
+        assert np.array_equal(trans, (R @ R) & ~R)
+    assert not _order_bad(closure)[2].any()
 
 
 def test_bottom_and_top_are_the_first_extremes_or_none(algebras):

@@ -1,5 +1,7 @@
 """Relation calculus, structures, negations, closures and full algebras."""
 
+import tracemalloc
+from collections import Counter
 from functools import cache
 
 import numpy as np
@@ -351,6 +353,48 @@ def test_an_empty_order_relation_is_listed_once():
     family = full_dq_family(S)
     assert family.relations == (S.leq,)
     assert validate_dqra(family.algebra).ok
+
+
+def test_count_upsets_histogram_at_four_points():
+    # recorded before counting went per connected component of the pair order
+    counts = Counter(S.count_upsets(1 << 20) for S in enumerate_structures(4))
+    assert counts == {16: 1, 24: 12, 36: 12, 40: 24, 64: 24, 70: 24, 96: 48,
+                      168: 48, 216: 24, 256: 48, 430: 24, 640: 24, 746: 24,
+                      1024: 64, 1296: 48, 7776: 48, 65536: 100}
+
+
+def test_count_upsets_on_a_wide_antichain_stays_small():
+    # 3,600 pairs, none comparable: no |E| x |E| table may be built
+    n = 60
+    S = RelStructure(n, BinRel.identity(n), BinRel.full(n),
+                     tuple(range(n)), tuple(range(n)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError) as exc:
+            S.count_upsets(1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.count == 1 << (n * n)
+    assert peak < 8 * 2**20
+
+
+def test_pair_masks_match_the_pair_order():
+    # (u, v) lies below (x, y) iff x <= u and v <= y, read off leq pair by
+    # pair, on every structure with n <= 3 and on relations that are no order
+    cases = [S for n in (1, 2, 3) for S in enumerate_structures(n)]
+    for bits in (0b110011001, 0b101011001, 0b111000101):
+        cases.append(RelStructure(3, BinRel(3, bits), BinRel.full(3),
+                                  (0, 1, 2), (0, 1, 2)))
+    for S in cases:
+        L, pairs = S.leq.mat, S.pair_list
+        below, above = S._pair_masks
+        for q, (x, y) in enumerate(pairs):
+            want = [p for p, (u, v) in enumerate(pairs)
+                    if p != q and L[x, u] and L[v, y]]
+            assert below[q] == sum(1 << p for p in want)
+            for p in range(len(pairs)):
+                assert bool(above[p] >> q & 1) == (p in want)
 
 
 def test_count_upsets_rejects_a_preorder():

@@ -18,8 +18,9 @@ from typing import Optional
 from dqra import (BinRel, CarrierMismatchError, Embedding, FiniteDqRA,
                   LawViolationError, RelStructure, dq_closure, full_dq_family,
                   lneg_minus, lneg_tilde, neg, verify_embedding)
-from dqra.algebra import LawCheck, ValidationReport
-from dqra.relations import algebra_from_upsets, enumerate_structures
+from dqra.algebra import LawCheck, ValidationReport, lattice_tables
+from dqra.relations import (_family_tables, algebra_from_upsets,
+                            enumerate_structures)
 
 from conftest import ALL_NAMES
 
@@ -134,6 +135,72 @@ def test_keys_wider_than_a_machine_word():
     res = dq_closure(S, [BinRel.from_pairs(9, [(0, 0), (4, 4)])])
     assert res.algebra.size == 4
     assert_same_tables(res.algebra, naive_tables(S, res.relations))
+
+
+def block_structure(n: int) -> RelStructure:
+    """n points under the identity order; E joins points 0 and 1, which
+    alpha swaps."""
+    E = BinRel.identity(n).union(BinRel.from_pairs(n, [(0, 1), (1, 0)]))
+    return RelStructure(n, BinRel.identity(n), E,
+                        (1, 0) + tuple(range(2, n)), tuple(range(n)))
+
+
+@pytest.mark.parametrize("n, dtype", [(7, np.int64), (8, object)])
+def test_keys_on_both_sides_of_a_machine_word(n, dtype):
+    # 7 points: 49-bit relations in an int64 column; 8 points: 64-bit
+    # relations, past int64, in an object column
+    S = block_structure(n)
+    res = dq_closure(S, [BinRel.from_pairs(n, [(0, 1), (3, 3)])])
+    rels = list(res.relations)
+    assert res.algebra.size == 64
+    assert _family_tables(S, [r.bits for r in rels])[0].dtype == dtype
+    assert_same_tables(res.algebra, naive_tables(S, rels))
+    assert_lattice_tables_handed_over(S, rels)
+    assert verify_embedding(Embedding(res.algebra, S, res.relations)).ok
+    for dup in (0, 7, len(rels) - 1):
+        family = rels + [rels[dup]]
+        assert_same_tables(algebra_from_upsets(S, family),
+                           naive_tables(S, family))
+    with pytest.raises(ValueError, match="not closed under the operations"):
+        algebra_from_upsets(S, rels[:5] + rels[6:])
+
+
+def assert_lattice_tables_handed_over(S: RelStructure, rels) -> None:
+    """The algebra of a family without repeats, closed under intersection
+    and union, holds meet and join tables from its construction on, and
+    they are the ones derived from its order."""
+    A = algebra_from_upsets(S, rels)
+    assert {"meet_table", "join_table"} <= vars(A).keys()
+    meet, join = lattice_tables(A.leq)
+    assert np.array_equal(A.meet_table, meet)
+    assert np.array_equal(A.join_table, join)
+
+
+def test_full_algebra_lattice_tables_are_handed_over(full_families):
+    for fam in full_families.values():
+        assert_lattice_tables_handed_over(fam.structure, fam.relations)
+
+
+def test_closure_lattice_tables_are_handed_over(example_structure,
+                                                example_generators):
+    res = dq_closure(example_structure, list(example_generators))
+    assert_lattice_tables_handed_over(example_structure, res.relations)
+    S = RelStructure(9, BinRel.identity(9), BinRel.identity(9),
+                     tuple(range(9)), tuple(range(9)))
+    res = dq_closure(S, [BinRel.from_pairs(9, [(0, 0), (4, 4)])])
+    assert_lattice_tables_handed_over(S, res.relations)
+
+
+def test_duplicated_relation_keeps_lattice_tables_from_the_order(
+        full_families):
+    fam = full_families[96]
+    S, rels = fam.structure, list(fam.relations)
+    for dup in (0, 1, 5, len(rels) - 1):
+        A = algebra_from_upsets(S, rels + [rels[dup]])
+        assert not {"meet_table", "join_table"} & vars(A).keys()
+        meet, join = lattice_tables(A.leq)
+        assert np.array_equal(A.meet_table, meet)
+        assert np.array_equal(A.join_table, join)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
