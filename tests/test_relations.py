@@ -356,7 +356,8 @@ def test_an_empty_order_relation_is_listed_once():
 
 
 def test_count_upsets_histogram_at_four_points():
-    # recorded before counting went per connected component of the pair order
+    # the 597 labelled 4-point structures grouped by upset count; most
+    # pair orders here split into several connected components
     counts = Counter(S.count_upsets(1 << 20) for S in enumerate_structures(4))
     assert counts == {16: 1, 24: 12, 36: 12, 40: 24, 64: 24, 70: 24, 96: 48,
                       168: 48, 216: 24, 256: 48, 430: 24, 640: 24, 746: 24,
