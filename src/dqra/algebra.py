@@ -368,14 +368,31 @@ def _row_scan(n: int, row_bad: Callable[[int], np.ndarray]
 
 
 def _residuation_verdicts(L: np.ndarray, P: np.ndarray, J: np.ndarray,
-                          jt: np.ndarray) -> tuple[bool, bool]:
+                          jt: np.ndarray, antitone: bool) -> tuple[bool, bool]:
     """Whether the left and the right residuation law hold.
 
     P[k][r] (k = 0 left, 1 right) is a map f for each parameter r, and
     P[k + 2][r] its claimed upper adjoint g.  The law holds iff every such
     f, g is a Galois connection: f(g(c)) <= c, x <= g(f(x)) and both maps
     monotone.  Every x <= y is a chain of steps x <= x \\/ j with j
-    join-irreducible, so monotonicity is checked on those steps."""
+    join-irreducible, so monotonicity is checked on those steps.
+
+    When ~ reverses the order in the iff sense (~a <= ~b iff b <= a) and -
+    is its inverse (`antitone`), both are order-reversing bijections, and
+    the monotonicity of x -> x.b for every b (the left law's f) decides
+    both laws together with their inequalities:
+    - the right law's g, c -> ~(-c.a), is x -> x.a between two
+      order-reversing bijections, so it is monotone too;
+    - a monotone f with f(g(c)) <= c gives x <= g(c) => f(x) <= c, and a
+      monotone g with x <= g(f(x)) gives f(x) <= c => x <= g(c);
+    - both sides of a law hold for equally many triples, so such an
+      implication is an equivalence: x <= -(b.~c) holds for as many x as
+      there are elements above b.~c (- reverses the order), and ~c runs
+      through all elements as c does, so the count over all b and c is
+      the sum, over all cells of the product table, of the number of
+      elements above the product.  That is also the count of x.b <= c,
+      and likewise for y <= ~(-c.a) and a.y <= c.
+    So the steps run over the rows of the product table only."""
     n = L.shape[0]
     Lf, LTf = L.ravel(), L.T.ravel()        # flat [a, b] and [b, a]: a <= b
     F, G = P[:2], P[2:]
@@ -397,12 +414,16 @@ def _residuation_verdicts(L: np.ndarray, P: np.ndarray, J: np.ndarray,
     gf *= n
     gf += idx
     LTf.take(gf, None, ok[2:], "clip")      # x <= g(f(x))
-    look = np.empty_like(ok)
+    # with `antitone`, the steps of x -> x.b (the rows of M = P[1]) enter
+    # both laws' verdicts through their f(g(c)) <= c cells, ok[:2]
+    maps, mono, axis = (P[1:2], ok[:2], 1) if antitone else (P, ok, 2)
+    step = step[:len(maps)]
+    look = np.empty(maps.shape, dtype=bool)
     for j in J:
-        P.take(jt[j], 2, step, "clip")      # [.., x]: h(x \/ j) for each map h
+        maps.take(jt[j], axis, step, "clip")   # h(x \/ j) for each map h
         step *= n
-        step += P
-        ok &= LTf.take(step, None, look, "clip")
+        step += maps
+        mono &= LTf.take(step, None, look, "clip")
     left, right = ok.reshape(2, 2, -1).all(axis=(0, 2))
     return bool(left), bool(right)
 
@@ -434,7 +455,12 @@ def _law_verdicts(A: FiniteDqRA) -> tuple[bool, Optional[bool], bool, bool]:
     P[0], P[1] = M.T, M
     mns.take(M.take(til, 1), None, P[2], "clip")
     til.take(M.take(mns, 0).T, None, P[3], "clip")
-    left, right = _residuation_verdicts(L, P, J, A.join_table)
+    # ~ reverses the order in the iff sense and - is its inverse, so both
+    # are order-reversing bijections (see `_residuation_verdicts`); whole
+    # tables compared as bytes, the cheapest test on the smallest algebras
+    antitone = (L.take(til, 0).T.take(til, 0).tobytes() == L.tobytes()
+                and til.take(mns).tobytes() == np.arange(n).tobytes())
+    left, right = _residuation_verdicts(L, P, J, A.join_table, antitone)
     assoc = None
     if left and right:                      # (a.b).c == a.(b.c) on J^3
         MJ = M.take(J, 0)

@@ -220,10 +220,10 @@ def _compose(n: int, a: int, b: int) -> int:
     if low is None:
         low = _LOW_COLUMN[n] = sum(1 << (n * i) for i in range(n))
     row = (1 << n) - 1
-    out = 0
-    for k in range(n):
-        out |= ((a >> k) & low) * (b & row)
+    out = (a & low) * (b & row)    # on 0 points: zeros in the broadcast shape
+    for k in range(1, n):
         b = b >> n
+        out |= ((a >> k) & low) * (b & row)
     return out
 
 
@@ -351,6 +351,11 @@ class RelStructure:
         for x, y in enumerate(self.alpha):
             inv[y] = x
         return tuple(inv)
+
+    @cached_property
+    def _negations(self) -> tuple[_Negation, _Negation, _Negation]:
+        """The three negations on relation bits (`_negation_maps`)."""
+        return _negation_maps(self)
 
     def point_index(self, label: str) -> int:
         try:
@@ -528,8 +533,8 @@ def validate_structure(S: RelStructure) -> ValidationReport:
     if alpha_w or beta_w:
         return ValidationReport(tuple(checks))
 
-    a = np.array(S.alpha)
-    b = np.array(S.beta)
+    a = np.array(S.alpha, dtype=np.intp)
+    b = np.array(S.beta, dtype=np.intp)
     add("alpha-order-automorphism", _first_bad(L != L[a][:, a]),
         "x <= y iff alpha(x) <= alpha(y)")
     add("alpha-within-E", _first_bad(~E[np.arange(n), a]))
@@ -552,24 +557,50 @@ def _checked_upset(S: RelStructure, out: BinRel) -> BinRel:
     return out
 
 
-def _tilde_bits(S: RelStructure, r: int) -> int:
+_Negation = Callable[[int | np.ndarray], int | np.ndarray]
+_NEGATIONS: dict[tuple, tuple[_Negation, _Negation, _Negation]] = {}
+
+
+def _negation_maps(S: RelStructure) -> tuple[_Negation, _Negation, _Negation]:
+    """~, - and the third negation as functions of the bits of the
+    complement E - R, built once for each n, alpha and beta and shared by
+    every structure that has them.  Each formula below composes the
+    complement with function graphs and converses, so it preserves unions:
+    ~ sends cell (u, v) to (v, alpha(u)), - sends it to (alpha^-1(v), u)
+    and the third negation to (alpha^-1(beta(u)), beta(v)).  When a
+    relation fits a machine word (n*n <= 63) each formula becomes an
+    `_OrMap` built from the images of single cells.  Beyond, building the
+    maps would take n*n compositions of n*n-bit ints each (0.6 s at
+    n = 60), so the formulas run as they are."""
+    key = (S.n, S.alpha, S.beta)
+    maps = _NEGATIONS.get(key)
+    if maps is None:
+        n, a, b = S.n, S.alpha_rel.bits, S.beta_rel.bits
+        ab = _compose(n, a, b)
+        maps = (lambda c: _compose(n, _converse(n, c), a),      # ~
+                lambda c: _compose(n, a, _converse(n, c)),      # -
+                lambda c: _compose(n, _compose(n, ab, c), b))   # third
+        if n * n <= 63:
+            maps = tuple(_OrMap([f(1 << p) for p in range(n * n)])
+                         for f in maps)
+        _NEGATIONS[key] = maps
+    return maps
+
+
+def _tilde_bits(S: RelStructure, r: int | np.ndarray) -> int | np.ndarray:
     """~R = converse-of-complement composed with alpha, on the bits of an
-    upset R, unchecked."""
-    n = S.n
-    return _compose(n, _converse(n, S.E.bits & ~r), S.alpha_rel.bits)
+    upset R (or a column of them), unchecked."""
+    return S._negations[0](S.E.bits & ~r)
 
 
-def _minus_bits(S: RelStructure, r: int) -> int:
+def _minus_bits(S: RelStructure, r: int | np.ndarray) -> int | np.ndarray:
     """-R = alpha composed with converse-of-complement, unchecked."""
-    n = S.n
-    return _compose(n, S.alpha_rel.bits, _converse(n, S.E.bits & ~r))
+    return S._negations[1](S.E.bits & ~r)
 
 
-def _neg_bits(S: RelStructure, r: int) -> int:
+def _neg_bits(S: RelStructure, r: int | np.ndarray) -> int | np.ndarray:
     """The third negation alpha;beta;R^c;beta, unchecked."""
-    n = S.n
-    ab = _compose(n, S.alpha_rel.bits, S.beta_rel.bits)
-    return _compose(n, _compose(n, ab, S.E.bits & ~r), S.beta_rel.bits)
+    return S._negations[2](S.E.bits & ~r)
 
 
 def lneg_tilde(S: RelStructure, R: BinRel) -> BinRel:
@@ -634,12 +665,14 @@ def _canonical_order(S: RelStructure, rels: Iterable[BinRel],
     return head + rest
 
 
-def _lookup(family: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The map from an array of relation ints to their indices in `family`
-    (a column of relation ints; a relation listed twice maps to its last
-    occurrence), -1 where absent, in the shape of the array.  An int64
-    column resolves the whole array at once by binary search in its sorted
-    distinct keys, each carrying the index of its last occurrence; an object
+def _lookup(family: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from an array of relation ints on n points to their indices
+    in `family` (a column of relation ints; a relation listed twice maps to
+    its last occurrence), -1 where absent, in the shape of the array.  An
+    int64 column takes its sorted distinct keys, each carrying the index of
+    its last occurrence; for n*n <= 16 they fill a table over all 2^(n*n)
+    relations, which resolves the whole array in one `take`, and beyond
+    that the array is resolved by binary search in the keys.  An object
     column goes through one dictionary."""
     if family.dtype == object:
         get = {r: i for i, r in enumerate(family.tolist())}.get
@@ -651,6 +684,10 @@ def _lookup(family: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         return lookup
     keys, first = np.unique(family[::-1], return_index=True)
     last = len(family) - 1 - first
+    if n * n <= 16:
+        table = np.full(1 << n * n, -1, dtype=np.int64)
+        table[keys] = last
+        return table.take
 
     def lookup(results: np.ndarray) -> np.ndarray:
         pos = np.minimum(np.searchsorted(keys, results), len(keys) - 1)
@@ -669,7 +706,7 @@ def _family_tables(S: RelStructure, bits: Sequence[int]
     column (products broadcast over the family grid); only the negations of
     a family of fewer than 16 relations are taken one relation at a time."""
     col = np.array(bits, dtype=np.int64 if S.n * S.n <= 63 else object)
-    lookup = _lookup(col)
+    lookup = _lookup(col, S.n)
     r, s = col[:, None], col[None, :]
     grid = [lookup(t) for t in (_compose(S.n, r, s), r & s, r | s)]
     ops = (_tilde_bits, _minus_bits, _neg_bits)

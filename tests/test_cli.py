@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,22 @@ def test_cap_exceeded_past_the_int_decimal_limit(tmp_path, capsys):
                 f"cap exceeded: at least 2^2209 upsets exceed cap {cap}\n")
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_a_150_point_antichain_fails_fast(tmp_path, capsys):
+    # 22,500 incomparable pairs: 2^22500 upsets, whose decimal form is past
+    # the interpreter's default limit.  Both commands refuse before building
+    # anything the size of the pair order (each takes well under a second)
+    struct = _antichain_file(tmp_path, 150)
+    for argv, cap in ((["build-dq", str(struct)], 4096),
+                      (["find-embedding", "D^3_{1,1}", str(struct)], 1 << 16)):
+        start = time.perf_counter()
+        assert main(argv) == 4
+        assert time.perf_counter() - start < 30
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err == (
+            f"cap exceeded: at least 2^22500 upsets exceed cap {cap}\n")
 
 
 INVALID_STRUCTURES = [

@@ -355,6 +355,19 @@ def test_an_empty_order_relation_is_listed_once():
     assert validate_dqra(family.algebra).ok
 
 
+def test_a_structure_on_no_points_has_the_one_element_algebra():
+    # the empty relation is the only upset and the unit; the product of
+    # the one-element family is a 1x1 grid, not a scalar
+    S = RelStructure(0, BinRel(0, 0), BinRel(0, 0), (), ())
+    assert validate_structure(S).ok
+    family = full_dq_family(S)
+    assert family.relations == (S.leq,)
+    A = family.algebra
+    assert A.size == 1 and A.mult.tolist() == [[0]]
+    assert validate_dqra(A).ok
+    assert full_dq(S).table_key() == A.table_key()
+
+
 def test_count_upsets_histogram_at_four_points():
     # the 597 labelled 4-point structures grouped by upset count; most
     # pair orders here split into several connected components

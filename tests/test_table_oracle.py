@@ -145,10 +145,13 @@ def block_structure(n: int) -> RelStructure:
                         (1, 0) + tuple(range(2, n)), tuple(range(n)))
 
 
-@pytest.mark.parametrize("n, dtype", [(7, np.int64), (8, object)])
+@pytest.mark.parametrize("n, dtype", [(4, np.int64), (7, np.int64),
+                                      (8, object)])
 def test_keys_on_both_sides_of_a_machine_word(n, dtype):
-    # 7 points: 49-bit relations in an int64 column; 8 points: 64-bit
-    # relations, past int64, in an object column
+    # 4 points: 16-bit relations, resolved through a table over all of
+    # them; 7 points: 49-bit relations in an int64 column, resolved by
+    # binary search; 8 points: 64-bit relations, past int64, in an object
+    # column
     S = block_structure(n)
     res = dq_closure(S, [BinRel.from_pairs(n, [(0, 1), (3, 3)])])
     rels = list(res.relations)
@@ -163,6 +166,36 @@ def test_keys_on_both_sides_of_a_machine_word(n, dtype):
                            naive_tables(S, family))
     with pytest.raises(ValueError, match="not closed under the operations"):
         algebra_from_upsets(S, rels[:5] + rels[6:])
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 7, 8])
+def test_family_index_with_repeats_and_misses(n):
+    """Every product, intersection, union and negation of a family that is
+    not closed and lists relations twice, resolved on each path (a table
+    over all relations for n <= 4, binary search for 5 <= n <= 7, a
+    dictionary beyond), against a dictionary built in family order: the
+    last occurrence of a repeated relation, -1 outside the family."""
+    S = block_structure(n) if n > 1 else RelStructure(
+        1, BinRel.identity(1), BinRel.identity(1), (0,), (0,))
+    cells = [1 << p for p in range(n * n) if S.E.bits >> p & 1]
+    rng = np.random.default_rng(n)
+    ups = [sum(c for c, keep in zip(cells, row) if keep)
+           for row in rng.integers(0, 2, (12, len(cells)))]
+    bits = ups + ups[:4] + [ups[0], S.leq.bits]
+    index = {r: i for i, r in enumerate(bits)}
+    rels = [BinRel(n, r) for r in bits]
+    col, (product, meet, join), unary = _family_tables(S, bits)
+    for got, op in ((product, BinRel.compose), (meet, BinRel.intersection),
+                    (join, BinRel.union)):
+        assert got.tolist() == [[index.get(op(r, t).bits, -1) for t in rels]
+                                for r in rels]
+    for got, op in zip(unary, (lneg_tilde, lneg_minus, neg)):
+        assert got.tolist() == [index.get(op(S, r).bits, -1) for r in rels]
+    # r & r = r: a repeated relation reads as its last occurrence
+    assert meet.diagonal().tolist() == [index[r] for r in bits]
+    assert (meet.diagonal() != np.arange(len(bits))).any()
+    if n > 1:
+        assert (product < 0).any() and (meet < 0).any()    # misses
 
 
 def assert_lattice_tables_handed_over(S: RelStructure, rels) -> None:

@@ -7,7 +7,7 @@ included.
 """
 
 from functools import cache
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -271,3 +271,90 @@ def test_residuation_failure_leaves_associativity_to_the_scan(six):
             report = same_report(replace(six, tilde=tilde))
             assert report["monoid-associative"].ok
             assert not report["residuation-left"].ok
+
+
+# --- the residuation shortcut for order-reversing negations ----------------------
+
+
+def antitone(A: FiniteDqRA) -> bool:
+    """Whether ~ reverses the order in the iff sense and - is its inverse,
+    the case in which `_residuation_verdicts` checks one map's steps."""
+    L, til, mns = A.leq, A.tilde, A.minus
+    return bool((L[til][:, til] == L.T).all()
+                and (til[mns] == np.arange(A.size)).all())
+
+
+def test_negations_that_do_not_reverse_the_order():
+    """Pool algebras whose ~ is changed at a comparable pair (with - its
+    inverse), or whose - is changed at one element: all four maps' steps
+    are checked, and every report matches the loop validator.  On the
+    3-chain, a product for which checking x -> x.b alone would pass the
+    right residuation law: with ~ a rotation and - its inverse, and with
+    ~ the order reversal and - the identity."""
+    L = _lattice(3, [(0, 1), (1, 2)])
+    M = [[0, 0, 0], [0, 0, 0], [0, 1, 0]]
+    for tilde, minus in (([2, 0, 1], [1, 2, 0]), ([2, 1, 0], [0, 1, 2])):
+        B = FiniteDqRA(3, L, M, tilde, minus, [2, 1, 0], 1)
+        assert not antitone(B)
+        assert not same_report(B)["residuation-right"].ok
+    seen = 0
+    for A in [A for A in pool() if A.size <= 64][::6]:
+        n, L = A.size, A.leq
+        below = np.argwhere(L & ~np.eye(n, dtype=bool))
+        if not len(below):
+            continue
+        for a, b in below[::max(1, len(below) // 3)]:
+            tilde = A.tilde.copy()
+            tilde[[a, b]] = tilde[[b, a]]
+            minus = np.argsort(tilde)
+            for B in (replace(A, tilde=tilde, minus=minus),
+                      replace(A, minus=np.roll(A.minus, 1))):
+                assert not antitone(B)
+                same_report(B)
+                seen += 1
+    assert seen >= 50
+
+
+def literal_residuation(L: np.ndarray, M: np.ndarray, neg: np.ndarray):
+    """Both residuation laws over all triples, for product tables M[t] on
+    one order with ~ = - = neg: a.b <= c iff a <= -(b.~c), and iff
+    b <= ~(-c.a)."""
+    n = L.shape[0]
+    i = np.arange(n)
+    t = np.arange(len(M))[:, None, None]
+    ab_c = L[M[:, :, :, None], i]                       # [t, a, b, c]
+    left = L[i[:, None, None], neg[M[:, :, neg]][:, None]]
+    right = L[i[None, :, None], neg[M[t, neg[i][None, None, :],
+                                      i[None, :, None]]][:, :, None]]
+    return ((ab_c == left).all(axis=(1, 2, 3)),
+            (ab_c == right).all(axis=(1, 2, 3)))
+
+
+def test_product_tables_of_a_three_chain_where_monotonicity_decides():
+    """On the 3-chain with ~ = - = the order reversal, the shortcut applies.
+    Its verdicts are checked against both laws taken literally on the
+    product tables whose outcome hangs on monotonicity: those where a law's
+    two inequalities hold, or where exactly one argument of the product is
+    monotone."""
+    L = _lattice(3, [(0, 1), (1, 2)])
+    rev = np.array([2, 1, 0])
+    tables = np.array(list(product(range(3), repeat=9))).reshape(-1, 3, 3)
+    left, right = literal_residuation(L, tables, rev)
+    x, y = np.nonzero(L)
+    t = np.arange(len(tables))[:, None, None]
+    i = np.arange(3)
+    g_left = rev[tables[:, :, rev]]                     # [t, b, c]: -(b.~c)
+    f_g = tables[t, g_left, i[:, None]]                 # (-(b.~c)).b
+    g_f = g_left[t, i[:, None], tables.transpose(0, 2, 1)]
+    inequalities = (L[f_g, i].all(axis=(1, 2))
+                    & L[i, g_f].all(axis=(1, 2)))
+    first = L[tables[:, x, :], tables[:, y, :]].all(axis=(1, 2))
+    second = L[tables[:, :, x], tables[:, :, y]].all(axis=(1, 2))
+    picked = np.flatnonzero(inequalities | (first != second))
+    assert (inequalities & ~first & ~second).sum() == 202
+    assert not (inequalities & (first != second)).any()
+    for k in picked[::4]:
+        A = FiniteDqRA(3, L, tables[k], rev, rev, rev, 1)
+        assert antitone(A)
+        assert _law_verdicts(A)[2:] == (left[k], right[k]), tables[k]
+    assert left.sum() == right.sum() == 5
