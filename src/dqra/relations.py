@@ -267,17 +267,25 @@ class _OrMap:
         return out
 
 
+def _cell_map(n: int, f: Callable[[int, int], tuple[int, int]]) -> _OrMap:
+    """The `_OrMap` that sends the bit of each cell (x, y) of n points,
+    bit n*n-1-(x*n+y), to the bit of the cell f(x, y)."""
+    top = n * n - 1
+    images = []
+    for p in range(n * n):
+        i, j = f(*divmod(top - p, n))
+        images.append(1 << (top - (i * n + j)))
+    return _OrMap(images)
+
+
 _CONVERSE: dict[int, _OrMap] = {}
 
 
 def _converse(n: int, a: int) -> int:
-    """Bits of the converse: bit p = n*n-1-(i*n+j) moves to the bit of (j, i)."""
+    """Bits of the converse: cell (i, j) moves to (j, i)."""
     f = _CONVERSE.get(n)
     if f is None:
-        top = n * n - 1
-        f = _CONVERSE[n] = _OrMap([
-            1 << (top - (q % n * n + q // n))
-            for q in (top - p for p in range(n * n))])
+        f = _CONVERSE[n] = _cell_map(n, lambda i, j: (j, i))
     return f(a)
 
 
@@ -353,7 +361,7 @@ class RelStructure:
         return tuple(inv)
 
     @cached_property
-    def _negations(self) -> tuple[_Negation, _Negation, _Negation]:
+    def _negations(self) -> tuple[_OrMap, _OrMap, _OrMap]:
         """The three negations on relation bits (`_negation_maps`)."""
         return _negation_maps(self)
 
@@ -557,33 +565,29 @@ def _checked_upset(S: RelStructure, out: BinRel) -> BinRel:
     return out
 
 
-_Negation = Callable[[int | np.ndarray], int | np.ndarray]
-_NEGATIONS: dict[tuple, tuple[_Negation, _Negation, _Negation]] = {}
+_NEGATIONS: dict[tuple, tuple[_OrMap, _OrMap, _OrMap]] = {}
 
 
-def _negation_maps(S: RelStructure) -> tuple[_Negation, _Negation, _Negation]:
-    """~, - and the third negation as functions of the bits of the
-    complement E - R, built once for each n, alpha and beta and shared by
-    every structure that has them.  Each formula below composes the
-    complement with function graphs and converses, so it preserves unions:
-    ~ sends cell (u, v) to (v, alpha(u)), - sends it to (alpha^-1(v), u)
-    and the third negation to (alpha^-1(beta(u)), beta(v)).  When a
-    relation fits a machine word (n*n <= 63) each formula becomes an
-    `_OrMap` built from the images of single cells.  Beyond, building the
-    maps would take n*n compositions of n*n-bit ints each (0.6 s at
-    n = 60), so the formulas run as they are."""
+def _negation_maps(S: RelStructure) -> tuple[_OrMap, _OrMap, _OrMap]:
+    """~, - and the third negation as maps of the bits of the complement
+    E - R, built once for each n, alpha and beta and shared by every
+    structure that has them.  Each is a permutation of the cells: with
+    R^c = E - R, ~R = (R^c)^-1;alpha sends cell (u, v) to (v, alpha(u)),
+    -R = alpha;(R^c)^-1 sends it to (alpha^-1(v), u), and
+    alpha;beta;R^c;beta sends it to (alpha^-1(beta^-1(u)), beta(v)).
+    alpha and beta must be permutations of the points."""
     key = (S.n, S.alpha, S.beta)
     maps = _NEGATIONS.get(key)
     if maps is None:
-        n, a, b = S.n, S.alpha_rel.bits, S.beta_rel.bits
-        ab = _compose(n, a, b)
-        maps = (lambda c: _compose(n, _converse(n, c), a),      # ~
-                lambda c: _compose(n, a, _converse(n, c)),      # -
-                lambda c: _compose(n, _compose(n, ab, c), b))   # third
-        if n * n <= 63:
-            maps = tuple(_OrMap([f(1 << p) for p in range(n * n)])
-                         for f in maps)
-        _NEGATIONS[key] = maps
+        a, a_inv = S.alpha, S.alpha_inv
+        b = S.beta
+        b_inv = [0] * S.n
+        for x, y in enumerate(b):
+            b_inv[y] = x
+        maps = _NEGATIONS[key] = (
+            _cell_map(S.n, lambda u, v: (v, a[u])),
+            _cell_map(S.n, lambda u, v: (a_inv[v], u)),
+            _cell_map(S.n, lambda u, v: (a_inv[b_inv[u]], b[v])))
     return maps
 
 
@@ -710,7 +714,7 @@ def _family_tables(S: RelStructure, bits: Sequence[int]
     r, s = col[:, None], col[None, :]
     grid = [lookup(t) for t in (_compose(S.n, r, s), r & s, r | s)]
     ops = (_tilde_bits, _minus_bits, _neg_bits)
-    if len(bits) < 16:  # numpy's cost per call would exceed the work
+    if len(bits) < 16:  # a column pays for array copies of the map tables
         unary = [np.array([op(S, b) for b in bits], dtype=col.dtype)
                  for op in ops]
     else:
