@@ -11,7 +11,6 @@ tables.
 from __future__ import annotations
 
 import operator
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress, repeat
@@ -237,20 +236,29 @@ def _complement(r: int, e: int) -> int:
 class _OrMap:
     """A map on relation bits that preserves unions, given by the image of
     each single bit (bit p counted from the least significant) and applied
-    four bits at a time through 16-entry tables (small, since every
-    structure keeps one).  An array of relation ints (int64, or object for
-    relations wider than a machine word) is mapped elementwise through the
-    same tables as arrays of its dtype."""
+    four bits at a time through 16-entry tables, the short last one padded
+    with zeros.  A relation int is mapped through the tables as lists.  A
+    column of relation ints (int64, or object for relations wider than a
+    machine word) is mapped through the same tables stored once as one
+    array, int64 when every image fits a machine word and object beyond:
+    each nibble of the column indexes its own table, all in one `take`.
+    A column is told from an int by the TypeError of its first list lookup,
+    so there is one table even on 0 points."""
 
-    __slots__ = ("tables",)
+    __slots__ = ("tables", "_stacked", "_nibbles")
 
     def __init__(self, images: Sequence[int]) -> None:
         self.tables = []
-        for c in range(0, len(images), 4):
+        for c in range(0, len(images) or 1, 4):
             table = [0]
             for image in images[c:c + 4]:
                 table += [t | image for t in table]
-            self.tables.append(table)
+            self.tables.append(table + [0] * (16 - len(table)))
+        wide = reduce(operator.or_, images, 0) >> 63
+        self._stacked = np.array(self.tables, dtype=object if wide else np.int64
+                                 ).reshape(-1)
+        k = np.arange(len(self.tables))[:, None]
+        self._nibbles = 4 * k, 16 * k   # (shift, offset into _stacked)
 
     def __call__(self, bits: int | np.ndarray) -> int | np.ndarray:
         out = 0
@@ -258,12 +266,10 @@ class _OrMap:
             for table in self.tables:
                 out |= table[bits & 15]
                 bits >>= 4
-        except TypeError:  # an array, which no list takes as an index
-            out = np.zeros_like(bits)
-            for table in self.tables:
-                out |= np.array(table, dtype=bits.dtype)[
-                    (bits & 15).astype(np.intp)]
-                bits = bits >> 4
+        except TypeError:  # a column, which no list takes as an index
+            shift, offset = self._nibbles
+            index = (bits >> shift & 15 | offset).astype(np.intp, copy=False)
+            out = np.bitwise_or.reduce(self._stacked.take(index), axis=0)
         return out
 
 
@@ -707,19 +713,13 @@ def _family_tables(S: RelStructure, bits: Sequence[int]
     of every product, intersection and union; and that of each element's
     tilde, minus and third negation.  A relation listed twice maps to its
     last occurrence.  Every operation is the int kernel applied to the whole
-    column (products broadcast over the family grid); only the negations of
-    a family of fewer than 16 relations are taken one relation at a time."""
+    column (products broadcast over the family grid)."""
     col = np.array(bits, dtype=np.int64 if S.n * S.n <= 63 else object)
     lookup = _lookup(col, S.n)
     r, s = col[:, None], col[None, :]
     grid = [lookup(t) for t in (_compose(S.n, r, s), r & s, r | s)]
-    ops = (_tilde_bits, _minus_bits, _neg_bits)
-    if len(bits) < 16:  # a column pays for array copies of the map tables
-        unary = [np.array([op(S, b) for b in bits], dtype=col.dtype)
-                 for op in ops]
-    else:
-        unary = [op(S, col) for op in ops]
-    return col, grid, [lookup(t) for t in unary]
+    complement = S.E.bits & ~col
+    return col, grid, [lookup(f(complement)) for f in S._negations]
 
 
 def algebra_from_upsets(S: RelStructure, rels: Sequence[BinRel],
@@ -757,38 +757,36 @@ def dq_closure(S: RelStructure, generators: Sequence[BinRel],
     """Least family containing the generators and the order relation, closed
     under intersection, union, composition and the three negations.
 
-    Element numbering is deterministic: a fixed worklist discipline feeds the
-    canonical ordering (empty first, order second, insertion order after).
-    Raises CapExceededError when the closure grows past `cap`.
+    Element numbering is deterministic and feeds the canonical ordering
+    (empty first, order second, insertion order after): the members are
+    walked in insertion order while the list grows.  Each member r adds its
+    three negations, then, as one column over all members so far, r & s,
+    r | s, r;s and s;r for each member s in turn; new results join in that
+    order.  Raises CapExceededError when the closure grows past `cap`.
     """
     for g in generators:
         S.check_upset(g, "generator")
     n = S.n
-    seen: dict[int, None] = {}  # insertion-ordered set of relation bits
-    work: deque[int] = deque()
+    dtype = np.int64 if n * n <= 63 else object
+    members: list[int] = []   # relation bits in insertion order
+    seen: set[int] = set()
 
-    def push(r: int) -> None:
-        if r not in seen:
-            if len(seen) >= cap:
-                raise CapExceededError(f"closure exceeded cap {cap}")
-            seen[r] = None
-            work.append(r)
+    def add(results: Iterable[int]) -> None:
+        new = [r for r in dict.fromkeys(results) if r not in seen]
+        if len(members) + len(new) > cap:
+            raise CapExceededError(f"closure exceeded cap {cap}")
+        members.extend(new)
+        seen.update(new)
 
-    push(S.leq.bits)
-    for g in generators:
-        push(g.bits)
-    while work:
-        r = work.popleft()
+    add([S.leq.bits, *(g.bits for g in generators)])
+    for r in members:   # the loop reaches members added while it runs
         R = _rel(n, r)
-        push(lneg_tilde(S, R).bits)
-        push(lneg_minus(S, R).bits)
-        push(neg(S, R).bits)
-        for s in list(seen):
-            push(r & s)
-            push(r | s)
-            push(_compose(n, r, s))
-            push(_compose(n, s, r))
-    ordered = _canonical_order(S, (_rel(n, r) for r in seen), insertion=True)
+        add([lneg_tilde(S, R).bits, lneg_minus(S, R).bits, neg(S, R).bits])
+        col = np.array(members, dtype=dtype)
+        add(np.stack([r & col, r | col, _compose(n, r, col),
+                      _compose(n, col, r)], axis=1).ravel().tolist())
+    ordered = _canonical_order(S, (_rel(n, r) for r in members),
+                               insertion=True)
     algebra = algebra_from_upsets(S, ordered)
     return ClosureResult(tuple(ordered), algebra, S)
 

@@ -1,6 +1,7 @@
 import pytest
 
-from dqra import catalogue_names, load_algebra, load_representation
+from dqra import (BinRel, RelStructure, catalogue_names, load_algebra,
+                  load_representation)
 from dqra.catalogue import (
     antichain_example_generators,
     antichain_example_structure,
@@ -11,6 +12,14 @@ ALL_NAMES = list(catalogue_names())
 CHAIN_NAMES = ["D^3_{1,1}", "D^4_{1,1}", "D^4_{1,2}", "D^5_{1,4}", "D^5_{1,5}"]
 TABLE_PARENTS = ["D^4_{3,1}", "D^6_{3,2}", "D^6_{3,4}", "D^6_{4,3}", "D^6_{4,4}"]
 SIX = "D^6_{3,5,2}"
+
+
+def block_structure(n: int) -> RelStructure:
+    """n points under the identity order; E joins points 0 and 1, which
+    alpha swaps."""
+    E = BinRel.identity(n).union(BinRel.from_pairs(n, [(0, 1), (1, 0)]))
+    return RelStructure(n, BinRel.identity(n), E,
+                        (1, 0) + tuple(range(2, n)), tuple(range(n)))
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,90 @@
+"""Union-preserving bit maps (`_OrMap`) on a column of relation ints against
+the same map applied one relation at a time.
+
+A column is mapped through one stacked array of the map's 16-entry tables,
+one `take` for all of its nibbles; a relation int goes through the tables
+as lists.  Both must agree on every carrier size from 0 to 9 points: cell
+counts that are not multiples of 4 (9, 25, 49, 81) leave a short last
+table, padded in the stacked array, and from 8 points the relations are
+wider than a machine word (object columns).  The maps are the converse,
+the three negations, the upward closure and the quotient's class
+restriction.  `_family_tables` takes the negations of every family as one
+column; on families of 1 to 15 relations it must give the index of each
+relation's own negation.
+"""
+
+import numpy as np
+import pytest
+
+from dqra import BinRel, RelStructure, lneg_minus, lneg_tilde, neg
+from dqra.relations import (_converse, _family_tables, _minus_bits,
+                            _neg_bits, _tilde_bits)
+from dqra.representation import _class_restriction
+
+from conftest import block_structure
+
+
+def column(n: int, bits: list[int]) -> np.ndarray:
+    return np.array(bits, dtype=np.int64 if n * n <= 63 else object)
+
+
+def random_bits(rng: np.random.Generator, n: int, k: int) -> list[int]:
+    width = n * n
+    return [int.from_bytes(rng.bytes((width + 7) // 8), "big") >> (-width % 8)
+            for _ in range(k)] + [0, (1 << width) - 1]
+
+
+def random_structure(rng: np.random.Generator, n: int) -> RelStructure:
+    """A chain under random alpha and beta; the maps need no valid
+    structure, only the points, the order and E."""
+    leq = BinRel.from_pairs(n, [(i, j) for i in range(n) for j in range(i, n)])
+    return RelStructure(n, leq, BinRel.full(n),
+                        tuple(int(v) for v in rng.permutation(n)),
+                        tuple(int(v) for v in rng.permutation(n)))
+
+
+def random_classes(rng: np.random.Generator, n: int):
+    """A class map with classes numbered in order of first member, and the
+    first member of each class as its representative."""
+    labels = rng.integers(0, max(n // 2, 1), n).tolist()
+    first = list(dict.fromkeys(labels))
+    return [first.index(v) for v in labels], [labels.index(v) for v in first]
+
+
+def maps(rng: np.random.Generator, n: int):
+    S = random_structure(rng, n)
+    class_map, reps = random_classes(rng, n)
+    return {"converse": lambda r: _converse(n, r),
+            "tilde": lambda r: _tilde_bits(S, r),
+            "minus": lambda r: _minus_bits(S, r),
+            "neg": lambda r: _neg_bits(S, r),
+            "up": S._up_map,
+            "classes": _class_restriction(n, class_map, reps)}
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_column_matches_one_relation_at_a_time(n):
+    rng = np.random.default_rng(n)
+    bits = random_bits(rng, n, 40)
+    for name, f in maps(rng, n).items():
+        want = [f(b) for b in bits]
+        for k in (0, 1, 3, 15, len(bits)):
+            got = f(column(n, bits[:k]))
+            assert got.shape == (k,), name
+            assert got.tolist() == want[:k], (name, k)
+
+
+@pytest.mark.parametrize("S", [
+    RelStructure(2, BinRel.from_pairs(2, [(0, 0), (1, 1), (0, 1)]),
+                 BinRel.full(2), (0, 1), (1, 0)),
+    block_structure(4), block_structure(8)])
+def test_small_families_get_each_relations_negations(S):
+    ups = [r.bits for r in S.enumerate_upsets(1 << 10)]
+    rng = np.random.default_rng(S.n)
+    for k in range(1, 16):
+        bits = [ups[i] for i in rng.integers(0, len(ups), k)]
+        index = {r: i for i, r in enumerate(bits)}
+        _, _, unary = _family_tables(S, bits)
+        for got, op in zip(unary, (lneg_tilde, lneg_minus, neg)):
+            assert got.tolist() == [index.get(op(S, BinRel(S.n, b)).bits, -1)
+                                    for b in bits]

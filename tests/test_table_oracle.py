@@ -22,7 +22,7 @@ from dqra.algebra import LawCheck, ValidationReport, lattice_tables
 from dqra.relations import (_family_tables, algebra_from_upsets,
                             enumerate_structures)
 
-from conftest import ALL_NAMES
+from conftest import ALL_NAMES, block_structure
 
 
 def naive_tables(S: RelStructure, rels) -> tuple[np.ndarray, ...]:
@@ -135,14 +135,6 @@ def test_keys_wider_than_a_machine_word():
     res = dq_closure(S, [BinRel.from_pairs(9, [(0, 0), (4, 4)])])
     assert res.algebra.size == 4
     assert_same_tables(res.algebra, naive_tables(S, res.relations))
-
-
-def block_structure(n: int) -> RelStructure:
-    """n points under the identity order; E joins points 0 and 1, which
-    alpha swaps."""
-    E = BinRel.identity(n).union(BinRel.from_pairs(n, [(0, 1), (1, 0)]))
-    return RelStructure(n, BinRel.identity(n), E,
-                        (1, 0) + tuple(range(2, n)), tuple(range(n)))
 
 
 @pytest.mark.parametrize("n, dtype", [(4, np.int64), (7, np.int64),
