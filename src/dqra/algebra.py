@@ -313,6 +313,11 @@ class FiniteDqRA:
         search."""
         return join_generators(self.join_table)
 
+    @cached_property
+    def _report(self) -> ValidationReport:
+        """`validate_dqra`'s report, kept with the frozen tables."""
+        return _validate_dqra(self)
+
     def table_key(self) -> bytes:
         """Canonical bytes identifying the tables (labels excluded)."""
         return b"|".join(
@@ -471,7 +476,8 @@ def _law_verdicts(A: FiniteDqRA) -> tuple[bool, Optional[bool], bool, bool]:
 
 def validate_dqra(A: FiniteDqRA) -> ValidationReport:
     """Check every defining law of a distributive quasi relation algebra,
-    returning one verdict per law with witnesses for failures.
+    returning one verdict per law with witnesses for failures.  The tables
+    are frozen, so the report is computed once per algebra and kept on it.
 
     Covers: partial order, existence of meets and joins, distributivity,
     monoid laws, the residuation equivalences, the linear-negation involution
@@ -483,6 +489,10 @@ def validate_dqra(A: FiniteDqRA) -> ValidationReport:
     residuation law fails, is scanned row-major (`_row_scan`), which gives
     the first witness.
     """
+    return A._report
+
+
+def _validate_dqra(A: FiniteDqRA) -> ValidationReport:
     n = A.size
     L = A.leq
     M = A.mult

@@ -83,8 +83,11 @@ def catalogue_names() -> tuple[str, ...]:
     return tuple(sorted(CATALOGUE, key=lambda n: (len(n), n)))
 
 
+_DATA = resources.files("dqra") / "data"    # resolved once
+
+
 def _read(filename: str) -> str:
-    return (resources.files("dqra") / "data" / filename).read_text()
+    return (_DATA / filename).read_text()
 
 
 def load_algebra(name: str) -> FiniteDqRA:
@@ -152,7 +155,7 @@ def build_relational_entry() -> tuple[FiniteDqRA, RelStructure, Embedding]:
 
 
 def data_dir() -> Path:
-    return Path(str(resources.files("dqra") / "data"))
+    return Path(str(_DATA))
 
 
 def regenerate(directory: Optional[Path] = None) -> list[str]:

@@ -241,6 +241,7 @@ def cmd_quotient(args) -> int:
         f"{aname}_quotient_{A.labels[p]}", q.quotient,
         [f"quotient of the representation of {aname} at p={A.labels[p]}",
          f"class map: {classes}"]), args.output)
+    psi = None
     if args.embedding_output:
         psi = induced_embedding(e, p)
         _write(emit_assignment(
@@ -248,8 +249,9 @@ def cmd_quotient(args) -> int:
             ["induced embedding of the contraction into the quotient"]),
             args.embedding_output)
     if args.contraction_output:
-        c = contract(A, p)
-        _write(emit_algebra(f"{aname}_contraction_{A.labels[p]}", c.algebra),
+        # the induced embedding's algebra is the contraction at p
+        sub = contract(A, p).algebra if psi is None else psi.algebra
+        _write(emit_algebra(f"{aname}_contraction_{A.labels[p]}", sub),
                args.contraction_output)
     return EXIT_OK
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiniteDqRA, LawViolationError, validate_dqra
+from .algebra import (FiniteDqRA, LawViolationError, _set_lattice_tables,
+                      validate_dqra)
 
 
 class NotPsiError(ValueError):
@@ -94,18 +95,19 @@ def contract(A: FiniteDqRA, p: int) -> Contraction:
     """Build the contraction at a positive symmetric idempotent p.
 
     All operations restrict; only the unit changes.  The member list follows
-    parent index order so regression output is stable.  The extracted tables
-    are revalidated before being returned.
+    parent index order so regression output is stable.  A parent holding
+    its meet and join tables hands them over restricted when every
+    restricted bound is a member, and so the bound among the members.  The
+    extracted tables are revalidated before being returned.
     """
     if not is_psi(A, p):
         raise NotPsiError(
             f"element {A.label(p)} is not a positive symmetric idempotent")
-    members = tuple(
-        x for x in range(A.size)
-        if int(A.mult[A.mult[p, x], p]) == x
-    )
-    sel = np.array(members)
-    back = np.full(A.size, -1, dtype=np.int64)    # parent -> member index
+    sel = np.flatnonzero(A.mult[A.mult[p], p] == np.arange(A.size))
+    members = tuple(sel.tolist())
+    # parent -> member index, -1 elsewhere; the extra last entry sends a
+    # missing parent bound (-1) to -1
+    back = np.full(A.size + 1, -1, dtype=np.int64)
     back[sel] = np.arange(len(members))
 
     def reindex(table: np.ndarray) -> np.ndarray:
@@ -123,5 +125,9 @@ def contract(A: FiniteDqRA, p: int) -> Contraction:
     labels = tuple(A.labels[x] for x in members)
     algebra = FiniteDqRA(len(members), leq, mult, til, mns, ngn,
                          int(back[p]), labels)
+    if A.__dict__.keys() >= {"meet_table", "join_table"}:
+        meet, join = (back[t[sel][:, sel]] for t in (A.meet_table, A.join_table))
+        if (meet >= 0).all() and (join >= 0).all():
+            _set_lattice_tables(algebra, meet, join)
     validate_dqra(algebra).raise_if_failed("contraction failed validation")
     return Contraction(A, p, members, algebra)

@@ -10,7 +10,10 @@ assignments consistent with the diagram and the algebra laws:
   order-reversing involutions sending the unit to the zero;
 * products are residuated, hence join preserving, so only products of join
   generators are branched on; the rest of the table follows by joins;
-* every completed candidate must pass the full exhaustive validator.
+* every completed candidate gets the diagram's meet and join tables and
+  is rejected unless the exact verdicts on distributivity, associativity
+  and both residuation laws all hold; only the survivors pay for the full
+  validator, which every accepted table passes.
 
 A solution is accepted only when it is unique after deduplication.  Two
 entries need documented extra steps:
@@ -33,8 +36,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import (FiniteDqRA, join_generators, lattice_tables,
-                      order_maps, validate_dqra)
+from .algebra import (FiniteDqRA, _law_verdicts, _set_lattice_tables,
+                      join_generators, lattice_tables, order_maps,
+                      validate_dqra)
 from .isomorphism import algebras_isomorphic
 
 
@@ -162,12 +166,10 @@ def reconstruct(diagram: Diagram,
         if diagram.zero is not None and zero != ix[diagram.zero]:
             continue
         for ngn in duals:
-            if any(ngn[ngn[a]] != a for a in range(n)):
-                continue
-            if ngn[unit] != zero:
+            if ngn[unit] != zero or any(ngn[ngn[a]] != a for a in range(n)):
                 continue
             _search_products(
-                n, leq, join, unit, bot, gens, gen_below, annot, til, mns,
+                n, leq, meet, join, unit, bot, gens, gen_below, annot, til, mns,
                 ngn, labels, solutions)
 
     sols = list(solutions.values())
@@ -188,71 +190,44 @@ def reconstruct(diagram: Diagram,
     return ReconstructionOutcome(diagram, tuple(sols), "unique", note)
 
 
-def _search_products(n, leq, join, unit, bot, gens, gen_below, annot,
+def _search_products(n, leq, meet, join, unit, bot, gens, gen_below, annot,
                      til, mns, ngn, labels, solutions) -> None:
     """Backtrack over join-generator products for fixed unary tables."""
+    le, jn = leq.tolist(), join.tolist()
     m1 = mns[unit]
-    slots = []
-    for g in gens:
-        for h in gens:
-            if g == unit or h == unit:
-                continue
-            slots.append((g, h))
     # annotated slots first: they are forced
-    slots.sort(key=lambda gh: gh not in annot)
+    slots = sorted(((g, h) for g in gens for h in gens if unit not in (g, h)),
+                   key=lambda gh: gh not in annot)
     assign: dict[tuple[int, int], int] = {}
 
     def candidates(g: int, h: int) -> list[int]:
         if (g, h) in annot:
             return [annot[(g, h)]]
-        out = []
-        for v in range(n):
-            # separation laws relate products to the order through the zero:
-            # g.h <= -1 iff g <= -h iff h <= ~g
-            if leq[v, m1] != leq[g, mns[h]]:
-                continue
-            if leq[v, m1] != leq[h, til[g]]:
-                continue
-            ok = True
-            for (g2, h2), v2 in assign.items():
-                if leq[g2, g] and leq[h2, h] and not leq[v2, v]:
-                    ok = False
-                    break
-                if leq[g, g2] and leq[h, h2] and not leq[v, v2]:
-                    ok = False
-                    break
-            if ok:
-                out.append(v)
-        return out
+        # separation laws relate products to the order through the zero
+        # (g.h <= -1 iff g <= -h iff h <= ~g), and products are monotone
+        return [v for v in range(n)
+                if le[v][m1] == le[g][mns[h]] == le[h][til[g]]
+                and not any(le[g2][g] and le[h2][h] and not le[v2][v]
+                            or le[g][g2] and le[h][h2] and not le[v][v2]
+                            for (g2, h2), v2 in assign.items())]
 
-    def extend() -> Optional[np.ndarray]:
-        mult = np.zeros((n, n), dtype=np.int64)
-        for a in range(n):
-            for b in range(n):
-                v = None
-                for g in gen_below[a]:
-                    for h in gen_below[b]:
-                        if g == unit:
-                            w = h
-                        elif h == unit:
-                            w = g
-                        else:
-                            w = assign[(g, h)]
-                        v = w if v is None else join[v, w]
-                mult[a, b] = bot if v is None else v
-        return mult
+    def product(a: int, b: int) -> int:
+        """The join of the products of the generators below a and b."""
+        v = bot
+        for g in gen_below[a]:
+            for h in gen_below[b]:
+                v = jn[v][h if g == unit else g if h == unit else assign[g, h]]
+        return v
 
     def leaf() -> None:
-        mult = extend()
+        mult = [[product(a, b) for b in range(n)] for a in range(n)]
         # assigned generator products must survive the join extension
-        for (g, h), v in assign.items():
-            if mult[g, h] != v:
-                return
-        for (x, y), v in annot.items():
-            if mult[x, y] != v:
-                return
+        if any(mult[x][y] != v
+               for fixed in (assign, annot) for (x, y), v in fixed.items()):
+            return
         cand = FiniteDqRA(n, leq, mult, til, mns, ngn, unit, labels)
-        if validate_dqra(cand).ok:
+        _set_lattice_tables(cand, meet, join)
+        if all(_law_verdicts(cand)) and validate_dqra(cand).ok:
             solutions.setdefault(cand.table_key(), cand)
 
     def bt(i: int) -> None:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from contextlib import contextmanager
+from functools import cache, cached_property, reduce
 from itertools import compress, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -242,10 +243,12 @@ class _OrMap:
     machine word) is mapped through the same tables stored once as one
     array, int64 when every image fits a machine word and object beyond:
     each nibble of the column indexes its own table, all in one `take`.
-    A column is told from an int by the TypeError of its first list lookup,
-    so there is one table even on 0 points."""
+    That array is built on the first column, so a map only ever applied to
+    single relations never builds it.  A column is told from an int by the
+    TypeError of its first list lookup, so there is one table even on 0
+    points."""
 
-    __slots__ = ("tables", "_stacked", "_nibbles")
+    __slots__ = ("tables", "_columns")
 
     def __init__(self, images: Sequence[int]) -> None:
         self.tables = []
@@ -254,11 +257,7 @@ class _OrMap:
             for image in images[c:c + 4]:
                 table += [t | image for t in table]
             self.tables.append(table + [0] * (16 - len(table)))
-        wide = reduce(operator.or_, images, 0) >> 63
-        self._stacked = np.array(self.tables, dtype=object if wide else np.int64
-                                 ).reshape(-1)
-        k = np.arange(len(self.tables))[:, None]
-        self._nibbles = 4 * k, 16 * k   # (shift, offset into _stacked)
+        self._columns: Optional[tuple[np.ndarray, ...]] = None
 
     def __call__(self, bits: int | np.ndarray) -> int | np.ndarray:
         out = 0
@@ -267,9 +266,16 @@ class _OrMap:
                 out |= table[bits & 15]
                 bits >>= 4
         except TypeError:  # a column, which no list takes as an index
-            shift, offset = self._nibbles
+            if self._columns is None:
+                # every entry is a union of images, the largest the widest
+                wide = max(map(max, self.tables)) >> 63
+                k = np.arange(len(self.tables))[:, None]
+                self._columns = (np.array(
+                    self.tables, dtype=object if wide else np.int64
+                ).reshape(-1), 4 * k, 16 * k)   # (tables, shift, offset)
+            stacked, shift, offset = self._columns
             index = (bits >> shift & 15 | offset).astype(np.intp, copy=False)
-            out = np.bitwise_or.reduce(self._stacked.take(index), axis=0)
+            out = np.bitwise_or.reduce(stacked.take(index), axis=0)
         return out
 
 
@@ -675,15 +681,24 @@ def _canonical_order(S: RelStructure, rels: Iterable[BinRel],
     return head + rest
 
 
-def _lookup(family: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The map from an array of relation ints on n points to their indices
-    in `family` (a column of relation ints; a relation listed twice maps to
-    its last occurrence), -1 where absent, in the shape of the array.  An
-    int64 column takes its sorted distinct keys, each carrying the index of
-    its last occurrence; for n*n <= 16 they fill a table over all 2^(n*n)
-    relations, which resolves the whole array in one `take`, and beyond
-    that the array is resolved by binary search in the keys.  An object
-    column goes through one dictionary."""
+@cache
+def _index_table() -> np.ndarray:
+    """`_lookup`'s table over the 2^16 relations on at most 4 points."""
+    return np.full(1 << 16, -1, dtype=np.int64)
+
+
+@contextmanager
+def _lookup(family: np.ndarray, n: int
+            ) -> Iterator[Callable[[np.ndarray], np.ndarray]]:
+    """The map, inside the `with` block, from an array of relation ints on n
+    points to their indices in `family` (a column of relation ints; a
+    relation listed twice maps to its last occurrence, the largest index),
+    -1 where absent, in the shape of the array.  For n*n <= 16 an int64
+    column writes its indices into the one `_index_table` (through the
+    unbuffered `np.maximum.at`), where the whole array is one `take`, and
+    resets them to -1 on leaving: O(m) for m relations, one family at a
+    time.  A wider int64 column is resolved by binary search in its sorted
+    distinct keys, an object column through one dictionary."""
     if family.dtype == object:
         get = {r: i for i, r in enumerate(family.tolist())}.get
 
@@ -691,18 +706,23 @@ def _lookup(family: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
             found = map(get, results.ravel().tolist(), repeat(-1))
             return np.fromiter(found, dtype=np.int64,
                                count=results.size).reshape(results.shape)
-        return lookup
+        yield lookup
+        return
+    if n * n <= 16:
+        table = _index_table()
+        try:
+            np.maximum.at(table, family, np.arange(len(family)))
+            yield table.take
+        finally:
+            table[family] = -1
+        return
     keys, first = np.unique(family[::-1], return_index=True)
     last = len(family) - 1 - first
-    if n * n <= 16:
-        table = np.full(1 << n * n, -1, dtype=np.int64)
-        table[keys] = last
-        return table.take
 
     def lookup(results: np.ndarray) -> np.ndarray:
         pos = np.minimum(np.searchsorted(keys, results), len(keys) - 1)
         return np.where(keys[pos] == results, last[pos], -1)
-    return lookup
+    yield lookup
 
 
 def _family_tables(S: RelStructure, bits: Sequence[int]
@@ -715,11 +735,11 @@ def _family_tables(S: RelStructure, bits: Sequence[int]
     last occurrence.  Every operation is the int kernel applied to the whole
     column (products broadcast over the family grid)."""
     col = np.array(bits, dtype=np.int64 if S.n * S.n <= 63 else object)
-    lookup = _lookup(col, S.n)
     r, s = col[:, None], col[None, :]
-    grid = [lookup(t) for t in (_compose(S.n, r, s), r & s, r | s)]
     complement = S.E.bits & ~col
-    return col, grid, [lookup(f(complement)) for f in S._negations]
+    with _lookup(col, S.n) as lookup:
+        grid = [lookup(t) for t in (_compose(S.n, r, s), r & s, r | s)]
+        return col, grid, [lookup(f(complement)) for f in S._negations]
 
 
 def algebra_from_upsets(S: RelStructure, rels: Sequence[BinRel],

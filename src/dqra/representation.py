@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .algebra import (FiniteDqRA, LawCheck, LawViolationError,
@@ -41,6 +42,11 @@ class Embedding:
     def image(self, a: int) -> BinRel:
         return self.assignment[a]
 
+    @cached_property
+    def _report(self) -> ValidationReport:
+        """`verify_embedding`'s report, kept with the frozen images."""
+        return _verify_embedding(self)
+
     def __repr__(self) -> str:
         return (f"Embedding({self.algebra!r} -> {self.structure!r})")
 
@@ -52,7 +58,12 @@ def verify_embedding(e: Embedding) -> ValidationReport:
     Once the images are known to be distinct upsets, each operation's table
     on the images (meets and joins as intersections and unions) comes from
     `_family_tables`, with -1 outside the image set; the witness is the
-    first row-major cell that differs from the algebra's table."""
+    first row-major cell that differs from the algebra's table.  An
+    embedding is frozen, so the report is computed once and kept on it."""
+    return e._report
+
+
+def _verify_embedding(e: Embedding) -> ValidationReport:
     A, S = e.algebra, e.structure
     if len(e.assignment) != A.size:
         raise ValueError("assignment must cover every element")
@@ -414,7 +425,8 @@ def induced_embedding(e: Embedding, p: int) -> Embedding:
     is the set of class pairs covering its original image.  A member x
     satisfies p.x.p = x, so its image is a union of class blocks and is
     read off at the class representatives.  The result is verified; the
-    unit of the contraction lands on the quotient order."""
+    unit of the contraction lands on the quotient order.  `e` is verified
+    once (`quotient_representation` keeps the report on it)."""
     q = quotient_representation(e, p)
     c = contract(e.algebra, p)
     restrict = _class_restriction(e.structure.n, q.class_map, q.representatives)

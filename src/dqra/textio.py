@@ -108,10 +108,15 @@ def _index(token: str) -> Optional[int]:
         return None
 
 
-def _resolve(token: str, labels: Sequence[str], size: int, line: int,
+def _label_index(labels: Sequence[str]) -> dict[str, int]:
+    """Each label's index, the first one where a label repeats."""
+    return dict(zip(labels[::-1], range(len(labels) - 1, -1, -1)))
+
+
+def _resolve(token: str, labels: dict[str, int], size: int, line: int,
              what: str) -> int:
     if token in labels:
-        return list(labels).index(token)
+        return labels[token]
     v = _index(token)
     if v is not None:
         if v < size:
@@ -200,15 +205,16 @@ def parse_algebra(text: str) -> tuple[str, FiniteDqRA]:
     lines.done()
 
     lab = labels if labels is not None else [f"e{i}" for i in range(n)]
+    index = _label_index(lab)
     mult = np.zeros((n, n), dtype=np.int64)
     for i, (no, toks) in enumerate(mult_rows):
-        mult[i] = [_resolve(t, lab, n, no, "element") for t in toks]
+        mult[i] = [_resolve(t, index, n, no, "element") for t in toks]
 
     def unary(row: tuple[int, list[str]]) -> np.ndarray:
         no, toks = row
-        return np.array([_resolve(t, lab, n, no, "element") for t in toks])
+        return np.array([_resolve(t, index, n, no, "element") for t in toks])
 
-    unit = _resolve(unit_toks[0], lab, n, unit_no, "element")
+    unit = _resolve(unit_toks[0], index, n, unit_no, "element")
     algebra = FiniteDqRA(n, leq, mult, unary(til_row), unary(mns_row),
                          unary(ngn_row), unit, tuple(lab))
     return name, algebra
@@ -254,10 +260,11 @@ def parse_structure(text: str) -> tuple[str, RelStructure]:
     lines.done()
 
     lab = labels if labels is not None else [f"x{i}" for i in range(n)]
+    index = _label_index(lab)
 
     def perm(row: tuple[int, list[str]]) -> tuple[int, ...]:
         no, toks = row
-        return tuple(_resolve(t, lab, n, no, "point") for t in toks)
+        return tuple(_resolve(t, index, n, no, "point") for t in toks)
 
     structure = RelStructure(n, BinRel.from_matrix(n, leq),
                              BinRel.from_matrix(n, E),
@@ -283,7 +290,8 @@ def emit_structure(name: str, S: RelStructure,
 _PAIR_RE = re.compile(r"\(\s*([^\s,()]+)\s*,\s*([^\s,()]+)\s*\)")
 
 
-def _parse_pair_set(body: str, no: int, S: RelStructure) -> BinRel:
+def _parse_pair_set(body: str, no: int, S: RelStructure,
+                    points: dict[str, int]) -> BinRel:
     body = body.strip()
     if not (body.startswith("{") and body.endswith("}")):
         raise ParseError("relation must be written as {(x,y), ...}", no)
@@ -292,8 +300,8 @@ def _parse_pair_set(body: str, no: int, S: RelStructure) -> BinRel:
     if inner:
         consumed = 0
         for m in _PAIR_RE.finditer(inner):
-            x = _resolve(m.group(1), S.labels, S.n, no, "point")
-            y = _resolve(m.group(2), S.labels, S.n, no, "point")
+            x = _resolve(m.group(1), points, S.n, no, "point")
+            y = _resolve(m.group(2), points, S.n, no, "point")
             pairs.append((x, y))
             consumed += 1
         leftovers = _PAIR_RE.sub("", inner).replace(",", "").strip()
@@ -321,13 +329,14 @@ def parse_relation_list(text: str,
     if len(parts) != 2 or parts[0] != "assign":
         raise ParseError("expected header 'assign <name>'", no)
     name = parts[1]
+    points = _label_index(S.labels)
     rels: list[tuple[str, BinRel, int]] = []
     while lines.peek() is not None:
         no, body = lines.take("relation line")
         if ":" not in body:
             raise ParseError("expected '<name>: {(x,y), ...}'", no)
         tok, rhs = body.split(":", 1)
-        rels.append((tok.strip(), _parse_pair_set(rhs, no, S), no))
+        rels.append((tok.strip(), _parse_pair_set(rhs, no, S, points), no))
     return name, rels
 
 
@@ -338,8 +347,9 @@ def parse_assignment(text: str, A: FiniteDqRA,
     name, rels = parse_relation_list(text, S)
     images: dict[int, BinRel] = {}
     last = 1
+    index = _label_index(A.labels)
     for tok, rel, no in rels:
-        elt = _resolve(tok, A.labels, A.size, no, "element")
+        elt = _resolve(tok, index, A.size, no, "element")
         if elt in images:
             raise ParseError(f"element {A.labels[elt]!r} assigned twice", no)
         images[elt] = rel

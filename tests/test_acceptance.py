@@ -11,6 +11,8 @@ import pytest
 
 from dqra import (
     BinRel,
+    Embedding,
+    LawViolationError,
     algebras_isomorphic,
     basic_obstruction,
     contract,
@@ -33,6 +35,7 @@ from dqra import (
     validate_structure,
     verify_embedding,
 )
+from dqra.algebra import lattice_tables
 from dqra.relations import full_dq_family, sample_structures
 from dqra.reconstruct import reconstruct_catalogue
 
@@ -292,3 +295,39 @@ def test_criterion_8d_induced_embedding_identities(six, six_embedding):
     _report(8, checked == 4,
             f"8d: preservation identities exhaustive for {checked} "
             "(representation, idempotent) pairs")
+
+
+def test_criterion_8e_contraction_census():
+    """Every (full algebra, p) pair of the 8a pool, p = 1 included: the
+    induced embedding verifies, the contraction validates, and the meet and
+    join tables that `contract` restricted from the full algebra (which
+    holds its own) are the bound tables of the contraction's order.  Each
+    embedding keeps its report, and one rebuilt with an image changed is
+    verified afresh and fails."""
+    pool = sample_structures(4, 200, seed=SEED, upset_cap=256)
+    t0 = time.time()
+    pairs = 0
+    for S in pool:
+        fam = full_dq_family(S, cap=256)
+        A = fam.algebra
+        e = Embedding(A, S, fam.relations)
+        for p in psi_elements(A):
+            psi = induced_embedding(e, p)
+            sub = psi.algebra
+            assert validate_dqra(sub).ok
+            meet, join = lattice_tables(sub.leq)
+            assert (sub.meet_table == meet).all()
+            assert (sub.join_table == join).all()
+            assert verify_embedding(e) is verify_embedding(e)
+            assert verify_embedding(psi) is verify_embedding(psi)
+            images = list(e.assignment)
+            images[(p + 1) % A.size] = images[p]
+            with pytest.raises(LawViolationError,
+                               match="embedding does not verify"):
+                quotient_representation(Embedding(A, S, tuple(images)), p)
+            pairs += 1
+    elapsed = time.time() - t0
+    _report(8, pairs == 776,
+            f"8e: {pairs} (full algebra, p) pairs: induced embeddings "
+            f"verify, contractions validate on restricted parent tables, "
+            f"{elapsed:.2f}s")

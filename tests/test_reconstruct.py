@@ -1,5 +1,7 @@
 """Constraint reconstruction of the catalogue entries."""
 
+from dataclasses import replace
+
 import pytest
 
 from dqra import algebras_isomorphic, contract, load_algebra, validate_dqra
@@ -10,8 +12,6 @@ from dqra.reconstruct import (
     reconstruct,
     reconstruct_catalogue,
 )
-
-
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +99,37 @@ def test_regeneration_is_stable(tmp_path):
     for entry in CATALOGUE.values():
         fresh = (tmp_path / entry.algebra_file).read_text()
         assert fresh == _read(entry.algebra_file)
+
+
+# --- the verdict gate against the ungated search -----------------------------
+
+
+def summary(outcome):
+    return (outcome.status, [A.table_key() for A in outcome.solutions],
+            outcome.note)
+
+
+def variants():
+    """The unresolved four-chain, D^6_{3,4} with its dropped product
+    restored, and every diagram with one product annotation dropped."""
+    chain = DIAGRAMS_BY_NAME["D^4_{1,1}"]
+    six = DIAGRAMS_BY_NAME["D^6_{3,4}"]
+    out = [replace(chain, distinct_from=()),
+           replace(six, products=six.products + six.dropped_products)]
+    for d in DIAGRAMS:
+        out += [replace(d, products=d.products[:k] + d.products[k + 1:])
+                for k in range(len(d.products))]
+    return out
+
+
+def test_verdict_gate_matches_the_ungated_search(monkeypatch, outcomes):
+    """Rejecting candidates on the exact verdicts before the full validator
+    changes no status, solution, solution order or note.  The reference
+    lets every candidate through to `validate_dqra`."""
+    gated = [summary(reconstruct(d, outcomes)) for d in variants()]
+    monkeypatch.setattr("dqra.reconstruct._law_verdicts",
+                        lambda A: (True, True, True, True))
+    reference = reconstruct_catalogue()
+    assert {name: summary(oc) for name, oc in reference.items()} == {
+        name: summary(oc) for name, oc in outcomes.items()}
+    assert [summary(reconstruct(d, outcomes)) for d in variants()] == gated
