@@ -126,7 +126,8 @@ def contract(A: FiniteDqRA, p: int) -> Contraction:
     algebra = FiniteDqRA(len(members), leq, mult, til, mns, ngn,
                          int(back[p]), labels)
     if A.__dict__.keys() >= {"meet_table", "join_table"}:
-        meet, join = (back[t[sel][:, sel]] for t in (A.meet_table, A.join_table))
+        meet, join = (back[t[sel][:, sel]]
+                      for t in (A.meet_table, A.join_table))
         if (meet >= 0).all() and (join >= 0).all():
             _set_lattice_tables(algebra, meet, join)
     validate_dqra(algebra).raise_if_failed("contraction failed validation")

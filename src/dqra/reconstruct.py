@@ -169,8 +169,8 @@ def reconstruct(diagram: Diagram,
             if ngn[unit] != zero or any(ngn[ngn[a]] != a for a in range(n)):
                 continue
             _search_products(
-                n, leq, meet, join, unit, bot, gens, gen_below, annot, til, mns,
-                ngn, labels, solutions)
+                n, leq, meet, join, unit, bot, gens, gen_below, annot, til,
+                mns, ngn, labels, solutions)
 
     sols = list(solutions.values())
     note = ""

@@ -113,10 +113,10 @@ def _label_index(labels: Sequence[str]) -> dict[str, int]:
     return dict(zip(labels[::-1], range(len(labels) - 1, -1, -1)))
 
 
-def _resolve(token: str, labels: dict[str, int], size: int, line: int,
+def _resolve(token: str, index: dict[str, int], size: int, line: int,
              what: str) -> int:
-    if token in labels:
-        return labels[token]
+    if token in index:
+        return index[token]
     v = _index(token)
     if v is not None:
         if v < size:
