@@ -75,35 +75,34 @@ class ValidationReport:
         return "\n".join(str(c) for c in self.checks)
 
 
-def _row_masks(rows: np.ndarray) -> list[int]:
-    """Bitmask per row of a boolean matrix: bit p is set when row[p]."""
-    packed = np.packbits(rows, axis=-1, bitorder="little")
-    return [int.from_bytes(r.tobytes(), "little") for r in packed]
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
 
 
-def _bound_table(rows: np.ndarray) -> np.ndarray:
-    """Entry (a, b) is the x whose row of the boolean matrix is the
-    intersection of rows a and b, -1 where there is none.  On the transposed
-    order that is the meet (the set below x is the set of common lower
-    bounds), on the order itself the join; one dictionary keyed on row
-    bitmasks resolves every pair."""
-    masks = _row_masks(rows)
-    get = {m: x for x, m in enumerate(masks)}.get
-    return _freeze(np.array([[get(a & b, -1) for b in masks] for a in masks],
-                            dtype=np.int64))
-
-
 def lattice_tables(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The meet and join tables of an order matrix; -1 marks pairs without
-    a greatest lower or least upper bound."""
+    a greatest lower or least upper bound.
+
+    Entry (a, b) of the meet table is the x whose column of the matrix is
+    the intersection of columns a and b (the set below x is the set of
+    common lower bounds), of the join table the x whose row is the
+    intersection of rows a and b; the last such x, -1 where there is none.
+    The columns and rows are packed into bitmasks in one pass, one
+    dictionary per table keyed on those masks resolves every pair, and
+    both tables fill one int64 array."""
     leq = np.asarray(leq, dtype=bool)
-    return _bound_table(leq.T), _bound_table(leq)
+    n = len(leq)
+    packed = np.packbits(np.concatenate((leq.T, leq)), axis=1,
+                         bitorder="little")
+    masks = [int.from_bytes(r, "little") for r in packed.tolist()]
+    tables = []
+    for rows in (masks[:n], masks[n:]):
+        get = {m: x for x, m in enumerate(rows)}.get
+        tables.append([[get(a & b, -1) for b in rows] for a in rows])
+    meet, join = _freeze(np.array(tables, dtype=np.int64).reshape(2, n, n))
+    return meet, join
 
 
 def join_generators(join: np.ndarray) -> tuple[int, ...]:
@@ -272,13 +271,15 @@ class FiniteDqRA:
 
     @cached_property
     def meet_table(self) -> np.ndarray:
-        """Greatest lower bounds; -1 marks pairs without one."""
-        return _bound_table(self.leq.T)
+        """Greatest lower bounds; -1 marks pairs without one.  Derived from
+        the order with the join table (`lattice_tables`)."""
+        return _derive_lattice_tables(self)[0]
 
     @cached_property
     def join_table(self) -> np.ndarray:
-        """Least upper bounds; -1 marks pairs without one."""
-        return _bound_table(self.leq)
+        """Least upper bounds; -1 marks pairs without one.  Derived from
+        the order with the meet table (`lattice_tables`)."""
+        return _derive_lattice_tables(self)[1]
 
     @property
     def is_lattice(self) -> bool:
@@ -344,8 +345,16 @@ class FiniteDqRA:
 def _set_lattice_tables(A: FiniteDqRA, meet: np.ndarray,
                         join: np.ndarray) -> None:
     """Give A its meet and join tables instead of deriving them from the
-    order; only for tables that equal what `_bound_table` would derive."""
+    order; only for tables that equal what `lattice_tables` would derive."""
     A.__dict__.update(meet_table=_freeze(meet), join_table=_freeze(join))
+
+
+def _derive_lattice_tables(A: FiniteDqRA) -> tuple[np.ndarray, np.ndarray]:
+    """Derive both lattice tables of A from its order in one pass and keep
+    them on A."""
+    meet, join = lattice_tables(A.leq)
+    _set_lattice_tables(A, meet, join)
+    return meet, join
 
 
 # --- validation -----------------------------------------------------------

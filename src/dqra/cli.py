@@ -31,8 +31,8 @@ from .relations import (
 )
 from .representation import (
     SearchStatus,
+    _induced_embedding,
     find_embedding,
-    induced_embedding,
     quotient_representation,
     verify_embedding,
 )
@@ -243,7 +243,7 @@ def cmd_quotient(args) -> int:
          f"class map: {classes}"]), args.output)
     psi = None
     if args.embedding_output:
-        psi = induced_embedding(e, p)
+        psi = _induced_embedding(e, p, q)
         _write(emit_assignment(
             f"{aname}_induced_{A.labels[p]}", psi,
             ["induced embedding of the contraction into the quotient"]),

@@ -13,8 +13,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from contextlib import contextmanager
-from functools import cache, cached_property, reduce
-from itertools import compress, repeat
+from functools import cache, cached_property
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -242,13 +242,13 @@ class _OrMap:
     column of relation ints (int64, or object for relations wider than a
     machine word) is mapped through the same tables stored once as one
     array, int64 when every image fits a machine word and object beyond:
-    each nibble of the column indexes its own table, all in one `take`.
-    That array is built on the first column, so a map only ever applied to
-    single relations never builds it.  A column is told from an int by the
-    TypeError of its first list lookup, so there is one table even on 0
-    points."""
+    each nibble of the column indexes its own table, all in one `take`
+    (`_map_columns`).  That array is built on the first column, so a map
+    only ever applied to single relations never builds it.  A column is
+    told from an int by the TypeError of its first list lookup, so there is
+    one table even on 0 points."""
 
-    __slots__ = ("tables", "_columns")
+    __slots__ = ("tables", "_stacked")
 
     def __init__(self, images: Sequence[int]) -> None:
         self.tables = []
@@ -257,7 +257,7 @@ class _OrMap:
             for image in images[c:c + 4]:
                 table += [t | image for t in table]
             self.tables.append(table + [0] * (16 - len(table)))
-        self._columns: Optional[tuple[np.ndarray, ...]] = None
+        self._stacked: Optional[np.ndarray] = None
 
     def __call__(self, bits: int | np.ndarray) -> int | np.ndarray:
         out = 0
@@ -266,17 +266,29 @@ class _OrMap:
                 out |= table[bits & 15]
                 bits >>= 4
         except TypeError:  # a column, which no list takes as an index
-            if self._columns is None:
-                # every entry is a union of images, the largest the widest
-                wide = max(map(max, self.tables)) >> 63
-                k = np.arange(len(self.tables))[:, None]
-                self._columns = (np.array(
-                    self.tables, dtype=object if wide else np.int64
-                ).reshape(-1), 4 * k, 16 * k)   # (tables, shift, offset)
-            stacked, shift, offset = self._columns
-            index = (bits >> shift & 15 | offset).astype(np.intp, copy=False)
-            out = np.bitwise_or.reduce(stacked.take(index), axis=0)
+            out = _map_columns((self,), bits)[0]
         return out
+
+    def stacked(self) -> np.ndarray:
+        """The tables as one flat array, entry 16k + t of table k."""
+        if self._stacked is None:
+            # every entry is a union of images, the largest the widest
+            wide = max(map(max, self.tables)) >> 63
+            self._stacked = np.array(
+                self.tables, dtype=object if wide else np.int64).reshape(-1)
+        return self._stacked
+
+
+def _map_columns(maps: Sequence[_OrMap], bits: np.ndarray
+                 ) -> list[np.ndarray]:
+    """Each map applied to a column of relation ints.  The maps must have
+    equally many tables (maps on relations over one carrier do), so the
+    index of each nibble of the column into the stacked tables is computed
+    once and taken from every map's stacked table."""
+    k = np.arange(len(maps[0].tables))[:, None]
+    index = (bits >> 4 * k & 15 | 16 * k).astype(np.intp, copy=False)
+    return [np.bitwise_or.reduce(f.stacked().take(index), axis=0)
+            for f in maps]
 
 
 def _cell_map(n: int, f: Callable[[int, int], tuple[int, int]]) -> _OrMap:
@@ -307,12 +319,6 @@ def _bit_indices(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _spread(rows: list[list[bool]], masks: list[int]) -> list[int]:
-    """For each row i of a boolean matrix, the union of masks[j] over the
-    columns j set in row i."""
-    return [reduce(operator.or_, compress(masks, row), 0) for row in rows]
 
 
 def _perm_witness(fn: Sequence[int], n: int) -> Optional[tuple[int, ...]]:
@@ -396,16 +402,21 @@ class RelStructure:
     def _pair_masks(self) -> tuple[list[int], list[int]]:
         """For each pair p of `pair_list`, the pairs strictly below p and the
         pairs strictly above p, as masks with bit q for pair q.  Built from
-        the rows of leq: the pairs (u, .) with x <= u and the pairs (., v)
-        with v <= y meet in those below (x, y), and dually."""
-        leq = self.leq.mat
-        L, Lt = leq.tolist(), leq.T.tolist()
-        first, second = [0] * self.n, [0] * self.n
+        the set cells of leq: the pairs (u, .) with x <= u and the pairs
+        (., v) with v <= y meet in those below (x, y), and dually."""
+        n, top = self.n, self.n * self.n - 1
+        first, second = [0] * n, [0] * n
         for q, (u, v) in enumerate(self.pair_list):
             first[u] |= 1 << q
             second[v] |= 1 << q
-        up_first, up_second = _spread(L, first), _spread(L, second)
-        down_first, down_second = _spread(Lt, first), _spread(Lt, second)
+        up_first, up_second = [0] * n, [0] * n        # over u with x <= u
+        down_first, down_second = [0] * n, [0] * n    # over u with u <= x
+        for p in _bit_indices(self.leq.bits):
+            x, u = divmod(top - p, n)    # x <= u
+            up_first[x] |= first[u]
+            up_second[x] |= second[u]
+            down_first[u] |= first[x]
+            down_second[u] |= second[x]
         below, above = [], []
         for p, (x, y) in enumerate(self.pair_list):
             bit = 1 << p
@@ -484,15 +495,43 @@ class RelStructure:
                                    count=total)
         return total
 
+    @cached_property
+    def _leq_is_order(self) -> bool:
+        """Whether leq is reflexive, antisymmetric and transitive, decided
+        on its bits row by row: bit n-1-y of row x is cell (x, y)."""
+        n, bits = self.n, self.leq.bits
+        row = [bits >> n * (n - 1 - x) & ((1 << n) - 1) for x in range(n)]
+        for x in range(n):
+            own = 1 << (n - 1 - x)
+            if not row[x] & own:
+                return False
+            for b in _bit_indices(row[x] ^ own):     # each y != x, x <= y
+                y = n - 1 - b
+                if row[y] & own or row[y] & ~row[x]:
+                    return False
+        return True
+
+    def _check_upset_cap(self, cap: int) -> None:
+        """Raise what `count_upsets(cap)` raises, if anything: the upsets
+        are bounded, then counted.  An upset is a subset of E, so there are
+        at most 2^|E| of them; when leq is a partial order the pair order
+        is one too, so the count always finds a maximal pair.  When both
+        hold and 2^|E| <= cap the check cannot fail and nothing is
+        counted."""
+        if not (1 << len(self.E) <= cap and self._leq_is_order):
+            self.count_upsets(cap)
+
     def enumerate_upsets(self, cap: int = 1 << 20) -> list[BinRel]:
-        """All upsets of the pair poset.  Counts first and refuses to start
-        if the total exceeds the cap."""
+        """All upsets of the pair poset.  Bounds, then counts them (see
+        `_check_upset_cap`) and refuses to start if the total exceeds the
+        cap."""
         return [_rel(self.n, bits) for bits in self._upset_bits(cap)]
 
     def _upset_bits(self, cap: int) -> list[int]:
-        """The relation bits of every upset, in enumeration order.  Counts
-        first and refuses to start if the total exceeds the cap."""
-        self.count_upsets(cap)
+        """The relation bits of every upset, in enumeration order.  Bounds,
+        then counts them (`_check_upset_cap`) and refuses to start if the
+        total exceeds the cap."""
+        self._check_upset_cap(cap)
         return self._upsets_between(0, self.E.bits)
 
     def _upsets_between(self, lo: int, hi: int) -> list[int]:
@@ -739,7 +778,8 @@ def _family_tables(S: RelStructure, bits: Sequence[int]
     complement = S.E.bits & ~col
     with _lookup(col, S.n) as lookup:
         grid = [lookup(t) for t in (_compose(S.n, r, s), r & s, r | s)]
-        return col, grid, [lookup(f(complement)) for f in S._negations]
+        negations = _map_columns(S._negations, complement)
+        return col, grid, [lookup(t) for t in negations]
 
 
 def algebra_from_upsets(S: RelStructure, rels: Sequence[BinRel],
@@ -813,8 +853,8 @@ def dq_closure(S: RelStructure, generators: Sequence[BinRel],
 
 def full_dq_family(S: RelStructure, cap: int = 1 << 20) -> ClosureResult:
     """The algebra of all upsets of the pair poset, with the order relation
-    as unit, and its element-to-upset assignment.  The upset count is checked
-    against the cap before enumeration."""
+    as unit, and its element-to-upset assignment.  The upsets are bounded,
+    then counted, against the cap before enumeration (`enumerate_upsets`)."""
     rels = _canonical_order(S, S.enumerate_upsets(cap), insertion=False)
     return ClosureResult(tuple(rels), algebra_from_upsets(S, rels), S)
 

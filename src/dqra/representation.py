@@ -142,7 +142,9 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
                    upset_cap: int = 1 << 16) -> SearchResult:
     """Backtracking search for an embedding of A into the upset algebra of S.
 
-    The upsets are counted first (`CapExceededError` above `upset_cap`).
+    The upsets are bounded, then counted, first (`CapExceededError` above
+    `upset_cap`): when leq is a partial order and 2^|E| <= upset_cap the
+    bound settles the cap and nothing is counted.
     The unit's image is forced to the order relation; images of the three
     unary operations, of meets, joins and products of assigned elements are
     propagated, so only join generators are branched on.  This root
@@ -161,16 +163,16 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
     NOT_FOUND means the whole space was refuted within budget and is
     definitive; BUDGET_EXHAUSTED is reported separately.
     """
-    S.count_upsets(upset_cap)
+    S._check_upset_cap(upset_cap)
     n = A.size
     nS = S.n
     E = S.E.bits
-    leq = A.leq
+    leq = A.leq.tolist()
     tilde, minus, negn = A.tilde.tolist(), A.minus.tolist(), A.negn.tolist()
     mult, meet, join = (A.mult.tolist(), A.meet_table.tolist(),
                         A.join_table.tolist())
-    above = [[y for y in range(n) if y != x and leq[x, y]] for x in range(n)]
-    below = [[y for y in range(n) if y != x and leq[y, x]] for x in range(n)]
+    above = [[y for y in range(n) if y != x and leq[x][y]] for x in range(n)]
+    below = [[y for y in range(n) if y != x and leq[y][x]] for x in range(n)]
 
     # images as relation bits
     phi: list[Optional[int]] = [None] * n
@@ -250,7 +252,8 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
                     orbit.add(y)
                     frontier.append(y)
         orbit_size[g] = len(orbit)
-    comparables = {g: int(leq[g, :].sum() + leq[:, g].sum()) for g in A.join_generators}
+    comparables = {g: sum(leq[g]) + sum(row[g] for row in leq)
+                   for g in A.join_generators}
     order = sorted(
         A.join_generators,
         key=lambda g: (g != A.unit, -(orbit_size[g] + comparables[g]), g),
@@ -427,7 +430,13 @@ def induced_embedding(e: Embedding, p: int) -> Embedding:
     read off at the class representatives.  The result is verified; the
     unit of the contraction lands on the quotient order.  `e` is verified
     once (`quotient_representation` keeps the report on it)."""
-    q = quotient_representation(e, p)
+    return _induced_embedding(e, p, quotient_representation(e, p))
+
+
+def _induced_embedding(e: Embedding, p: int, q: QuotientStructure
+                       ) -> Embedding:
+    """`induced_embedding` on the quotient `q` that
+    `quotient_representation(e, p)` has already built."""
     c = contract(e.algebra, p)
     restrict = _class_restriction(e.structure.n, q.class_map, q.representatives)
     images = tuple(BinRel(q.n_classes, restrict(e.assignment[x].bits))

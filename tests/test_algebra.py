@@ -285,6 +285,48 @@ def test_lattice_tables_match_brute_force_bounds(leq):
     assert join_generators(join) == gens
 
 
+def last_row_at_the_intersection(rows: list[list[bool]]) -> list[list[int]]:
+    """Cell by cell: the last x whose row is the intersection of rows a and
+    b, -1 where there is none."""
+    n = len(rows)
+    return [[max((x for x in range(n) if rows[x] == [
+        u and v for u, v in zip(rows[a], rows[b])]), default=-1)
+        for b in range(n)] for a in range(n)]
+
+
+def test_lattice_tables_on_arbitrary_boolean_matrices():
+    # no orders, rows and columns copied onto others, widths past one and
+    # two bytes: the meet table reads the columns, the join table the rows
+    rng = np.random.default_rng(1717)
+    cases = [np.zeros((0, 0), dtype=bool), np.zeros((3, 3), dtype=bool),
+             np.ones((3, 3), dtype=bool)]
+    for n in [*rng.integers(1, 10, size=300), 9, 17, 70]:
+        m = rng.random((n, n)) < rng.random()
+        for _ in range(int(rng.integers(0, 4))):
+            i, j, k, l = rng.integers(0, n, size=4)
+            m[i] = m[j]
+            m[:, k] = m[:, l]
+        cases.append(m)
+    for m in cases:
+        meet, join = lattice_tables(m)
+        assert meet.dtype == join.dtype == np.int64
+        assert not meet.flags.writeable and not join.flags.writeable
+        assert meet.tolist() == last_row_at_the_intersection(m.T.tolist())
+        assert join.tolist() == last_row_at_the_intersection(m.tolist())
+
+
+@pytest.mark.parametrize("first", ["meet_table", "join_table"])
+def test_either_lattice_table_fills_both(algebras, first):
+    for A in algebras.values():
+        fresh = FiniteDqRA(A.size, A.leq, A.mult, A.tilde, A.minus, A.negn,
+                           A.unit, A.labels)
+        getattr(fresh, first)
+        assert {"meet_table", "join_table"} <= fresh.__dict__.keys()
+        meet, join = lattice_tables(fresh.leq)
+        assert (fresh.meet_table == meet).all()
+        assert (fresh.join_table == join).all()
+
+
 def test_validation_is_idempotent(six):
     first = validate_dqra(six)
     second = validate_dqra(six)

@@ -288,6 +288,25 @@ def test_quotient_command(tmp_path):
     assert verify_embedding(psi).ok
 
 
+def test_quotient_command_builds_the_quotient_once(tmp_path, monkeypatch):
+    import dqra.cli
+    import dqra.representation
+    calls = []
+    build = dqra.representation.quotient_representation
+
+    def counting(e, p):
+        calls.append(p)
+        return build(e, p)
+
+    for module in (dqra.cli, dqra.representation):
+        monkeypatch.setattr(module, "quotient_representation", counting)
+    assert main(["quotient", data_path(SIX), data_path(SIX, "structure"),
+                 data_path(SIX, "assignment"), "-p", "a",
+                 "--output", str(tmp_path / "q.struct"),
+                 "--embedding-output", str(tmp_path / "q.assign")]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("name,expected", [
     ("D^3_{1,1}", "not-finrep(basic, a)"),
     ("D^4_{3,1}", "not-finrep(contraction, p=top, b=a)"),

@@ -324,3 +324,109 @@ def test_bounds_that_are_not_upsets_raise(six, six_embedding):
     broken = Broken(S.n, S.leq, S.E, S.alpha, S.beta, S.labels)
     with pytest.raises(LawViolationError, match="invalid structure"):
         find_embedding(six, broken)
+
+
+# --- the upset cap: bounded, then counted ----------------------------------------
+
+
+def result_or_error(f):
+    """f()'s result, or the class and message of what it raised."""
+    try:
+        return f()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def fresh(S):
+    """A copy of S with nothing cached."""
+    return RelStructure(S.n, S.leq, S.E, S.alpha, S.beta, S.labels)
+
+
+def counted_first(f):
+    """result_or_error(f) with the upsets always counted, never bounded:
+    the cap check as it was before the bound."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RelStructure, "_check_upset_cap",
+                   lambda self, cap: self.count_upsets(cap))
+        return result_or_error(f)
+
+
+def caps(S) -> list[int]:
+    """Caps on both sides of the upset count (when there is one) and of
+    the bound 2^|E|."""
+    bound = 1 << len(S.E)
+    count = result_or_error(lambda: fresh(S).count_upsets(bound))
+    near = [count - 1, count] if isinstance(count, int) else []
+    return sorted({*near, bound - 1, bound, bound + 1} - {-1})
+
+
+def hand_built() -> list[RelStructure]:
+    """Relations on at most 3 points that are no partial order, under the
+    identity maps and the full equivalence (2^|E| is at most 512)."""
+    rels = [
+        (2, [(0, 0), (1, 1), (0, 1), (1, 0)]),             # preorder
+        (3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0),       # preorder
+             (0, 2), (1, 2)]),
+        (3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)]),     # not transitive
+        (3, [(0, 0), (1, 1), (0, 1), (1, 2), (0, 2)]),     # not reflexive
+        (2, []),                                           # empty
+        (2, [(0, 1)]),                                     # strict chain
+        (3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2),       # a 3-cycle
+             (2, 0)]),
+    ]
+    return [RelStructure(n, BinRel.from_pairs(n, pairs), BinRel.full(n),
+                         tuple(range(n)), tuple(range(n)))
+            for n, pairs in rels]
+
+
+def test_hand_built_relations_are_no_orders():
+    for S in hand_built():
+        assert not S._leq_is_order
+    assert all(S._leq_is_order for S in SMALL + four_point_classes())
+
+
+def test_the_cap_check_raises_what_the_count_raises():
+    # on every structure with at most 4 points and the hand-built
+    # relations, at caps around the count and around 2^|E|
+    cases = SMALL + list(enumerate_structures(4)) + hand_built()
+    for S in cases:
+        for cap in caps(S):
+            want = result_or_error(lambda: fresh(S).count_upsets(cap))
+            got = result_or_error(lambda: fresh(S)._check_upset_cap(cap))
+            assert got == (None if isinstance(want, int) else want), (S, cap)
+
+
+def test_upset_enumeration_matches_counting_first():
+    cases = SMALL + four_point_classes() + hand_built()
+    for S in cases:
+        for cap in caps(S):
+            def run():
+                return [R.bits for R in fresh(S).enumerate_upsets(cap)]
+            assert result_or_error(run) == counted_first(run), (S, cap)
+
+
+def test_search_matches_counting_first_on_every_four_point_structure(
+        algebras):
+    # the search itself is unchanged, so one obstructed and one positive
+    # algebra at the smallest caps each side of the bound suffice
+    for name in ("D^3_{1,1}", "D^4_{1,2}"):
+        A = algebras[name]
+        for S in enumerate_structures(4):
+            bound = 1 << len(S.E)
+            for cap in (bound - 1, bound):
+                def run():
+                    return outcome(find_embedding(A, fresh(S),
+                                                  upset_cap=cap))
+                assert result_or_error(run) == counted_first(run), (
+                    name, S, cap)
+
+
+def test_search_matches_the_scan_on_relations_that_are_no_orders(algebras):
+    for A in algebras.values():
+        for S in hand_built():
+            for cap in caps(S):
+                want = result_or_error(lambda: outcome(scan_find_embedding(
+                    A, fresh(S), upset_cap=cap)))
+                got = result_or_error(lambda: outcome(find_embedding(
+                    A, fresh(S), upset_cap=cap)))
+                assert got == want, (A.labels, S, cap)
