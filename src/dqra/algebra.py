@@ -283,7 +283,7 @@ class FiniteDqRA:
 
     @property
     def is_lattice(self) -> bool:
-        return bool((self.meet_table >= 0).all() and (self.join_table >= 0).all())
+        return bool(self.meet_table.min() >= 0 and self.join_table.min() >= 0)
 
     def meet(self, a: int, b: int) -> int:
         m = int(self.meet_table[a, b])
@@ -455,11 +455,10 @@ def _law_verdicts(A: FiniteDqRA) -> tuple[bool, Optional[bool], bool, bool]:
     argument, the empty one included, so associativity on J^3 is
     associativity everywhere; otherwise it is left undecided (None)."""
     n, L, M, til, mns = A.size, A.leq, A.mult, A.tilde, A.minus
+    J = np.array([j for j in A.join_generators if j != A.bottom], np.intp)
     # a down-set D is the down-set of some d in D iff |down-set of d| = |D|;
-    # j is join-irreducible iff the elements strictly below it form such a
-    # down-set, and join-prime iff the elements not above it do
+    # j in J is join-prime iff the elements not above it form such a down-set
     down = L.sum(axis=0)                    # size of each down-set
-    J = np.flatnonzero((L & (down[:, None] == down - 1)).any(axis=0))
     up = L.take(J, 0)
     dist = bool((~up & (down == n - up.sum(axis=1)[:, None]))
                 .any(axis=1).all())

@@ -11,9 +11,10 @@ tables.
 from __future__ import annotations
 
 import operator
+import threading
 from dataclasses import dataclass
 from contextlib import contextmanager
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -238,15 +239,12 @@ class _OrMap:
     """A map on relation bits that preserves unions, given by the image of
     each single bit (bit p counted from the least significant) and applied
     four bits at a time through 16-entry tables, the short last one padded
-    with zeros.  A relation int is mapped through the tables as lists.  A
-    column of relation ints (int64, or object for relations wider than a
-    machine word) is mapped through the same tables stored once as one
-    array, int64 when every image fits a machine word and object beyond:
-    each nibble of the column indexes its own table, all in one `take`
-    (`_map_columns`).  That array is built on the first column, so a map
-    only ever applied to single relations never builds it.  A column is
-    told from an int by the TypeError of its first list lookup, so there is
-    one table even on 0 points."""
+    with zeros; on 0 points there is one table, so a column has a nibble to
+    index.  Calling the map maps a relation int through the tables as
+    lists.  Columns go through `_map_columns`, which reads the same tables
+    stored once as one array (`stacked`: int64 when every image fits a
+    machine word, object beyond), built on the first column, so a map only
+    ever applied to single relations never builds it."""
 
     __slots__ = ("tables", "_stacked")
 
@@ -259,14 +257,11 @@ class _OrMap:
             self.tables.append(table + [0] * (16 - len(table)))
         self._stacked: Optional[np.ndarray] = None
 
-    def __call__(self, bits: int | np.ndarray) -> int | np.ndarray:
+    def __call__(self, bits: int) -> int:
         out = 0
-        try:
-            for table in self.tables:
-                out |= table[bits & 15]
-                bits >>= 4
-        except TypeError:  # a column, which no list takes as an index
-            out = _map_columns((self,), bits)[0]
+        for table in self.tables:
+            out |= table[bits & 15]
+            bits >>= 4
         return out
 
     def stacked(self) -> np.ndarray:
@@ -281,25 +276,24 @@ class _OrMap:
 
 def _map_columns(maps: Sequence[_OrMap], bits: np.ndarray
                  ) -> list[np.ndarray]:
-    """Each map applied to a column of relation ints.  The maps must have
-    equally many tables (maps on relations over one carrier do), so the
-    index of each nibble of the column into the stacked tables is computed
-    once and taken from every map's stacked table."""
+    """Each map applied to a column of relation ints (int64, or object for
+    relations wider than a machine word): each nibble of the column indexes
+    its own table of the map's `stacked` array, all in one `take`.  The maps
+    must have equally many tables (maps on relations over one carrier do),
+    so that index is computed once and taken from every map's array."""
     k = np.arange(len(maps[0].tables))[:, None]
     index = (bits >> 4 * k & 15 | 16 * k).astype(np.intp, copy=False)
     return [np.bitwise_or.reduce(f.stacked().take(index), axis=0)
             for f in maps]
 
 
-def _cell_map(n: int, f: Callable[[int, int], tuple[int, int]]) -> _OrMap:
+def _cell_map(n: int, m: int, f: Callable[..., Optional[tuple]]) -> _OrMap:
     """The `_OrMap` that sends the bit of each cell (x, y) of n points,
-    bit n*n-1-(x*n+y), to the bit of the cell f(x, y)."""
-    top = n * n - 1
-    images = []
-    for p in range(n * n):
-        i, j = f(*divmod(top - p, n))
-        images.append(1 << (top - (i * n + j)))
-    return _OrMap(images)
+    bit n*n-1-(x*n+y), to the bit of the cell f(x, y) of m points, or to no
+    bit where f gives None."""
+    cells = (f(*divmod(n * n - 1 - p, n)) for p in range(n * n))
+    return _OrMap([0 if c is None else 1 << m * m - 1 - (c[0] * m + c[1])
+                   for c in cells])
 
 
 _CONVERSE: dict[int, _OrMap] = {}
@@ -309,7 +303,7 @@ def _converse(n: int, a: int) -> int:
     """Bits of the converse: cell (i, j) moves to (j, i)."""
     f = _CONVERSE.get(n)
     if f is None:
-        f = _CONVERSE[n] = _cell_map(n, lambda i, j: (j, i))
+        f = _CONVERSE[n] = _cell_map(n, n, lambda i, j: (j, i))
     return f(a)
 
 
@@ -636,24 +630,24 @@ def _negation_maps(S: RelStructure) -> tuple[_OrMap, _OrMap, _OrMap]:
         for x, y in enumerate(b):
             b_inv[y] = x
         maps = _NEGATIONS[key] = (
-            _cell_map(S.n, lambda u, v: (v, a[u])),
-            _cell_map(S.n, lambda u, v: (a_inv[v], u)),
-            _cell_map(S.n, lambda u, v: (a_inv[b_inv[u]], b[v])))
+            _cell_map(S.n, S.n, lambda u, v: (v, a[u])),
+            _cell_map(S.n, S.n, lambda u, v: (a_inv[v], u)),
+            _cell_map(S.n, S.n, lambda u, v: (a_inv[b_inv[u]], b[v])))
     return maps
 
 
-def _tilde_bits(S: RelStructure, r: int | np.ndarray) -> int | np.ndarray:
+def _tilde_bits(S: RelStructure, r: int) -> int:
     """~R = converse-of-complement composed with alpha, on the bits of an
-    upset R (or a column of them), unchecked."""
+    upset R, unchecked."""
     return S._negations[0](S.E.bits & ~r)
 
 
-def _minus_bits(S: RelStructure, r: int | np.ndarray) -> int | np.ndarray:
+def _minus_bits(S: RelStructure, r: int) -> int:
     """-R = alpha composed with converse-of-complement, unchecked."""
     return S._negations[1](S.E.bits & ~r)
 
 
-def _neg_bits(S: RelStructure, r: int | np.ndarray) -> int | np.ndarray:
+def _neg_bits(S: RelStructure, r: int) -> int:
     """The third negation alpha;beta;R^c;beta, unchecked."""
     return S._negations[2](S.E.bits & ~r)
 
@@ -720,10 +714,7 @@ def _canonical_order(S: RelStructure, rels: Iterable[BinRel],
     return head + rest
 
 
-@cache
-def _index_table() -> np.ndarray:
-    """`_lookup`'s table over the 2^16 relations on at most 4 points."""
-    return np.full(1 << 16, -1, dtype=np.int64)
+_THREAD = threading.local()    # holds each thread's `_lookup` table
 
 
 @contextmanager
@@ -733,11 +724,12 @@ def _lookup(family: np.ndarray, n: int
     points to their indices in `family` (a column of relation ints; a
     relation listed twice maps to its last occurrence, the largest index),
     -1 where absent, in the shape of the array.  For n*n <= 16 an int64
-    column writes its indices into the one `_index_table` (through the
-    unbuffered `np.maximum.at`), where the whole array is one `take`, and
-    resets them to -1 on leaving: O(m) for m relations, one family at a
-    time.  A wider int64 column is resolved by binary search in its sorted
-    distinct keys, an object column through one dictionary."""
+    column writes its indices into its thread's table over the 2^16
+    relations on at most 4 points (through the unbuffered `np.maximum.at`),
+    where the whole array is one `take`, and resets them to -1 on leaving:
+    O(m) for m relations, one family at a time in each thread.  A wider
+    int64 column is resolved by binary search in its sorted distinct keys,
+    an object column through one dictionary."""
     if family.dtype == object:
         get = {r: i for i, r in enumerate(family.tolist())}.get
 
@@ -748,7 +740,9 @@ def _lookup(family: np.ndarray, n: int
         yield lookup
         return
     if n * n <= 16:
-        table = _index_table()
+        table = getattr(_THREAD, "table", None)
+        if table is None:
+            table = _THREAD.table = np.full(1 << 16, -1, dtype=np.int64)
         try:
             np.maximum.at(table, family, np.arange(len(family)))
             yield table.take

@@ -18,6 +18,7 @@ from .relations import (
     CarrierMismatchError,
     RelStructure,
     _OrMap,
+    _cell_map,
     _checked_upset,
     _compose,
     _converse,
@@ -144,10 +145,12 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
 
     The upsets are bounded, then counted, first (`CapExceededError` above
     `upset_cap`): when leq is a partial order and 2^|E| <= upset_cap the
-    bound settles the cap and nothing is counted.
+    bound settles the cap and nothing is counted.  An order of A that is
+    not a lattice raises `LawViolationError`.
     The unit's image is forced to the order relation; images of the three
     unary operations, of meets, joins and products of assigned elements are
-    propagated, so only join generators are branched on.  This root
+    propagated, so only join generators are branched on: in a lattice every
+    element is a join of them, so a leaf has every image.  This root
     propagation needs no upsets, so a structure it refutes costs 0 nodes
     and 0 candidates.  Generators are ordered by decreasing constraint
     degree (unary orbit size plus number of comparabilities) since one
@@ -164,6 +167,8 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
     definitive; BUDGET_EXHAUSTED is reported separately.
     """
     S._check_upset_cap(upset_cap)
+    if not A.is_lattice:
+        raise LawViolationError("algebra order is not a lattice; validate first")
     n = A.size
     nS = S.n
     E = S.E.bits
@@ -176,7 +181,7 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
 
     # images as relation bits
     phi: list[Optional[int]] = [None] * n
-    used: dict[int, int] = {}
+    used: set[int] = set()
     nodes = 0
     candidates = 0
 
@@ -192,51 +197,43 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
                 return False
         return True
 
-    def assign(x: int, r: int, trail: list[int], queue: list[int]) -> bool:
+    def assign(x: int, r: int, trail: list[int]) -> bool:
         cur = phi[x]
         if cur is not None:
             return cur == r
         if r in used or not fits_order(x, r):
             return False
         phi[x] = r
-        used[r] = x
+        used.add(r)
         trail.append(x)
-        queue.append(x)
         return True
 
-    def propagate(trail: list[int], queue: list[int]) -> bool:
-        while queue:
-            x = queue.pop()
+    def propagate(trail: list[int]) -> bool:
+        """Assign what the trail's elements force, walking it as it grows."""
+        for x in trail:
             r = phi[x]
-            if not assign(tilde[x], _tilde_bits(S, r), trail, queue):
-                return False
-            if not assign(minus[x], _minus_bits(S, r), trail, queue):
-                return False
-            if not assign(negn[x], _neg_bits(S, r), trail, queue):
+            if not (assign(tilde[x], _tilde_bits(S, r), trail)
+                    and assign(minus[x], _minus_bits(S, r), trail)
+                    and assign(negn[x], _neg_bits(S, r), trail)):
                 return False
             for y in range(n):
                 q = phi[y]
                 if q is None:
                     continue
-                if not assign(mult[x][y], _compose(nS, r, q), trail, queue):
-                    return False
-                if not assign(mult[y][x], _compose(nS, q, r), trail, queue):
-                    return False
-                if not assign(meet[x][y], r & q, trail, queue):
-                    return False
-                if not assign(join[x][y], r | q, trail, queue):
+                if not (assign(mult[x][y], _compose(nS, r, q), trail)
+                        and assign(mult[y][x], _compose(nS, q, r), trail)
+                        and assign(meet[x][y], r & q, trail)
+                        and assign(join[x][y], r | q, trail)):
                     return False
         return True
 
     def undo(trail: list[int]) -> None:
         for x in trail:
-            used.pop(phi[x], None)
+            used.discard(phi[x])
             phi[x] = None
 
     trail0: list[int] = []
-    queue0: list[int] = []
-    if not (assign(A.unit, S.leq.bits, trail0, queue0)
-            and propagate(trail0, queue0)):
+    if not (assign(A.unit, S.leq.bits, trail0) and propagate(trail0)):
         return SearchResult(SearchStatus.NOT_FOUND, None, 0)
 
     # static branching order over join generators
@@ -283,8 +280,6 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
         while i < len(order) and phi[order[i]] is not None:
             i += 1
         if i == len(order):
-            if any(v is None for v in phi):
-                return None     # propagation failed to reach every element
             cand = Embedding(A, S, tuple(BinRel(nS, r) for r in phi))
             return cand if verify_embedding(cand).ok else None  # final gate
         x = order[i]
@@ -297,8 +292,7 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
             if nodes > budget:
                 raise _BudgetExhausted
             trail: list[int] = []
-            queue: list[int] = []
-            if assign(x, r, trail, queue) and propagate(trail, queue):
+            if assign(x, r, trail) and propagate(trail):
                 got = backtrack(i + 1)
                 if got is not None:
                     return got
@@ -349,12 +343,9 @@ def _require_empty(n: int, bad: int, message: str) -> None:
 def _class_restriction(n: int, class_map, reps) -> _OrMap:
     """Relation bits over n points -> bits over the classes: cell
     (reps[i], reps[j]) goes to cell (i, j), every other cell to nothing."""
-    nq, top = len(reps), n * n - 1
     is_rep = [reps[c] == x for x, c in enumerate(class_map)]
-    return _OrMap([
-        1 << (nq * nq - 1 - class_map[x] * nq - class_map[y])
-        if is_rep[x] and is_rep[y] else 0
-        for x, y in (divmod(top - b, n) for b in range(n * n))])
+    return _cell_map(n, len(reps), lambda x, y: (class_map[x], class_map[y])
+                     if is_rep[x] and is_rep[y] else None)
 
 
 def quotient_representation(e: Embedding, p: int) -> QuotientStructure:

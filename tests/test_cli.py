@@ -228,6 +228,24 @@ def test_find_embedding_refutes_d3_over_four_points(capsys):
         "with at most 4 point(s)\n")
 
 
+def test_find_embedding_sweep_writes_the_structure_it_found(capsys):
+    assert main(["find-embedding", data_path(SIX), "--max-size", "4",
+                 "--budget", "2000", "--structure-output", "-"]) == 0
+    head, text = capsys.readouterr().out.split("\n", 1)
+    assert head == ("found over a structure with 4 point(s) "
+                    "after 88 structure(s)")
+    name, S = parse_structure(text)
+    assert name == SIX + "_structure"
+    assert dqra.find_embedding(load_algebra(SIX), S, budget=2000).found
+
+
+def test_find_embedding_sweep_reports_an_exhausted_budget(capsys):
+    assert main(["find-embedding", data_path(SIX), "--max-size", "4",
+                 "--budget", "1"]) == 4
+    assert capsys.readouterr().out == (
+        "budget-exhausted on some of the 652 structure(s)\n")
+
+
 @pytest.mark.parametrize("name", ["D^3_{1,1}", "D^4_{1,1}", SIX])
 @pytest.mark.parametrize("text,check", INVALID_STRUCTURES)
 def test_find_embedding_rejects_an_invalid_structure(tmp_path, capsys, name,
@@ -315,6 +333,19 @@ def test_quotient_command_builds_the_quotient_once(tmp_path, monkeypatch):
 def test_check_nonfinrep_verdicts(capsys, name, expected):
     assert main(["check-nonfinrep", data_path(name)]) == 0
     assert capsys.readouterr().out.strip() == expected
+
+
+@pytest.mark.parametrize("text,check", INVALID_ALGEBRAS)
+def test_check_nonfinrep_rejects_an_invalid_algebra(tmp_path, capsys, text,
+                                                    check):
+    alg = tmp_path / "bad.dqra"
+    alg.write_text(text)
+    assert main(["check-nonfinrep", str(alg)]) == 3
+    out, err = capsys.readouterr()
+    report = validate_dqra(parse_algebra(text)[1])
+    assert out == ""
+    assert err == f"input algebra is invalid\n{report}\n"
+    assert "FAIL " + check in err
 
 
 def test_scan_contractions_output(capsys):

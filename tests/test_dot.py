@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from dqra import BinRel, FiniteDqRA, RelStructure
+from dqra import BinRel, FiniteDqRA, RelStructure, validate_structure
 from dqra.dot import algebra_dot, structure_dot
 
 
@@ -21,6 +21,18 @@ def test_example_structure_picture(example_structure):
     assert out.count("style=dashed") == 4
     assert out.count("style=dotted") == 4
     assert out.count("subgraph cluster_") == 1
+
+
+def test_order_covers_of_a_three_point_chain():
+    # 0 < 1 < 2, beta reversing the chain: the covers (0, 1) and (1, 2) are
+    # drawn, the composite (0, 2) is not
+    leq = BinRel.from_pairs(3, [(i, j) for i in range(3) for j in range(i, 3)])
+    S = RelStructure(3, leq, BinRel.full(3), (0, 1, 2), (2, 1, 0))
+    assert validate_structure(S).ok
+    out = structure_dot("chain", S)
+    assert out.count("arrowhead=none") == 2
+    assert "n0 -> n1 [arrowhead=none];" in out
+    assert "n1 -> n2 [arrowhead=none];" in out
 
 
 def test_blocks_follow_the_equivalence():

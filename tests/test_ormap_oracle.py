@@ -1,5 +1,5 @@
-"""Union-preserving bit maps (`_OrMap`) on a column of relation ints against
-the same map applied one relation at a time.
+"""Union-preserving bit maps (`_OrMap`) on a column of relation ints
+(`_map_columns`) against the same map applied one relation at a time.
 
 A column is mapped through one stacked array of the map's 16-entry tables,
 one `take` for all of its nibbles; a relation int goes through the tables
@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 from dqra import BinRel, RelStructure, lneg_minus, lneg_tilde, neg
-from dqra.relations import (_converse, _family_tables, _minus_bits,
-                            _neg_bits, _tilde_bits)
+from dqra.relations import (_cell_map, _converse, _family_tables,
+                            _map_columns, _minus_bits, _neg_bits,
+                            _tilde_bits)
 from dqra.representation import _class_restriction
 
 from conftest import block_structure
@@ -52,24 +53,32 @@ def random_classes(rng: np.random.Generator, n: int):
 
 
 def maps(rng: np.random.Generator, n: int):
+    """Each map by name: applied to one relation int, and as the `_OrMap`
+    that maps a column together with what it is applied to (the negations
+    map the complement E - R)."""
     S = random_structure(rng, n)
     class_map, reps = random_classes(rng, n)
-    return {"converse": lambda r: _converse(n, r),
-            "tilde": lambda r: _tilde_bits(S, r),
-            "minus": lambda r: _minus_bits(S, r),
-            "neg": lambda r: _neg_bits(S, r),
-            "up": S._up_map,
-            "classes": _class_restriction(n, class_map, reps)}
+    tilde, minus, negn = S._negations
+    restrict = _class_restriction(n, class_map, reps)
+    same = lambda r: r
+    complement = lambda r: S.E.bits & ~r
+    return {"converse": (lambda r: _converse(n, r),
+                         _cell_map(n, n, lambda i, j: (j, i)), same),
+            "tilde": (lambda r: _tilde_bits(S, r), tilde, complement),
+            "minus": (lambda r: _minus_bits(S, r), minus, complement),
+            "neg": (lambda r: _neg_bits(S, r), negn, complement),
+            "up": (S._up_map, S._up_map, same),
+            "classes": (restrict, restrict, same)}
 
 
 @pytest.mark.parametrize("n", range(10))
 def test_column_matches_one_relation_at_a_time(n):
     rng = np.random.default_rng(n)
     bits = random_bits(rng, n, 40)
-    for name, f in maps(rng, n).items():
+    for name, (f, f_map, arg) in maps(rng, n).items():
         want = [f(b) for b in bits]
         for k in (0, 1, 3, 15, len(bits)):
-            got = f(column(n, bits[:k]))
+            got, = _map_columns((f_map,), arg(column(n, bits[:k])))
             assert got.shape == (k,), name
             assert got.tolist() == want[:k], (name, k)
 

@@ -11,11 +11,13 @@ from dqra import (
     RelStructure,
     SearchStatus,
     contract,
+    enumerate_structures,
     find_embedding,
     induced_embedding,
     psi_elements,
     quotient_representation,
     structures_isomorphic,
+    validate_dqra,
     validate_structure,
     verify_embedding,
 )
@@ -309,3 +311,22 @@ def test_verify_embedding_raises_on_an_invalid_structure():
     A1 = FiniteDqRA(1, [[1]], [[0]], [0], [0], [0], 0)
     with pytest.raises(LawViolationError):
         verify_embedding(Embedding(A1, S, (leq,)))
+
+
+def test_find_embedding_refuses_an_order_that_is_not_a_lattice(algebras):
+    # D^4_{3,1} without 1 <= top and a <= top: 1 and a have no join.  A
+    # missing join (-1) in the propagation tables would have assigned
+    # phi[-1] and ended in a definitive not-found on every structure
+    A = algebras["D^4_{3,1}"]
+    leq = A.leq.copy()
+    leq[A.index_of("1"), A.index_of("top")] = False
+    leq[A.index_of("a"), A.index_of("top")] = False
+    B = FiniteDqRA(A.size, leq, A.mult, A.tilde, A.minus, A.negn, A.unit,
+                   A.labels)
+    assert validate_dqra(B)["joins-exist"].witness == (1, 2)
+    structures = [S for n in (1, 2, 3) for S in enumerate_structures(n)]
+    assert len(structures) == 55
+    for S in structures:
+        with pytest.raises(LawViolationError,
+                           match="algebra order is not a lattice"):
+            find_embedding(B, S)

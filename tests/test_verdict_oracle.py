@@ -182,7 +182,7 @@ def pool_mutants(draw) -> FiniteDqRA:
 
 
 @given(pool_mutants())
-@settings(max_examples=60, deadline=None,
+@settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 def test_pool_mutant_reports_match_the_loop_validator(B):
     same_report(B)
