@@ -167,8 +167,6 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
     definitive; BUDGET_EXHAUSTED is reported separately.
     """
     S._check_upset_cap(upset_cap)
-    if not A.is_lattice:
-        raise LawViolationError("algebra order is not a lattice; validate first")
     n = A.size
     nS = S.n
     E = S.E.bits
@@ -176,6 +174,9 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
     tilde, minus, negn = A.tilde.tolist(), A.minus.tolist(), A.negn.tolist()
     mult, meet, join = (A.mult.tolist(), A.meet_table.tolist(),
                         A.join_table.tolist())
+    # `A.is_lattice` on the lists: a quarter of its cost on small algebras
+    if any(-1 in row for row in meet + join):
+        raise LawViolationError("algebra order is not a lattice; validate first")
     above = [[y for y in range(n) if y != x and leq[x][y]] for x in range(n)]
     below = [[y for y in range(n) if y != x and leq[y][x]] for x in range(n)]
 
