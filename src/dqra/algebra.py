@@ -112,10 +112,9 @@ def join_generators(join: np.ndarray) -> tuple[int, ...]:
     join of b and c equals both."""
     n = join.shape[0]
     idx = np.arange(n)
-    proper = (join >= 0) & (join != idx[:, None]) & (join != idx[None, :])
-    reducible = np.zeros(n, dtype=bool)
-    reducible[join[proper]] = True
-    return tuple(int(a) for a in np.flatnonzero(~reducible))
+    reducible = np.zeros(n + 1, dtype=bool)    # -1, a missing join, marks
+    reducible[join[(join != idx[:, None]) & (join != idx[None, :])]] = True
+    return tuple(np.flatnonzero(~reducible[:n]).tolist())    # the last cell
 
 
 def _transitive(L: np.ndarray) -> bool:
@@ -455,10 +454,11 @@ def _law_verdicts(A: FiniteDqRA) -> tuple[bool, Optional[bool], bool, bool]:
     argument, the empty one included, so associativity on J^3 is
     associativity everywhere; otherwise it is left undecided (None)."""
     n, L, M, til, mns = A.size, A.leq, A.mult, A.tilde, A.minus
-    J = np.array([j for j in A.join_generators if j != A.bottom], np.intp)
+    down = L.sum(axis=0)                    # size of each down-set
+    # J: the bottom is the one element whose down-set has size 1
+    J = np.array([j for j in A.join_generators if down[j] > 1], np.intp)
     # a down-set D is the down-set of some d in D iff |down-set of d| = |D|;
     # j in J is join-prime iff the elements not above it form such a down-set
-    down = L.sum(axis=0)                    # size of each down-set
     up = L.take(J, 0)
     dist = bool((~up & (down == n - up.sum(axis=1)[:, None]))
                 .any(axis=1).all())
