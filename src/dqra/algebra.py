@@ -113,7 +113,7 @@ def join_generators(join: np.ndarray) -> tuple[int, ...]:
     n = join.shape[0]
     idx = np.arange(n)
     reducible = np.zeros(n + 1, dtype=bool)    # -1, a missing join, marks
-    reducible[join[(join != idx[:, None]) & (join != idx[None, :])]] = True
+    reducible[join[(join != idx[:, None]) & (join != idx)]] = True
     return tuple(np.flatnonzero(~reducible[:n]).tolist())    # the last cell
 
 
