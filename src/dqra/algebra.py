@@ -112,9 +112,9 @@ def join_generators(join: np.ndarray) -> tuple[int, ...]:
     join of b and c equals both."""
     n = join.shape[0]
     idx = np.arange(n)
-    reducible = np.zeros(n + 1, dtype=bool)    # -1, a missing join, marks
+    reducible = np.zeros(n + 1, dtype=bool)    # -1 (no join) marks the last
     reducible[join[(join != idx[:, None]) & (join != idx)]] = True
-    return tuple(np.flatnonzero(~reducible[:n]).tolist())    # the last cell
+    return tuple(np.flatnonzero(~reducible[:n]).tolist())
 
 
 def _transitive(L: np.ndarray) -> bool:
