@@ -344,15 +344,18 @@ class FiniteDqRA:
 def _set_lattice_tables(A: FiniteDqRA, meet: np.ndarray,
                         join: np.ndarray) -> None:
     """Give A its meet and join tables instead of deriving them from the
-    order; only for tables that equal what `lattice_tables` would derive."""
-    A.__dict__.update(meet_table=_freeze(meet), join_table=_freeze(join))
+    order, when both are total (no -1 entry), as the bounds of A's order
+    are when a family holds all its intersections and unions, or when a
+    parent's bounds restricted to a contraction are all members."""
+    if meet.min() >= 0 and join.min() >= 0:
+        A.__dict__.update(meet_table=_freeze(meet), join_table=_freeze(join))
 
 
 def _derive_lattice_tables(A: FiniteDqRA) -> tuple[np.ndarray, np.ndarray]:
     """Derive both lattice tables of A from its order in one pass and keep
     them on A."""
     meet, join = lattice_tables(A.leq)
-    _set_lattice_tables(A, meet, join)
+    A.__dict__.update(meet_table=meet, join_table=join)
     return meet, join
 
 

@@ -82,12 +82,15 @@ def _load_either(path: str) -> tuple[str, FiniteDqRA | RelStructure]:
     raise ParseError(f"unrecognised header token {kind!r}", 1)
 
 
-def _load_algebra(path: str) -> tuple[str, FiniteDqRA]:
-    return parse_algebra(_read(path))
-
-
-def _load_structure(path: str) -> tuple[str, RelStructure]:
-    return parse_structure(_read(path))
+def _count(text: str) -> int:
+    """A non-negative int option; other text fails as under type=int."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative: {text}")
+    return value
 
 
 def _elt(A: FiniteDqRA, token: str) -> int:
@@ -112,14 +115,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_psi_list(args) -> int:
-    _, A = _load_algebra(args.file)
+    _, A = parse_algebra(_read(args.file))
     for p in psi_elements(A):
         print(A.labels[p])
     return EXIT_OK
 
 
 def cmd_contract(args) -> int:
-    name, A = _load_algebra(args.file)
+    name, A = parse_algebra(_read(args.file))
     p = _elt(A, args.p)
     c = contract(A, p)
     inclusion = ", ".join(
@@ -141,7 +144,7 @@ def _invalid(report: ValidationReport) -> bool:
 
 
 def cmd_build_dq(args) -> int:
-    name, S = _load_structure(args.file)
+    name, S = parse_structure(_read(args.file))
     if _invalid(validate_structure(S)):
         return EXIT_VALIDATION
     A = full_dq(S, cap=args.cap)
@@ -152,7 +155,9 @@ def cmd_build_dq(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    sname, S = _load_structure(args.structure)
+    sname, S = parse_structure(_read(args.structure))
+    if _invalid(validate_structure(S)):
+        return EXIT_VALIDATION
     gname, named = parse_relation_list(_read(args.generators), S)
     gens = [rel for _, rel, _ in named]
     result = dq_closure(S, gens, cap=args.cap)
@@ -166,8 +171,8 @@ def cmd_closure(args) -> int:
 
 
 def cmd_verify_embedding(args) -> int:
-    aname, A = _load_algebra(args.algebra)
-    _, S = _load_structure(args.structure)
+    aname, A = parse_algebra(_read(args.algebra))
+    _, S = parse_structure(_read(args.structure))
     ename, e = parse_assignment(_read(args.assignment), A, S)
     report = verify_embedding(e)
     print(f"{ename}: {'valid embedding' if report.ok else 'NOT an embedding'}")
@@ -176,7 +181,7 @@ def cmd_verify_embedding(args) -> int:
 
 
 def cmd_find_embedding(args) -> int:
-    aname, A = _load_algebra(args.algebra)
+    aname, A = parse_algebra(_read(args.algebra))
     if args.structure is None and args.max_size is None:
         print("find-embedding: give a structure file or --max-size",
               file=sys.stderr)
@@ -188,7 +193,7 @@ def cmd_find_embedding(args) -> int:
     if _invalid(validate_dqra(A)):
         return EXIT_VALIDATION
     if args.structure is not None:
-        _, S = _load_structure(args.structure)
+        _, S = parse_structure(_read(args.structure))
         if _invalid(validate_structure(S)):
             return EXIT_VALIDATION
         result = find_embedding(A, S, budget=args.budget,
@@ -229,8 +234,8 @@ def cmd_find_embedding(args) -> int:
 
 
 def cmd_quotient(args) -> int:
-    aname, A = _load_algebra(args.algebra)
-    _, S = _load_structure(args.structure)
+    aname, A = parse_algebra(_read(args.algebra))
+    _, S = parse_structure(_read(args.structure))
     _, e = parse_assignment(_read(args.assignment), A, S)
     p = _elt(A, args.p)
     q = quotient_representation(e, p)
@@ -257,7 +262,7 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_check_nonfinrep(args) -> int:
-    name, A = _load_algebra(args.file)
+    name, A = parse_algebra(_read(args.file))
     report = validate_dqra(A)
     if not report.ok:
         print("input algebra is invalid", file=sys.stderr)
@@ -277,7 +282,7 @@ def cmd_check_nonfinrep(args) -> int:
 
 
 def cmd_scan_contractions(args) -> int:
-    name, A = _load_algebra(args.file)
+    name, A = parse_algebra(_read(args.file))
     scan = scan_contractions(A)
     print(scan)
     return EXIT_OK
@@ -316,14 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-dq", help="emit the full upset algebra of a structure")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=4096)
+    p.add_argument("--cap", type=_count, default=4096)
     p.add_argument("--output", default=None)
     p.set_defaults(fn=cmd_build_dq)
 
     p = sub.add_parser("closure", help="close generator relations under all operations")
     p.add_argument("structure")
     p.add_argument("generators", help="assign-format file of generator relations")
-    p.add_argument("--cap", type=int, default=4096)
+    p.add_argument("--cap", type=_count, default=4096)
     p.add_argument("--output", default=None)
     p.set_defaults(fn=cmd_closure)
 
@@ -338,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("structure", nargs="?", default=None)
     p.add_argument("--max-size", type=int, default=None,
                    help="search every structure with at most this many points")
-    p.add_argument("--budget", type=int, default=200_000)
-    p.add_argument("--upset-cap", type=int, default=1 << 16)
+    p.add_argument("--budget", type=_count, default=200_000)
+    p.add_argument("--upset-cap", type=_count, default=1 << 16)
     p.add_argument("--output", default=None)
     p.add_argument("--structure-output", default=None)
     p.set_defaults(fn=cmd_find_embedding)

@@ -95,10 +95,10 @@ def contract(A: FiniteDqRA, p: int) -> Contraction:
     """Build the contraction at a positive symmetric idempotent p.
 
     All operations restrict; only the unit changes.  The member list follows
-    parent index order so regression output is stable.  A parent holding
-    its meet and join tables hands them over restricted when every
-    restricted bound is a member, and so the bound among the members.  The
-    extracted tables are revalidated before being returned.
+    parent index order so regression output is stable.  The parent's meet
+    and join tables (derived once, if it has none) are handed over
+    restricted when every restricted bound is a member, and so the bound
+    among the members.  The extracted tables are revalidated.
     """
     if not is_psi(A, p):
         raise NotPsiError(
@@ -125,10 +125,7 @@ def contract(A: FiniteDqRA, p: int) -> Contraction:
     labels = tuple(A.labels[x] for x in members)
     algebra = FiniteDqRA(len(members), leq, mult, til, mns, ngn,
                          int(back[p]), labels)
-    if A.__dict__.keys() >= {"meet_table", "join_table"}:
-        meet, join = (back[t[sel][:, sel]]
-                      for t in (A.meet_table, A.join_table))
-        if (meet >= 0).all() and (join >= 0).all():
-            _set_lattice_tables(algebra, meet, join)
+    _set_lattice_tables(algebra, back[A.meet_table[sel][:, sel]],
+                        back[A.join_table[sel][:, sel]])
     validate_dqra(algebra).raise_if_failed("contraction failed validation")
     return Contraction(A, p, members, algebra)

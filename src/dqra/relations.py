@@ -13,7 +13,6 @@ from __future__ import annotations
 import operator
 import threading
 from dataclasses import dataclass
-from contextlib import contextmanager
 from functools import cached_property
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -326,7 +325,9 @@ def _perm_witness(fn: Sequence[int], n: int) -> Optional[tuple[int, ...]]:
         if not 0 <= v < n or v in seen:
             return (x,)
         seen.add(v)
-    return (0,)
+
+
+_NEGATIONS: dict[tuple, tuple[_OrMap, _OrMap, _OrMap]] = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,8 +375,24 @@ class RelStructure:
 
     @cached_property
     def _negations(self) -> tuple[_OrMap, _OrMap, _OrMap]:
-        """The three negations on relation bits (`_negation_maps`)."""
-        return _negation_maps(self)
+        """~, - and the third negation as maps of the bits of the complement
+        E - R, built once for each n, alpha and beta and shared by every
+        structure that has them.  Each is a permutation of the cells: with
+        R^c = E - R, ~R = (R^c)^-1;alpha sends cell (u, v) to (v, alpha(u)),
+        -R = alpha;(R^c)^-1 sends it to (alpha^-1(v), u), and
+        alpha;beta;R^c;beta sends it to (alpha^-1(beta^-1(u)), beta(v)).
+        alpha and beta must be permutations of the points."""
+        n, a, b = self.n, self.alpha, self.beta
+        maps = _NEGATIONS.get((n, a, b))
+        if maps is None:
+            a_inv, b_inv = self.alpha_inv, [0] * n
+            for x, y in enumerate(b):
+                b_inv[y] = x
+            maps = _NEGATIONS[n, a, b] = (
+                _cell_map(n, n, lambda u, v: (v, a[u])),
+                _cell_map(n, n, lambda u, v: (a_inv[v], u)),
+                _cell_map(n, n, lambda u, v: (a_inv[b_inv[u]], b[v])))
+        return maps
 
     def point_index(self, label: str) -> int:
         try:
@@ -610,32 +627,6 @@ def _checked_upset(S: RelStructure, out: BinRel) -> BinRel:
     return out
 
 
-_NEGATIONS: dict[tuple, tuple[_OrMap, _OrMap, _OrMap]] = {}
-
-
-def _negation_maps(S: RelStructure) -> tuple[_OrMap, _OrMap, _OrMap]:
-    """~, - and the third negation as maps of the bits of the complement
-    E - R, built once for each n, alpha and beta and shared by every
-    structure that has them.  Each is a permutation of the cells: with
-    R^c = E - R, ~R = (R^c)^-1;alpha sends cell (u, v) to (v, alpha(u)),
-    -R = alpha;(R^c)^-1 sends it to (alpha^-1(v), u), and
-    alpha;beta;R^c;beta sends it to (alpha^-1(beta^-1(u)), beta(v)).
-    alpha and beta must be permutations of the points."""
-    key = (S.n, S.alpha, S.beta)
-    maps = _NEGATIONS.get(key)
-    if maps is None:
-        a, a_inv = S.alpha, S.alpha_inv
-        b = S.beta
-        b_inv = [0] * S.n
-        for x, y in enumerate(b):
-            b_inv[y] = x
-        maps = _NEGATIONS[key] = (
-            _cell_map(S.n, S.n, lambda u, v: (v, a[u])),
-            _cell_map(S.n, S.n, lambda u, v: (a_inv[v], u)),
-            _cell_map(S.n, S.n, lambda u, v: (a_inv[b_inv[u]], b[v])))
-    return maps
-
-
 def _tilde_bits(S: RelStructure, r: int) -> int:
     """~R = converse-of-complement composed with alpha, on the bits of an
     upset R, unchecked."""
@@ -717,45 +708,37 @@ def _canonical_order(S: RelStructure, rels: Iterable[BinRel],
 _THREAD = threading.local()    # holds each thread's `_lookup` table
 
 
-@contextmanager
-def _lookup(family: np.ndarray, n: int
-            ) -> Iterator[Callable[[np.ndarray], np.ndarray]]:
-    """The map, inside the `with` block, from an array of relation ints on n
-    points to their indices in `family` (a column of relation ints; a
+def _lookup(family: np.ndarray, n: int, results: Sequence[np.ndarray]
+            ) -> list[np.ndarray]:
+    """Each array of relation ints on n points in `results` mapped to the
+    indices of its relations in `family` (a column of relation ints; a
     relation listed twice maps to its last occurrence, the largest index),
     -1 where absent, in the shape of the array.  For n*n <= 16 an int64
     column writes its indices into its thread's table over the 2^16
     relations on at most 4 points (through the unbuffered `np.maximum.at`),
-    where the whole array is one `take`, and resets them to -1 on leaving:
+    where each array is one `take`, and resets them to -1 before returning:
     O(m) for m relations, one family at a time in each thread.  A wider
     int64 column is resolved by binary search in its sorted distinct keys,
     an object column through one dictionary."""
     if family.dtype == object:
         get = {r: i for i, r in enumerate(family.tolist())}.get
-
-        def lookup(results: np.ndarray) -> np.ndarray:
-            found = map(get, results.ravel().tolist(), repeat(-1))
-            return np.fromiter(found, dtype=np.int64,
-                               count=results.size).reshape(results.shape)
-        yield lookup
-        return
+        return [np.fromiter(map(get, t.ravel().tolist(), repeat(-1)),
+                            dtype=np.int64, count=t.size).reshape(t.shape)
+                for t in results]
     if n * n <= 16:
         table = getattr(_THREAD, "table", None)
         if table is None:
             table = _THREAD.table = np.full(1 << 16, -1, dtype=np.int64)
         try:
             np.maximum.at(table, family, np.arange(len(family)))
-            yield table.take
+            return [table.take(t) for t in results]
         finally:
             table[family] = -1
-        return
     keys, first = np.unique(family[::-1], return_index=True)
     last = len(family) - 1 - first
-
-    def lookup(results: np.ndarray) -> np.ndarray:
-        pos = np.minimum(np.searchsorted(keys, results), len(keys) - 1)
-        return np.where(keys[pos] == results, last[pos], -1)
-    yield lookup
+    pos = [np.minimum(np.searchsorted(keys, t), len(keys) - 1)
+           for t in results]
+    return [np.where(keys[p] == t, last[p], -1) for p, t in zip(pos, results)]
 
 
 def _family_tables(S: RelStructure, bits: Sequence[int]
@@ -763,17 +746,15 @@ def _family_tables(S: RelStructure, bits: Sequence[int]
     """The table-extraction kernel for a family of upsets given by relation
     ints: the family as a column, int64 when a relation fits a machine word
     (n*n <= 63) and object beyond; the family index (-1 outside the family)
-    of every product, intersection and union; and that of each element's
-    tilde, minus and third negation.  A relation listed twice maps to its
-    last occurrence.  Every operation is the int kernel applied to the whole
-    column (products broadcast over the family grid)."""
+    of every product, intersection and union and of each element's three
+    negations, all six through one `_lookup` (a relation listed twice maps
+    to its last occurrence).  Every operation is the int kernel applied to
+    the whole column (products broadcast over the family grid)."""
     col = np.array(bits, dtype=np.int64 if S.n * S.n <= 63 else object)
     r, s = col[:, None], col[None, :]
-    complement = S.E.bits & ~col
-    with _lookup(col, S.n) as lookup:
-        grid = [lookup(t) for t in (_compose(S.n, r, s), r & s, r | s)]
-        negations = _map_columns(S._negations, complement)
-        return col, grid, [lookup(t) for t in negations]
+    negations = _map_columns(S._negations, S.E.bits & ~col)
+    found = _lookup(col, S.n, [_compose(S.n, r, s), r & s, r | s, *negations])
+    return col, found[:3], found[3:]
 
 
 def algebra_from_upsets(S: RelStructure, rels: Sequence[BinRel],
@@ -801,7 +782,7 @@ def algebra_from_upsets(S: RelStructure, rels: Sequence[BinRel],
         labels = tuple(f"r{i}" for i in range(len(rels)))
     A = FiniteDqRA(len(rels), (col[:, None] & ~col) == 0, product, *unary,
                    rels.index(S.leq), tuple(labels))
-    if len(set(bits)) == len(bits) and (meet >= 0).all() and (join >= 0).all():
+    if len(set(bits)) == len(bits):
         _set_lattice_tables(A, meet, join)
     return A
 

@@ -156,6 +156,9 @@ INVALID_STRUCTURES = [
     # E is not transitive
     ("struct loose 3\nleq\n100\n010\n001\nE\n110\n111\n011\n"
      "alpha 0 1 2\nbeta 0 1 2\n", "E-transitive"),
+    # leq is not reflexive; its closure once exited 0 with an invalid algebra
+    ("struct skew 2\nleq\n01\n10\nE\n11\n11\nalpha 0 1\nbeta 0 1\n",
+     "leq-reflexive witness=(0,)\n"),
 ]
 
 
@@ -181,6 +184,19 @@ def test_closure_command(tmp_path):
     _, A = parse_algebra(text)
     assert A.size == 6
     assert "element" in text   # the assignment rides along as comments
+
+
+@pytest.mark.parametrize("text,check", INVALID_STRUCTURES)
+def test_closure_rejects_an_invalid_structure(tmp_path, capsys, text, check):
+    # the closure over an invalid structure need not be an algebra
+    struct = tmp_path / "bad.struct"
+    struct.write_text(text)
+    gens = tmp_path / "none.assign"
+    gens.write_text("assign none\n")
+    assert main(["closure", str(struct), str(gens)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invalid input: FAIL " + check)
 
 
 def test_verify_embedding_ok(capsys):
@@ -402,6 +418,39 @@ def test_find_embedding_rejects_max_size_below_one(capsys, size):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "find-embedding: --max-size must be at least 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-dq", data_path(SIX, "structure"), "--cap"],
+    ["closure", data_path(SIX, "structure"), data_path(SIX, "assignment"),
+     "--cap"],
+    ["find-embedding", data_path(SIX), "--max-size", "1", "--budget"],
+    ["find-embedding", data_path(SIX), "--max-size", "1", "--upset-cap"],
+])
+def test_negative_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["-1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"argument {argv[-1]}: must be non-negative: -1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["many"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"argument {argv[-1]}: invalid int value: 'many'\n")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["build-dq", data_path(SIX, "structure"), "--cap", "0"], 4),
+    (["find-embedding", data_path(SIX), data_path(SIX, "structure"),
+      "--budget", "0"], 4),
+    (["find-embedding", data_path(SIX), data_path(SIX, "structure"),
+      "--upset-cap", "0"], 4),
+])
+def test_zero_counts_stay_valid(capsys, argv, code):
+    assert main(argv) == code
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_reused_parser_forgets_an_earlier_output_option(tmp_path, capsys):

@@ -1,9 +1,14 @@
 """Constraint reconstruction of the catalogue entries."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import dqra
 from dqra import algebras_isomorphic, contract, load_algebra, validate_dqra
 from dqra.reconstruct import (
     DIAGRAMS,
@@ -99,6 +104,29 @@ def test_regeneration_is_stable(tmp_path):
     for entry in CATALOGUE.values():
         fresh = (tmp_path / entry.algebra_file).read_text()
         assert fresh == _read(entry.algebra_file)
+
+
+def test_catalogue_module_writes_every_data_file(tmp_path):
+    """`python -m dqra.catalogue --output-dir DIR` in a fresh interpreter
+    logs each file it writes, and writes the shipped data byte for byte."""
+    from dqra.catalogue import data_dir
+    src = str(Path(dqra.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    out = tmp_path / "data"
+    run = subprocess.run(
+        [sys.executable, "-m", "dqra.catalogue", "--output-dir", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0 and "Traceback" not in run.stderr
+    logged = {name for line in run.stdout.splitlines()
+              for name in line.removeprefix("wrote ").split(", ")}
+    assert all(line.startswith("wrote ")
+               for line in run.stdout.splitlines())
+    written = {f.name for f in out.iterdir()}
+    shipped = {f.name for f in data_dir().iterdir() if f.is_file()}
+    assert logged == written == shipped and len(written) == 13
+    for name in written:
+        assert (out / name).read_bytes() == (data_dir() / name).read_bytes()
 
 
 # --- the verdict gate against the ungated search -----------------------------
