@@ -112,12 +112,18 @@ def test_neg_replaced_by_identity_fails_de_morgan(six):
     dict(mult=np.full((6, 6), 9)),                # out of range
     dict(tilde=np.array([0, 1, 2])),              # wrong arity
     dict(unit=17),
+    dict(size=0),                                 # empty carrier
+    dict(negn=np.array([0, 1, 2, 3, 4, 6])),      # unary out of range
+    dict(minus=np.array([0, 1, 2, 3, 4, -1])),
+    dict(leq=np.ones((5, 6), bool)),              # wrong order shape
+    dict(mult=np.zeros((6, 5), int)),             # wrong product shape
+    dict(labels=("a", "a", "b", "c", "d", "e")),  # duplicate labels
 ])
 def test_malformed_tables_rejected(six, mutation):
     fields = dict(size=six.size, leq=six.leq, mult=six.mult, tilde=six.tilde,
                   minus=six.minus, negn=six.negn, unit=six.unit)
     fields.update(mutation)
-    if "leq" in mutation:
+    if "leq" in mutation and mutation["leq"].shape == (6, 6):
         # shape-valid but law-breaking order is caught by validation instead
         A = FiniteDqRA(**fields)
         assert not validate_dqra(A).ok

@@ -15,6 +15,7 @@ from dqra import (
     LawViolationError,
     NotAnUpsetError,
     RelStructure,
+    algebra_from_upsets,
     algebras_isomorphic,
     dq_closure,
     enumerate_structures,
@@ -124,6 +125,28 @@ def test_validation_reports_witnesses(example_structure):
     report = validate_structure(bad)
     assert not report["leq-antisymmetric"].ok
     assert report["leq-antisymmetric"].witness == (0, 1)
+
+
+def test_structure_carrier_and_labels(example_structure):
+    S = example_structure
+    with pytest.raises(CarrierMismatchError, match="carrier does not match"):
+        RelStructure(3, S.leq, S.E, (0, 1, 2), (0, 1, 2))
+    with pytest.raises(CarrierMismatchError, match="carrier does not match"):
+        RelStructure(4, S.leq, BinRel.full(3), S.alpha, S.beta)
+    for labels in (("w", "x", "y", "w"), ("w", "x", "y")):
+        with pytest.raises(CarrierMismatchError,
+                           match="labels must be distinct"):
+            RelStructure(4, S.leq, S.E, S.alpha, S.beta, labels)
+
+
+@pytest.mark.parametrize("alpha", [(0,), (0, 1, 2)])
+def test_validation_of_a_wrong_length_alpha(alpha):
+    S = RelStructure(2, BinRel.identity(2), BinRel.full(2), alpha, (0, 1))
+    report = validate_structure(S)
+    assert report["alpha-permutation"].witness == (1,)
+    assert report["beta-permutation"].ok
+    # the checks that index through alpha are not run
+    assert report.checks[-1].name == "beta-permutation"
 
 
 # --- linear negations ------------------------------------------------------------
@@ -439,6 +462,14 @@ def test_search_handles_a_noncommutative_target():
     assert verify_embedding(result.embedding).ok
 
 
+def test_family_carrier_and_order_relation(example_structure):
+    S = example_structure
+    with pytest.raises(CarrierMismatchError, match="family carrier"):
+        algebra_from_upsets(S, [S.leq, BinRel.full(3)])
+    with pytest.raises(ValueError, match="must contain the order relation"):
+        algebra_from_upsets(S, [BinRel.empty(4), S.E])
+
+
 def test_full_dq_family_assignment_is_consistent():
     S = sample_structures(3, 1, seed=3, upset_cap=32)[0]
     fam = full_dq_family(S, cap=32)
@@ -469,7 +500,23 @@ def test_relation_bits_must_fit_the_carrier():
     for bits in (-1, 1 << 4):
         with pytest.raises(CarrierMismatchError):
             BinRel(2, bits)
+    with pytest.raises(CarrierMismatchError, match="non-negative"):
+        BinRel(-1, 0)
     with pytest.raises(CarrierMismatchError):
         BinRel.from_matrix(2, np.eye(3, dtype=bool))
-    with pytest.raises(AttributeError):
-        BinRel.identity(2).bits = 0
+    R = BinRel.identity(2)
+    for name in ("n", "bits", "extra"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(R, name, 0)
+    with pytest.raises(AttributeError, match="immutable"):
+        del R.bits
+    assert R == BinRel(2, 0b1001)
+
+
+def test_less_than_is_proper_inclusion():
+    empty, ident, full = BinRel.empty(2), BinRel.identity(2), BinRel.full(2)
+    assert empty < ident < full and empty < full
+    assert not ident < ident and not full < ident
+    assert not BinRel.from_pairs(2, [(0, 1)]) < ident
+    with pytest.raises(CarrierMismatchError):
+        ident < BinRel.identity(3)

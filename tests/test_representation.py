@@ -5,6 +5,7 @@ import pytest
 
 from dqra import (
     BinRel,
+    CarrierMismatchError,
     Embedding,
     FiniteDqRA,
     LawViolationError,
@@ -64,6 +65,15 @@ def test_mutated_assignment_fails_with_witness(six, six_embedding):
     assert any(c.witness is not None for c in report.failures)
     names = {c.name for c in report.failures}
     assert "preserves-product" in names or "preserves-neg" in names
+
+
+def test_assignment_must_fit_algebra_and_structure(six, six_embedding):
+    S, imgs = six_embedding.structure, six_embedding.assignment
+    with pytest.raises(ValueError, match="cover every element"):
+        verify_embedding(Embedding(six, S, imgs[:-1]))
+    with pytest.raises(CarrierMismatchError,
+                       match="does not match the structure"):
+        verify_embedding(Embedding(six, S, imgs[:-1] + (BinRel.full(3),)))
 
 
 def test_non_injective_assignment_reported(six, six_embedding):

@@ -132,6 +132,24 @@ def test_unknown_point_rejected(example_structure):
     assert "q" in str(exc.value)
 
 
+def test_boundary_messages(example_structure):
+    two = ("dqra two 2\norder\n11\n01\nmult\n0 0\n0 1\n"
+           "tilde 1 0\nminus 1 0\nneg 1 0\nunit 1\n")
+    with pytest.raises(ParseError, match="line 12: labels must be distinct"):
+        parse_algebra(two + "labels a a\n")
+    with pytest.raises(ParseError,
+                       match="line 6: element index 2 out of range 0..1"):
+        parse_algebra(two.replace("mult\n0 0", "mult\n0 2"))
+    with pytest.raises(ParseError, match="point index 4 out of range 0..3"):
+        parse_relation_list("assign g\nr: {(w,4)}\n", example_structure)
+    with pytest.raises(ParseError, match="line 10: labels must be distinct"):
+        parse_structure("struct s 2\nleq\n10\n01\nE\n11\n11\n"
+                        "alpha 0 1\nbeta 0 1\nlabels p p\n")
+    with pytest.raises(ParseError,
+                       match="line 2: no pairs found in non-empty relation"):
+        parse_relation_list("assign g\nr: {,}\n", example_structure)
+
+
 def test_wrong_header_token():
     with pytest.raises(ParseError):
         parse_structure("dqra x 2\n")
