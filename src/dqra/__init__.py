@@ -20,14 +20,6 @@ from .algebra import (
     residuals,
     validate_dqra,
 )
-from .catalogue import (
-    CATALOGUE,
-    CatalogueEntry,
-    catalogue_names,
-    load_algebra,
-    load_representation,
-    load_structure,
-)
 from .contraction import (
     Contraction,
     MembershipVerdict,
@@ -81,3 +73,13 @@ from .representation import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """The catalogue's names, imported on first use, so that `python -m
+    dqra.catalogue` finds that module unimported and runs it once."""
+    if name in ("CATALOGUE", "CatalogueEntry", "catalogue_names",
+                "load_algebra", "load_representation", "load_structure"):
+        from . import catalogue
+        return getattr(catalogue, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .algebra import (FiniteDqRA, LawViolationError, MalformedAlgebraError,
                       ValidationReport, validate_dqra)
-from .catalogue import CATALOGUE
+from .catalogue import CATALOGUE, _read as _read_data
 from .contraction import NotPsiError, contract, psi_elements
 from .dot import algebra_dot, structure_dot
 from .nonfinrep import basic_obstruction, contraction_obstruction, scan_contractions
@@ -58,8 +58,7 @@ EXIT_IO = 5
 def _read(path: str) -> str:
     if path in CATALOGUE:
         # catalogue names double as file arguments for convenience
-        from .catalogue import _read as read_data
-        return read_data(CATALOGUE[path].algebra_file)
+        return _read_data(CATALOGUE[path].algebra_file)
     return Path(path).read_text()
 
 
@@ -82,14 +81,16 @@ def _load_either(path: str) -> tuple[str, FiniteDqRA | RelStructure]:
     raise ParseError(f"unrecognised header token {kind!r}", 1)
 
 
-def _count(text: str) -> int:
-    """A non-negative int option; other text fails as under type=int."""
+def _count(text: str, least: int = 0) -> int:
+    """An int option of at least `least`; other text fails as under
+    type=int."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative: {text}")
+    if value < least:
+        bound = f"at least {least}" if least else "non-negative"
+        raise argparse.ArgumentTypeError(f"must be {bound}: {text}")
     return value
 
 
@@ -184,10 +185,6 @@ def cmd_find_embedding(args) -> int:
     aname, A = parse_algebra(_read(args.algebra))
     if args.structure is None and args.max_size is None:
         print("find-embedding: give a structure file or --max-size",
-              file=sys.stderr)
-        return 2
-    if args.max_size is not None and args.max_size < 1:
-        print("find-embedding: --max-size must be at least 1",
               file=sys.stderr)
         return 2
     if _invalid(validate_dqra(A)):
@@ -341,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-embedding", help="search for an embedding")
     p.add_argument("algebra")
     p.add_argument("structure", nargs="?", default=None)
-    p.add_argument("--max-size", type=int, default=None,
+    p.add_argument("--max-size", type=functools.partial(_count, least=1),
+                   default=None,
                    help="search every structure with at most this many points")
     p.add_argument("--budget", type=_count, default=200_000)
     p.add_argument("--upset-cap", type=_count, default=1 << 16)

@@ -144,7 +144,8 @@ class BinRel:
         return hash((self.n, self.bits))
 
     def __le__(self, other: "BinRel") -> bool:
-        self._check(other)
+        if self.n != other.n:
+            self._check(other)
         return not self.bits & ~other.bits
 
     def __lt__(self, other: "BinRel") -> bool:
@@ -158,24 +159,31 @@ class BinRel:
     # relational operations
 
     def compose(self, other: "BinRel") -> "BinRel":
-        self._check(other)
+        if self.n != other.n:
+            self._check(other)
         return _rel(self.n, _compose(self.n, self.bits, other.bits))
 
     def converse(self) -> "BinRel":
         return _rel(self.n, _converse(self.n, self.bits))
 
     def union(self, other: "BinRel") -> "BinRel":
-        self._check(other)
+        if self.n != other.n:
+            self._check(other)
         return _rel(self.n, self.bits | other.bits)
 
     def intersection(self, other: "BinRel") -> "BinRel":
-        self._check(other)
+        if self.n != other.n:
+            self._check(other)
         return _rel(self.n, self.bits & other.bits)
 
     def complement_in(self, E: "BinRel") -> "BinRel":
         """Complement relative to E; requires self to lie within E."""
-        self._check(E)
-        return _rel(self.n, _complement(self.bits, E.bits))
+        if self.n != E.n:
+            self._check(E)
+        if self.bits & ~E.bits:
+            raise CarrierMismatchError(
+                "complement_in requires a subrelation of E")
+        return _rel(self.n, E.bits & ~self.bits)
 
     def __repr__(self) -> str:
         return f"BinRel({self.n}, {{{', '.join(map(str, self.pairs()))}}})"
@@ -225,13 +233,6 @@ def _compose(n: int, a: int, b: int) -> int:
         b = b >> n
         out |= ((a >> k) & low) * (b & row)
     return out
-
-
-def _complement(r: int, e: int) -> int:
-    """Bits of E - R; R must lie within E."""
-    if r & ~e:
-        raise CarrierMismatchError("complement_in requires a subrelation of E")
-    return e & ~r
 
 
 class _OrMap:
@@ -438,9 +439,9 @@ class RelStructure:
     def is_upset(self, R: BinRel) -> bool:
         """R lies within E and is upward closed in the pair poset.  The
         upward closure of R is (leq ; R ; leq) restricted to E."""
-        if not R <= self.E:
-            return False
-        return self._up_map(R.bits) == R.bits
+        if R.n != self.n:
+            R._check(self.E)
+        return not R.bits & ~self.E.bits and self._up_map(R.bits) == R.bits
 
     @cached_property
     def _up_map(self) -> _OrMap:
@@ -452,7 +453,7 @@ class RelStructure:
     def check_upset(self, R: BinRel, what: str = "relation") -> BinRel:
         if R.n != self.n:
             raise CarrierMismatchError(f"{what} carrier does not match structure")
-        if not self.is_upset(R):
+        if R.bits & ~self.E.bits or self._up_map(R.bits) != R.bits:
             raise NotAnUpsetError(f"{what} is not an upset of the pair poset")
         return R
 
@@ -620,16 +621,8 @@ def validate_structure(S: RelStructure) -> ValidationReport:
 # --- the three negations and the residuals ----------------------------------
 
 
-def _checked_upset(S: RelStructure, out: BinRel) -> BinRel:
-    """A negation's result, which on a valid structure is always an upset."""
-    if not S.is_upset(out):
-        raise LawViolationError("negation left the upsets; invalid structure")
-    return out
-
-
 def _tilde_bits(S: RelStructure, r: int) -> int:
-    """~R = converse-of-complement composed with alpha, on the bits of an
-    upset R, unchecked."""
+    """~R = converse-of-complement composed with alpha, unchecked."""
     return S._negations[0](S.E.bits & ~r)
 
 
@@ -643,34 +636,52 @@ def _neg_bits(S: RelStructure, r: int) -> int:
     return S._negations[2](S.E.bits & ~r)
 
 
+def _negation(S: RelStructure, k: int, r: int) -> int:
+    """Negation k (0 ~, 1 -, 2 the third) of the bits of an upset r, checked:
+    r must be an upset, and so must the result (always, on a valid S)."""
+    e, up = S.E.bits, S._up_map
+    if r & ~e or up(r) != r:
+        raise NotAnUpsetError("relation is not an upset of the pair poset")
+    out = S._negations[k](e & ~r)
+    if out & ~e or up(out) != out:
+        raise LawViolationError("negation left the upsets; invalid structure")
+    return out
+
+
+def _negate(S: RelStructure, k: int, R: BinRel) -> BinRel:
+    """`_negation` of a relation R over S's carrier."""
+    if R.n != S.n:
+        raise CarrierMismatchError("relation carrier does not match structure")
+    return _rel(S.n, _negation(S, k, R.bits))
+
+
 def lneg_tilde(S: RelStructure, R: BinRel) -> BinRel:
     """~R = converse-of-complement composed with alpha."""
-    S.check_upset(R)
-    return _checked_upset(S, _rel(S.n, _tilde_bits(S, R.bits)))
+    return _negate(S, 0, R)
 
 
 def lneg_minus(S: RelStructure, R: BinRel) -> BinRel:
     """-R = alpha composed with converse-of-complement."""
-    S.check_upset(R)
-    return _checked_upset(S, _rel(S.n, _minus_bits(S, R.bits)))
+    return _negate(S, 1, R)
 
 
 def neg(S: RelStructure, R: BinRel) -> BinRel:
     """The third negation alpha;beta;R^c;beta."""
-    S.check_upset(R)
-    return _checked_upset(S, _rel(S.n, _neg_bits(S, R.bits)))
+    return _negate(S, 2, R)
 
 
 def rel_residuals(S: RelStructure, R: BinRel, T: BinRel) -> tuple[BinRel, BinRel]:
     """(R\\T, T/R) computed by the complement-converse formulas."""
-    S.check_upset(R)
-    S.check_upset(T)
-    n, e = S.n, S.E.bits
-    rc = _converse(n, R.bits)
-    tc = e & ~T.bits
-    left = _complement(_compose(n, rc, tc), e)
-    right = _complement(_compose(n, tc, rc), e)
-    return _rel(n, left), _rel(n, right)
+    n, e, up = S.n, S.E.bits, S._up_map
+    if not (R.n == n == T.n and up(R.bits) == R.bits
+            and up(T.bits) == T.bits):
+        S.check_upset(R)    # up(r) == r puts r in E: one of these raises
+        S.check_upset(T)
+    rc, tc = _converse(n, R.bits), e & ~T.bits
+    left, right = _compose(n, rc, tc), _compose(n, tc, rc)
+    if (left | right) & ~e:
+        raise CarrierMismatchError("complement_in requires a subrelation of E")
+    return _rel(n, e & ~left), _rel(n, e & ~right)
 
 
 # --- extracting operation-table algebras ------------------------------------
@@ -815,8 +826,7 @@ def dq_closure(S: RelStructure, generators: Sequence[BinRel],
 
     add([S.leq.bits, *(g.bits for g in generators)])
     for r in members:   # the loop reaches members added while it runs
-        R = _rel(n, r)
-        add([lneg_tilde(S, R).bits, lneg_minus(S, R).bits, neg(S, R).bits])
+        add([_negation(S, 0, r), _negation(S, 1, r), _negation(S, 2, r)])
         col = np.array(members, dtype=dtype)
         add(np.stack([r & col, r | col, _compose(n, r, col),
                       _compose(n, col, r)], axis=1).ravel().tolist())

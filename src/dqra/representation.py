@@ -19,12 +19,12 @@ from .relations import (
     RelStructure,
     _OrMap,
     _cell_map,
-    _checked_upset,
     _compose,
     _converse,
     _family_tables,
     _minus_bits,
     _neg_bits,
+    _negation,
     _tilde_bits,
     validate_structure,
 )
@@ -103,13 +103,12 @@ def _verify_embedding(e: Embedding) -> ValidationReport:
                              ("preserves-join", A.join_table, join),
                              ("preserves-product", A.mult, product)):
         add(name, _first_bad(table != got))
-    for name, table, got, op in zip(
+    for k, (name, table, got) in enumerate(zip(
             ("preserves-tilde", "preserves-minus", "preserves-neg"),
-            (A.tilde, A.minus, A.negn), negations,
-            (_tilde_bits, _minus_bits, _neg_bits)):
+            (A.tilde, A.minus, A.negn), negations)):
         w = _first_bad(table != got)
         if w is not None:
-            _checked_upset(S, BinRel(S.n, op(S, bits[w[0]])))
+            _negation(S, k, bits[w[0]])
         add(name, w)
     return ValidationReport(tuple(checks))
 

@@ -413,11 +413,12 @@ def test_non_ascii_digit_p_is_invalid_input(capsys, token):
 
 @pytest.mark.parametrize("size", ["0", "-1"])
 def test_find_embedding_rejects_max_size_below_one(capsys, size):
-    assert main(["find-embedding", data_path("D^3_{1,1}"),
-                 "--max-size", size]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["find-embedding", data_path("D^3_{1,1}"), "--max-size", size])
+    assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "find-embedding: --max-size must be at least 1\n"
+    assert err.endswith(f"argument --max-size: must be at least 1: {size}\n")
 
 
 @pytest.mark.parametrize("argv", [
