@@ -4,21 +4,20 @@ blocks as clusters)."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from .algebra import FiniteDqRA
-from .relations import RelStructure
+from .relations import BinRel, RelStructure, _bit_indices, _compose
 
 
 def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _covers(leq: np.ndarray) -> list[tuple[int, int]]:
-    n = leq.shape[0]
-    strict = leq & ~np.eye(n, dtype=bool)
-    via = strict @ strict       # a boolean product: path counts cannot wrap
-    return [(int(i), int(j)) for i, j in np.argwhere(strict & ~via)]
+def _covers(leq: BinRel) -> list[tuple[int, int]]:
+    """The cover pairs of an order, row-major: strict & ~(strict;strict)."""
+    n = leq.n
+    strict = leq.bits & ~BinRel.identity(n).bits
+    covers = strict & ~_compose(n, strict, strict)
+    return sorted(divmod(n * n - 1 - p, n) for p in _bit_indices(covers))
 
 
 def algebra_dot(name: str, A: FiniteDqRA) -> str:
@@ -27,7 +26,7 @@ def algebra_dot(name: str, A: FiniteDqRA) -> str:
            "  node [shape=circle, fontsize=11];"]
     for i in range(A.size):
         out.append(f"  n{i} [label={_quote(A.labels[i])}];")
-    for i, j in _covers(A.leq):
+    for i, j in _covers(BinRel.from_matrix(A.size, A.leq)):
         out.append(f"  n{i} -> n{j} [arrowhead=none];")
     out.append("}")
     return "\n".join(out) + "\n"
@@ -52,11 +51,8 @@ def structure_dot(name: str, S: RelStructure) -> str:
         for x in block:
             out.append(f"    n{x} [label={_quote(S.labels[x])}];")
         out.append("  }")
-    for i, j in _covers(S.leq.mat):
-        out.append(f"  n{i} -> n{j} [arrowhead=none];")
-    for x in range(S.n):
-        out.append(f"  n{x} -> n{S.alpha[x]} [style=dashed];")
-    for x in range(S.n):
-        out.append(f"  n{x} -> n{S.beta[x]} [style=dotted];")
+    out += [f"  n{i} -> n{j} [arrowhead=none];" for i, j in _covers(S.leq)]
+    out += [f"  n{x} -> n{S.alpha[x]} [style=dashed];" for x in range(S.n)]
+    out += [f"  n{x} -> n{S.beta[x]} [style=dotted];" for x in range(S.n)]
     out.append("}")
     return "\n".join(out) + "\n"

@@ -20,8 +20,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .algebra import (FiniteDqRA, LawCheck, LawViolationError,
-                      ValidationReport, _first_bad, _freeze, _order_bad,
-                      _set_lattice_tables, order_maps)
+                      ValidationReport, _freeze, _set_lattice_tables,
+                      order_maps)
 
 
 class CarrierMismatchError(ValueError):
@@ -300,11 +300,27 @@ _CONVERSE: dict[int, _OrMap] = {}
 
 
 def _converse(n: int, a: int) -> int:
-    """Bits of the converse: cell (i, j) moves to (j, i)."""
+    """Bits of the converse: cell (i, j) moves to (j, i).  Past 16 points
+    the matrix is transposed: a cell map would hold about n^4/2 bytes."""
     f = _CONVERSE.get(n)
     if f is None:
+        if n > 16:
+            return BinRel.from_matrix(n, _rel(n, a).mat.T).bits
         f = _CONVERSE[n] = _cell_map(n, n, lambda i, j: (j, i))
     return f(a)
+
+
+def _order_faults(n: int, r: int) -> tuple[int, int, int]:
+    """Bits of r breaking reflexivity (absent diagonal cells), antisymmetry
+    (off-diagonal cells with their converse) and transitivity (r;r - r)."""
+    diagonal = sum(1 << k * (n + 1) for k in range(n))
+    return (diagonal & ~r, r & _converse(n, r) & ~diagonal,
+            _compose(n, r, r) & ~r)
+
+
+def _conjugate(n: int, f: int, r: int) -> int:
+    """Bits of f;r;f^-1 for the graph f of a map: (x, y) iff (fx, fy) in r."""
+    return _compose(n, _compose(n, f, r), _converse(n, f))
 
 
 def _bit_indices(mask: int) -> Iterator[int]:
@@ -317,8 +333,6 @@ def _bit_indices(mask: int) -> Iterator[int]:
 
 def _perm_witness(fn: Sequence[int], n: int) -> Optional[tuple[int, ...]]:
     """First position at which fn stops being a permutation of 0..n-1."""
-    if len(fn) == n and sorted(fn) == list(range(n)):
-        return None
     if len(fn) != n:
         return (min(len(fn), n - 1),)
     seen: set[int] = set()
@@ -509,19 +523,8 @@ class RelStructure:
 
     @cached_property
     def _leq_is_order(self) -> bool:
-        """Whether leq is reflexive, antisymmetric and transitive, decided
-        on its bits row by row: bit n-1-y of row x is cell (x, y)."""
-        n, bits = self.n, self.leq.bits
-        row = [bits >> n * (n - 1 - x) & ((1 << n) - 1) for x in range(n)]
-        for x in range(n):
-            own = 1 << (n - 1 - x)
-            if not row[x] & own:
-                return False
-            for b in _bit_indices(row[x] ^ own):     # each y != x, x <= y
-                y = n - 1 - b
-                if row[y] & own or row[y] & ~row[x]:
-                    return False
-        return True
+        """Whether leq is reflexive, antisymmetric and transitive."""
+        return not any(_order_faults(self.n, self.leq.bits))
 
     def _check_upset_cap(self, cap: int) -> None:
         """Raise what `count_upsets(cap)` raises, if anything: the upsets
@@ -581,40 +584,42 @@ class RelStructure:
 
 def validate_structure(S: RelStructure) -> ValidationReport:
     """Exhaustively check every structure invariant, reporting witnesses."""
-    n = S.n
+    n, L, E = S.n, S.leq.bits, S.E.bits
     checks: list[LawCheck] = []
-    L, E = S.leq.mat, S.E.mat
 
     def add(name, witness, detail=""):
         checks.append(LawCheck(name, witness is None, witness, detail))
 
-    for name, bad in zip(("leq-reflexive", "leq-antisymmetric",
-                          "leq-transitive"), _order_bad(L)):
-        add(name, _first_bad(bad))
-    erefl_bad, _, etr_bad = _order_bad(E)
-    add("E-reflexive", _first_bad(erefl_bad))
-    add("E-symmetric", _first_bad(E != E.T))
-    add("E-transitive", _first_bad(etr_bad))
-    add("leq-within-E", _first_bad(L & ~E), "leq is inside E")
+    def cell(bad: int, per_point: bool = False) -> Optional[tuple[int, ...]]:
+        if bad:    # the first row-major cell, or its row for per-point laws
+            return divmod(n * n - bad.bit_length(), n)[:1 if per_point else 2]
 
-    alpha_w = _perm_witness(S.alpha, n)
-    add("alpha-permutation", alpha_w)
-    beta_w = _perm_witness(S.beta, n)
-    add("beta-permutation", beta_w)
-    if alpha_w or beta_w:
+    refl, anti, trans = _order_faults(n, L)
+    add("leq-reflexive", cell(refl, True))
+    add("leq-antisymmetric", cell(anti))
+    add("leq-transitive", cell(trans))
+    e_refl, _, e_trans = _order_faults(n, E)
+    add("E-reflexive", cell(e_refl, True))
+    add("E-symmetric", cell(E ^ _converse(n, E)))
+    add("E-transitive", cell(e_trans))
+    add("leq-within-E", cell(L & ~E), "leq is inside E")
+
+    add("alpha-permutation", _perm_witness(S.alpha, n))
+    add("beta-permutation", _perm_witness(S.beta, n))
+    if not (checks[-2].ok and checks[-1].ok):
         return ValidationReport(tuple(checks))
 
-    a = np.array(S.alpha, dtype=np.intp)
-    b = np.array(S.beta, dtype=np.intp)
-    add("alpha-order-automorphism", _first_bad(L != L[a][:, a]),
+    a, b = S.alpha_rel.bits, S.beta_rel.bits
+    add("alpha-order-automorphism", cell(L ^ _conjugate(n, a, L)),
         "x <= y iff alpha(x) <= alpha(y)")
-    add("alpha-within-E", _first_bad(~E[np.arange(n), a]))
-    add("beta-self-inverse", _first_bad(b[b] != np.arange(n)))
-    add("beta-dual-automorphism", _first_bad(L != L[b][:, b].T),
+    add("alpha-within-E", cell(a & ~E, True))
+    # a permutation graph is its own inverse iff it is symmetric
+    add("beta-self-inverse", cell(b ^ _converse(n, b), True))
+    add("beta-dual-automorphism", cell(L ^ _converse(n, _conjugate(n, b, L))),
         "x <= y iff beta(y) <= beta(x)")
-    add("beta-within-E", _first_bad(~E[np.arange(n), b]))
-    add("beta-alpha-compatible", _first_bad(a[b[a]] != b),
-        "beta = alpha;beta;alpha")
+    add("beta-within-E", cell(b & ~E, True))
+    add("beta-alpha-compatible", cell(
+        _compose(n, _compose(n, a, b), a) ^ b, True), "beta = alpha;beta;alpha")
     return ValidationReport(tuple(checks))
 
 

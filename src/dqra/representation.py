@@ -20,11 +20,13 @@ from .relations import (
     _OrMap,
     _cell_map,
     _compose,
+    _conjugate,
     _converse,
     _family_tables,
     _minus_bits,
     _neg_bits,
     _negation,
+    _order_faults,
     _tilde_bits,
     validate_structure,
 )
@@ -337,7 +339,7 @@ def _require(cond: bool, message: str, witness=None) -> None:
 def _require_empty(n: int, bad: int, message: str) -> None:
     """Fail with the first row-major cell of relation bits `bad`, if any:
     the most significant set bit."""
-    _require(not bad, message, divmod(n * n - bad.bit_length(), n))
+    _require(not bad, message, bad and divmod(n * n - bad.bit_length(), n))
 
 
 def _class_restriction(n: int, class_map, reps) -> _OrMap:
@@ -369,15 +371,15 @@ def quotient_representation(e: Embedding, p: int) -> QuotientStructure:
     P = e.assignment[p].bits
     nx = S.n
     a, b = S.alpha_rel.bits, S.beta_rel.bits
-    _require(not BinRel.identity(nx).bits & ~P, "image of p is not reflexive")
-    _require_empty(nx, _compose(nx, P, P) & ~P, "image of p is not transitive")
+    refl, _, trans = _order_faults(nx, P)
+    _require(not refl, "image of p is not reflexive")
+    _require_empty(nx, trans, "image of p is not transitive")
     _require(not S.leq.bits & ~P, "image of p does not contain the order")
     # (x, y) -> (alpha x, alpha y) is alpha ; P ; alpha^-1, and dually for beta
-    _require_empty(nx, P ^ _compose(nx, _compose(nx, a, P), _converse(nx, a)),
+    _require_empty(nx, P ^ _conjugate(nx, a, P),
                    "image of p is not alpha-invariant")
-    _require_empty(nx, P ^ _converse(nx, _compose(
-        nx, _compose(nx, b, P), _converse(nx, b))),
-        "image of p is not beta-reversed-invariant")
+    _require_empty(nx, P ^ _converse(nx, _conjugate(nx, b, P)),
+                   "image of p is not beta-reversed-invariant")
 
     eqv = P & _converse(nx, P)
     reps: list[int] = []
@@ -394,8 +396,8 @@ def quotient_representation(e: Embedding, p: int) -> QuotientStructure:
     # well-definedness over every member, not only representatives
     to_rep = BinRel.from_function([reps[c] for c in class_map]).bits
     for R, what in ((P, "order"), (S.E.bits, "equivalence")):
-        pulled = _compose(nx, _compose(nx, to_rep, R), _converse(nx, to_rep))
-        _require_empty(nx, R ^ pulled, f"quotient {what} is not well defined")
+        _require_empty(nx, R ^ _conjugate(nx, to_rep, R),
+                       f"quotient {what} is not well defined")
 
     alpha_q = tuple(class_map[S.alpha[r]] for r in reps)
     beta_q = tuple(class_map[S.beta[r]] for r in reps)

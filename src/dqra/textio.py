@@ -162,13 +162,15 @@ def _keyword_row(lines: _Lines, keyword: str, n: int) -> tuple[int, list[str]]:
     return no, parts[1:]
 
 
-def _maybe_labels(lines: _Lines, n: int) -> Optional[list[str]]:
+def _maybe_labels(lines: _Lines, n: int, banned: str) -> Optional[list[str]]:
     got = lines.peek()
     if got is None or got[1].split()[0] != "labels":
         return None
     no, toks = _keyword_row(lines, "labels", n)
     if len(set(toks)) != n:
         raise ParseError("labels must be distinct", no)
+    if any(c in t for t in toks for c in banned):  # assignment delimiters
+        raise ParseError(f"labels may not use the characters {banned!r}", no)
     return toks
 
 
@@ -201,7 +203,7 @@ def parse_algebra(text: str) -> tuple[str, FiniteDqRA]:
     mns_row = _keyword_row(lines, "minus", n)
     ngn_row = _keyword_row(lines, "neg", n)
     unit_no, unit_toks = _keyword_row(lines, "unit", 1)
-    labels = _maybe_labels(lines, n)
+    labels = _maybe_labels(lines, n, ":")
     lines.done()
 
     lab = labels if labels is not None else [f"e{i}" for i in range(n)]
@@ -256,7 +258,7 @@ def parse_structure(text: str) -> tuple[str, RelStructure]:
 
     alpha_row = _keyword_row(lines, "alpha", n)
     beta_row = _keyword_row(lines, "beta", n)
-    labels = _maybe_labels(lines, n)
+    labels = _maybe_labels(lines, n, ",()")
     lines.done()
 
     lab = labels if labels is not None else [f"x{i}" for i in range(n)]

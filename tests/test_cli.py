@@ -56,6 +56,24 @@ def test_parse_error_exits_5(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_labels_that_assignments_cannot_read_exit_5(tmp_path, capsys):
+    # before, the structure validated and `find-embedding --output` wrote
+    # `{(a,b,a,b), (c),c))}`; the algebra's `x:y: {...}` line split at the
+    # first colon
+    p = tmp_path / "t.struct"
+    p.write_text("struct t 2\nleq\n10\n01\nE\n10\n01\n"
+                 "alpha a,b c)\nbeta a,b c)\nlabels a,b c)\n")
+    assert main(["validate", str(p)]) == 5
+    assert capsys.readouterr().err == (
+        "parse error: line 10: labels may not use the characters ',()'\n")
+    q = tmp_path / "t.dqra"
+    q.write_text(_read(CATALOGUE[SIX].algebra_file).replace(
+        "labels bot 1 a b 0 top", "labels bot 1 x:y b 0 top"))
+    assert main(["validate", str(q)]) == 5
+    assert capsys.readouterr().err == (
+        "parse error: line 21: labels may not use the characters ':'\n")
+
+
 def test_psi_list(capsys):
     assert main(["psi-list", data_path(SIX)]) == 0
     assert capsys.readouterr().out.split() == ["1", "a", "b", "top"]

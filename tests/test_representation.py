@@ -14,6 +14,7 @@ from dqra import (
     contract,
     enumerate_structures,
     find_embedding,
+    full_dq_family,
     induced_embedding,
     psi_elements,
     quotient_representation,
@@ -220,6 +221,17 @@ def test_quotient_at_unit_recovers_the_structure(six, six_embedding):
     q = quotient_representation(six_embedding, six.unit)
     assert q.n_classes == six_embedding.structure.n
     assert structures_isomorphic(q.quotient, six_embedding.structure)
+
+
+def test_quotient_of_the_empty_structure():
+    # the one-element algebra on no points; the first-cell witness of an
+    # empty relation used to divide by the carrier size 0
+    S = RelStructure(0, BinRel(0, 0), BinRel(0, 0), (), ())
+    fam = full_dq_family(S)
+    e = Embedding(fam.algebra, S, fam.relations)
+    q = quotient_representation(e, 0)
+    assert q.quotient.n == 0 and q.class_map == ()
+    assert induced_embedding(e, 0).structure.n == 0
 
 
 def test_quotient_at_top_collapses_everything(six, six_embedding):

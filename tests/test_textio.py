@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dqra import CATALOGUE, load_algebra, load_structure
+from dqra import (CATALOGUE, Embedding, FiniteDqRA, RelStructure,
+                  load_algebra, load_structure)
 from dqra.catalogue import _read
 from dqra.textio import (
     ParseError,
@@ -148,6 +149,50 @@ def test_boundary_messages(example_structure):
     with pytest.raises(ParseError,
                        match="line 2: no pairs found in non-empty relation"):
         parse_relation_list("assign g\nr: {,}\n", example_structure)
+
+
+def relabelled(text: str, old: str, new: str) -> str:
+    """The text with every token `old` outside comments replaced by `new`."""
+    return "\n".join(line if line.startswith("#") else " ".join(
+        new if t == old else t for t in line.split())
+        for line in text.splitlines()) + "\n"
+
+
+@pytest.mark.parametrize("char", [",", "(", ")"])
+def test_point_labels_must_fit_the_pair_syntax(char):
+    # `a,b` and `c)` were accepted, and `find-embedding --output` then wrote
+    # `{(a,b,a,b), (c),c))}`, which the assignment reader rejects
+    text = relabelled(_read(CATALOGUE[SIX].structure_file), "x", f"x{char}y")
+    with pytest.raises(ParseError, match="line 15: labels may not use the "
+                                         "characters ',\\(\\)'"):
+        parse_structure(text)
+
+
+def test_element_labels_must_fit_the_name_syntax():
+    # `x:y` was accepted, and its assignment line `x:y: {...}` then split
+    # at the first colon
+    text = relabelled(_read(CATALOGUE[SIX].algebra_file), "a", "x:y")
+    with pytest.raises(ParseError, match="line 21: labels may not use the "
+                                         "characters ':'"):
+        parse_algebra(text)
+
+
+def test_assignment_round_trip_with_unusual_labels(six, six_embedding):
+    """Labels may hold every other character: the algebra, structure and
+    assignment written with them read back to the same embedding."""
+    S = six_embedding.structure
+    elements = ("f(x)", "a,b", "[1]", "{b}", "0;", "t-p")
+    points = ("w:1", "[x]", "{y}", "z;")
+    A = FiniteDqRA(six.size, six.leq, six.mult, six.tilde, six.minus,
+                   six.negn, six.unit, elements)
+    T = RelStructure(S.n, S.leq, S.E, S.alpha, S.beta, points)
+    e = Embedding(A, T, six_embedding.assignment)
+    A_read = parse_algebra(emit_algebra("six", A))[1]
+    T_read = parse_structure(emit_structure("six", T))[1]
+    assert A_read.labels == elements and T_read.labels == points
+    name, again = parse_assignment(emit_assignment("probe", e), A_read, T_read)
+    assert name == "probe"
+    assert again.assignment == e.assignment
 
 
 def test_wrong_header_token():
