@@ -236,8 +236,8 @@ def test_random_structures_on_three_to_five_points():
     for _ in range(2000):
         n = rng.randint(3, 5)
         full = (1 << n * n) - 1
-        leq = random_order(rng, n) if rng.random() < 0.7 else (
-            rng.getrandbits(n * n) & full)
+        leq = (random_order(rng, n) if rng.random() < 0.7
+               else rng.getrandbits(n * n))
         E = full if rng.random() < 0.5 else rng.getrandbits(n * n) | leq
         S = RelStructure(n, BinRel(n, leq), BinRel(n, E),
                          random_map(rng, n), random_map(rng, n))
