@@ -5,19 +5,18 @@ blocks as clusters)."""
 from __future__ import annotations
 
 from .algebra import FiniteDqRA
-from .relations import BinRel, RelStructure, _bit_indices, _compose
+from .relations import BinRel, RelStructure, _compose
 
 
 def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _covers(leq: BinRel) -> list[tuple[int, int]]:
+def _covers(leq: BinRel) -> tuple[tuple[int, int], ...]:
     """The cover pairs of an order, row-major: strict & ~(strict;strict)."""
     n = leq.n
     strict = leq.bits & ~BinRel.identity(n).bits
-    covers = strict & ~_compose(n, strict, strict)
-    return sorted(divmod(n * n - 1 - p, n) for p in _bit_indices(covers))
+    return BinRel(n, strict & ~_compose(n, strict, strict)).pairs()
 
 
 def algebra_dot(name: str, A: FiniteDqRA) -> str:
@@ -51,8 +50,11 @@ def structure_dot(name: str, S: RelStructure) -> str:
         for x in block:
             out.append(f"    n{x} [label={_quote(S.labels[x])}];")
         out.append("  }")
-    out += [f"  n{i} -> n{j} [arrowhead=none];" for i, j in _covers(S.leq)]
-    out += [f"  n{x} -> n{S.alpha[x]} [style=dashed];" for x in range(S.n)]
-    out += [f"  n{x} -> n{S.beta[x]} [style=dotted];" for x in range(S.n)]
+    for i, j in _covers(S.leq):
+        out.append(f"  n{i} -> n{j} [arrowhead=none];")
+    for x in range(S.n):
+        out.append(f"  n{x} -> n{S.alpha[x]} [style=dashed];")
+    for x in range(S.n):
+        out.append(f"  n{x} -> n{S.beta[x]} [style=dotted];")
     out.append("}")
     return "\n".join(out) + "\n"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -87,9 +87,10 @@ class BinRel:
     def empty(cls, n: int) -> "BinRel":
         return cls(n, 0)
 
-    @classmethod
-    def identity(cls, n: int) -> "BinRel":
-        return cls.from_pairs(n, ((x, x) for x in range(n)))
+    @staticmethod
+    @cache
+    def identity(n: int) -> "BinRel":
+        return BinRel(n, sum(1 << k * (n + 1) for k in range(n)))
 
     @classmethod
     def full(cls, n: int) -> "BinRel":
@@ -125,8 +126,9 @@ class BinRel:
     # set-like behaviour
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        n, bits, top = self.n, self.bits, self.n * self.n - 1
-        return tuple(divmod(p, n) for p in range(n * n) if bits >> (top - p) & 1)
+        """The cells of the relation row-major: its set bits, highest first."""
+        n, top = self.n, self.n * self.n - 1
+        return tuple(divmod(top - p, n) for p in _bit_indices(self.bits))
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -300,12 +302,9 @@ _CONVERSE: dict[int, _OrMap] = {}
 
 
 def _converse(n: int, a: int) -> int:
-    """Bits of the converse: cell (i, j) moves to (j, i).  Past 16 points
-    the matrix is transposed: a cell map would hold about n^4/2 bytes."""
+    """Bits of the converse: cell (i, j) moves to (j, i)."""
     f = _CONVERSE.get(n)
     if f is None:
-        if n > 16:
-            return BinRel.from_matrix(n, _rel(n, a).mat.T).bits
         f = _CONVERSE[n] = _cell_map(n, n, lambda i, j: (j, i))
     return f(a)
 
@@ -313,7 +312,7 @@ def _converse(n: int, a: int) -> int:
 def _order_faults(n: int, r: int) -> tuple[int, int, int]:
     """Bits of r breaking reflexivity (absent diagonal cells), antisymmetry
     (off-diagonal cells with their converse) and transitivity (r;r - r)."""
-    diagonal = sum(1 << k * (n + 1) for k in range(n))
+    diagonal = BinRel.identity(n).bits
     return (diagonal & ~r, r & _converse(n, r) & ~diagonal,
             _compose(n, r, r) & ~r)
 
@@ -324,11 +323,11 @@ def _conjugate(n: int, f: int, r: int) -> int:
 
 
 def _bit_indices(mask: int) -> Iterator[int]:
-    """The positions of the set bits of a mask, lowest first."""
+    """The positions of the set bits of a mask, highest first."""
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        p = mask.bit_length() - 1
+        yield p
+        mask ^= 1 << p
 
 
 def _perm_witness(fn: Sequence[int], n: int) -> Optional[tuple[int, ...]]:
@@ -430,15 +429,14 @@ class RelStructure:
         pairs strictly above p, as masks with bit q for pair q.  Built from
         the set cells of leq: the pairs (u, .) with x <= u and the pairs
         (., v) with v <= y meet in those below (x, y), and dually."""
-        n, top = self.n, self.n * self.n - 1
+        n = self.n
         first, second = [0] * n, [0] * n
         for q, (u, v) in enumerate(self.pair_list):
             first[u] |= 1 << q
             second[v] |= 1 << q
         up_first, up_second = [0] * n, [0] * n        # over u with x <= u
         down_first, down_second = [0] * n, [0] * n    # over u with u <= x
-        for p in _bit_indices(self.leq.bits):
-            x, u = divmod(top - p, n)    # x <= u
+        for x, u in self.leq.pairs():    # x <= u
             up_first[x] |= first[u]
             up_second[x] |= second[u]
             down_first[u] |= first[x]

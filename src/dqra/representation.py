@@ -371,7 +371,7 @@ def quotient_representation(e: Embedding, p: int) -> QuotientStructure:
     P = e.assignment[p].bits
     nx = S.n
     a, b = S.alpha_rel.bits, S.beta_rel.bits
-    refl, _, trans = _order_faults(nx, P)
+    refl, anti, trans = _order_faults(nx, P)
     _require(not refl, "image of p is not reflexive")
     _require_empty(nx, trans, "image of p is not transitive")
     _require(not S.leq.bits & ~P, "image of p does not contain the order")
@@ -381,7 +381,7 @@ def quotient_representation(e: Embedding, p: int) -> QuotientStructure:
     _require_empty(nx, P ^ _converse(nx, _conjugate(nx, b, P)),
                    "image of p is not beta-reversed-invariant")
 
-    eqv = P & _converse(nx, P)
+    eqv = anti | BinRel.identity(nx).bits    # P & P^-1: P is reflexive
     reps: list[int] = []
     class_map = [-1] * nx
     for x in range(nx):

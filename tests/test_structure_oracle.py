@@ -246,8 +246,8 @@ def test_random_structures_on_three_to_five_points():
 
 
 def test_structures_past_sixteen_points():
-    """Where the converse transposes the matrix instead of using a cell
-    map."""
+    """Carriers past the exhaustive and random sets: a reversed chain and
+    random near-orders on 17, 20 and 33 points."""
     rng = random.Random(SEED + 1)
     seen = set()
     for n in (17, 20, 33):
