@@ -54,10 +54,6 @@ class CatalogueEntry:
     structure_file: Optional[str] = None
     assignment_file: Optional[str] = None
 
-    @property
-    def has_representation(self) -> bool:
-        return self.structure_file is not None
-
 
 def _slug(name: str) -> str:
     return (name.replace("^", "").replace("{", "_").replace("}", "")

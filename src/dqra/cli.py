@@ -183,8 +183,9 @@ def cmd_verify_embedding(args) -> int:
 
 def cmd_find_embedding(args) -> int:
     aname, A = parse_algebra(_read(args.algebra))
-    if args.structure is None and args.max_size is None:
-        print("find-embedding: give a structure file or --max-size",
+    if (args.structure is None) == (args.max_size is None):
+        both = "" if args.structure is None else ", not both"
+        print(f"find-embedding: give a structure file or --max-size{both}",
               file=sys.stderr)
         return 2
     if _invalid(validate_dqra(A)):

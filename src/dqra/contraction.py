@@ -80,9 +80,6 @@ class Contraction:
     members: tuple[int, ...]
     algebra: FiniteDqRA
 
-    def parent_index(self, k: int) -> int:
-        return self.members[k]
-
     def member_index(self, parent_elt: int) -> int:
         return self.members.index(parent_elt)
 

@@ -237,76 +237,62 @@ def _compose(n: int, a: int, b: int) -> int:
     return out
 
 
-class _OrMap:
-    """A map on relation bits that preserves unions, given by the image of
-    each single bit (bit p counted from the least significant) and applied
-    four bits at a time through 16-entry tables, the short last one padded
-    with zeros; on 0 points there is one table, so a column has a nibble to
-    index.  Calling the map maps a relation int through the tables as
-    lists.  Columns go through `_map_columns`, which reads the same tables
-    stored once as one array (`stacked`: int64 when every image fits a
-    machine word, object beyond), built on the first column, so a map only
-    ever applied to single relations never builds it."""
-
-    __slots__ = ("tables", "_stacked")
-
-    def __init__(self, images: Sequence[int]) -> None:
-        self.tables = []
-        for c in range(0, len(images) or 1, 4):
-            table = [0]
-            for image in images[c:c + 4]:
-                table += [t | image for t in table]
-            self.tables.append(table + [0] * (16 - len(table)))
-        self._stacked: Optional[np.ndarray] = None
-
-    def __call__(self, bits: int) -> int:
-        out = 0
-        for table in self.tables:
-            out |= table[bits & 15]
-            bits >>= 4
-        return out
-
-    def stacked(self) -> np.ndarray:
-        """The tables as one flat array, entry 16k + t of table k."""
-        if self._stacked is None:
-            # every entry is a union of images, the largest the widest
-            wide = max(map(max, self.tables)) >> 63
-            self._stacked = np.array(
-                self.tables, dtype=object if wide else np.int64).reshape(-1)
-        return self._stacked
+def _or_tables(images: Sequence[int]) -> list[list[int]]:
+    """The tables of the map on relation bits that preserves unions and
+    sends each single bit (bit p counted from the least significant) to
+    images[p]: table k holds the 16 unions of the images of bits 4k to
+    4k+3, the short last one padded with zeros; on 0 points there is one
+    table, so a column has a nibble to index."""
+    tables = []
+    for c in range(0, len(images) or 1, 4):
+        table = [0]
+        for image in images[c:c + 4]:
+            table += [t | image for t in table]
+        tables.append(table + [0] * (16 - len(table)))
+    return tables
 
 
-def _map_columns(maps: Sequence[_OrMap], bits: np.ndarray
+def _or_map(tables: Sequence[list[int]], bits: int) -> int:
+    """The map given by `_or_tables` applied to one relation int, four bits
+    at a time."""
+    out = 0
+    for table in tables:
+        out |= table[bits & 15]
+        bits >>= 4
+    return out
+
+
+def _map_columns(maps: Sequence[Sequence[list[int]]], bits: np.ndarray
                  ) -> list[np.ndarray]:
-    """Each map applied to a column of relation ints (int64, or object for
-    relations wider than a machine word): each nibble of the column indexes
-    its own table of the map's `stacked` array, all in one `take`.  The maps
-    must have equally many tables (maps on relations over one carrier do),
-    so that index is computed once and taken from every map's array."""
-    k = np.arange(len(maps[0].tables))[:, None]
+    """Each map (`_or_tables`) applied to a column of relation ints (int64,
+    or object for relations wider than a machine word; images of relations
+    fit the same dtype): each nibble of the column indexes its own table of
+    the maps stacked as one array, all in one `take`.  The maps must have
+    equally many tables (maps on relations over one carrier do)."""
+    k = np.arange(len(maps[0]))[:, None]
     index = (bits >> 4 * k & 15 | 16 * k).astype(np.intp, copy=False)
-    return [np.bitwise_or.reduce(f.stacked().take(index), axis=0)
-            for f in maps]
+    stacked = np.array(maps, dtype=bits.dtype).reshape(len(maps), -1)
+    return [np.bitwise_or.reduce(f.take(index), axis=0) for f in stacked]
 
 
-def _cell_map(n: int, m: int, f: Callable[..., Optional[tuple]]) -> _OrMap:
-    """The `_OrMap` that sends the bit of each cell (x, y) of n points,
-    bit n*n-1-(x*n+y), to the bit of the cell f(x, y) of m points, or to no
-    bit where f gives None."""
+def _cell_map(n: int, m: int, f: Callable[..., list]) -> list[list[int]]:
+    """The tables (`_or_tables`) of the map that sends the bit of each cell
+    (x, y) of n points, bit n*n-1-(x*n+y), to the bits of the cells f(x, y)
+    of m points."""
     cells = (f(*divmod(n * n - 1 - p, n)) for p in range(n * n))
-    return _OrMap([0 if c is None else 1 << m * m - 1 - (c[0] * m + c[1])
-                   for c in cells])
+    return _or_tables([sum(1 << m * m - 1 - (i * m + j) for i, j in c)
+                       for c in cells])
 
 
-_CONVERSE: dict[int, _OrMap] = {}
+_CONVERSE: dict[int, list[list[int]]] = {}
 
 
 def _converse(n: int, a: int) -> int:
     """Bits of the converse: cell (i, j) moves to (j, i)."""
     f = _CONVERSE.get(n)
     if f is None:
-        f = _CONVERSE[n] = _cell_map(n, n, lambda i, j: (j, i))
-    return f(a)
+        f = _CONVERSE[n] = _cell_map(n, n, lambda i, j: [(j, i)])
+    return _or_map(f, a)
 
 
 def _order_faults(n: int, r: int) -> tuple[int, int, int]:
@@ -320,6 +306,11 @@ def _order_faults(n: int, r: int) -> tuple[int, int, int]:
 def _conjugate(n: int, f: int, r: int) -> int:
     """Bits of f;r;f^-1 for the graph f of a map: (x, y) iff (fx, fy) in r."""
     return _compose(n, _compose(n, f, r), _converse(n, f))
+
+
+def _first_cell(n: int, bits: int) -> tuple[int, int]:
+    """The first row-major cell of relation bits: the highest set bit."""
+    return divmod(n * n - bits.bit_length(), n)
 
 
 def _bit_indices(mask: int) -> Iterator[int]:
@@ -341,7 +332,7 @@ def _perm_witness(fn: Sequence[int], n: int) -> Optional[tuple[int, ...]]:
         seen.add(v)
 
 
-_NEGATIONS: dict[tuple, tuple[_OrMap, _OrMap, _OrMap]] = {}
+_NEGATIONS: dict[tuple, tuple[list[list[int]], ...]] = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,24 +379,27 @@ class RelStructure:
         return tuple(inv)
 
     @cached_property
-    def _negations(self) -> tuple[_OrMap, _OrMap, _OrMap]:
-        """~, - and the third negation as maps of the bits of the complement
-        E - R, built once for each n, alpha and beta and shared by every
-        structure that has them.  Each is a permutation of the cells: with
-        R^c = E - R, ~R = (R^c)^-1;alpha sends cell (u, v) to (v, alpha(u)),
-        -R = alpha;(R^c)^-1 sends it to (alpha^-1(v), u), and
-        alpha;beta;R^c;beta sends it to (alpha^-1(beta^-1(u)), beta(v)).
-        alpha and beta must be permutations of the points."""
+    def _negations(self) -> tuple[list[list[int]], ...]:
+        """~, - and the third negation as maps (`_cell_map` tables) of the
+        bits of the complement E - R, built once for each n, alpha and beta
+        and shared by every structure that has them.  With R^c = E - R,
+        ~R = (R^c)^-1;alpha sends cell (u, v) to (v, alpha(u)),
+        -R = alpha;(R^c)^-1 sends it to each (x, u) with alpha(x) = v, and
+        alpha;beta;R^c;beta sends it to each (x, beta(v)) with
+        beta(alpha(x)) = u: one cell each when alpha and beta are
+        permutations of the points."""
         n, a, b = self.n, self.alpha, self.beta
         maps = _NEGATIONS.get((n, a, b))
         if maps is None:
-            a_inv, b_inv = self.alpha_inv, [0] * n
-            for x, y in enumerate(b):
-                b_inv[y] = x
+            a_pre = [[] for _ in range(n)]     # the x with alpha(x) = v
+            ba_pre = [[] for _ in range(n)]    # the x with beta(alpha(x)) = u
+            for x, y in enumerate(a):
+                a_pre[y].append(x)
+                ba_pre[b[y]].append(x)
             maps = _NEGATIONS[n, a, b] = (
-                _cell_map(n, n, lambda u, v: (v, a[u])),
-                _cell_map(n, n, lambda u, v: (a_inv[v], u)),
-                _cell_map(n, n, lambda u, v: (a_inv[b_inv[u]], b[v])))
+                _cell_map(n, n, lambda u, v: [(v, a[u])]),
+                _cell_map(n, n, lambda u, v: [(x, u) for x in a_pre[v]]),
+                _cell_map(n, n, lambda u, v: [(x, b[v]) for x in ba_pre[u]]))
         return maps
 
     def point_index(self, label: str) -> int:
@@ -453,19 +447,20 @@ class RelStructure:
         upward closure of R is (leq ; R ; leq) restricted to E."""
         if R.n != self.n:
             R._check(self.E)
-        return not R.bits & ~self.E.bits and self._up_map(R.bits) == R.bits
+        return (not R.bits & ~self.E.bits
+                and _or_map(self._up_map, R.bits) == R.bits)
 
     @cached_property
-    def _up_map(self) -> _OrMap:
-        """The upward closure X -> (leq ; X ; leq) restricted to E, on bits."""
+    def _up_map(self) -> list[list[int]]:
+        """The upward closure X -> (leq ; X ; leq) within E, as tables."""
         n, leq, e = self.n, self.leq.bits, self.E.bits
-        return _OrMap([_compose(n, _compose(n, leq, 1 << p), leq) & e
-                       for p in range(n * n)])
+        return _or_tables([_compose(n, _compose(n, leq, 1 << p), leq) & e
+                           for p in range(n * n)])
 
     def check_upset(self, R: BinRel, what: str = "relation") -> BinRel:
         if R.n != self.n:
             raise CarrierMismatchError(f"{what} carrier does not match structure")
-        if R.bits & ~self.E.bits or self._up_map(R.bits) != R.bits:
+        if R.bits & ~self.E.bits or _or_map(self._up_map, R.bits) != R.bits:
             raise NotAnUpsetError(f"{what} is not an upset of the pair poset")
         return R
 
@@ -590,7 +585,7 @@ def validate_structure(S: RelStructure) -> ValidationReport:
 
     def cell(bad: int, per_point: bool = False) -> Optional[tuple[int, ...]]:
         if bad:    # the first row-major cell, or its row for per-point laws
-            return divmod(n * n - bad.bit_length(), n)[:1 if per_point else 2]
+            return _first_cell(n, bad)[:1 if per_point else 2]
 
     refl, anti, trans = _order_faults(n, L)
     add("leq-reflexive", cell(refl, True))
@@ -624,29 +619,14 @@ def validate_structure(S: RelStructure) -> ValidationReport:
 # --- the three negations and the residuals ----------------------------------
 
 
-def _tilde_bits(S: RelStructure, r: int) -> int:
-    """~R = converse-of-complement composed with alpha, unchecked."""
-    return S._negations[0](S.E.bits & ~r)
-
-
-def _minus_bits(S: RelStructure, r: int) -> int:
-    """-R = alpha composed with converse-of-complement, unchecked."""
-    return S._negations[1](S.E.bits & ~r)
-
-
-def _neg_bits(S: RelStructure, r: int) -> int:
-    """The third negation alpha;beta;R^c;beta, unchecked."""
-    return S._negations[2](S.E.bits & ~r)
-
-
 def _negation(S: RelStructure, k: int, r: int) -> int:
     """Negation k (0 ~, 1 -, 2 the third) of the bits of an upset r, checked:
     r must be an upset, and so must the result (always, on a valid S)."""
     e, up = S.E.bits, S._up_map
-    if r & ~e or up(r) != r:
+    if r & ~e or _or_map(up, r) != r:
         raise NotAnUpsetError("relation is not an upset of the pair poset")
-    out = S._negations[k](e & ~r)
-    if out & ~e or up(out) != out:
+    out = _or_map(S._negations[k], e & ~r)
+    if out & ~e or _or_map(up, out) != out:
         raise LawViolationError("negation left the upsets; invalid structure")
     return out
 
@@ -676,8 +656,8 @@ def neg(S: RelStructure, R: BinRel) -> BinRel:
 def rel_residuals(S: RelStructure, R: BinRel, T: BinRel) -> tuple[BinRel, BinRel]:
     """(R\\T, T/R) computed by the complement-converse formulas."""
     n, e, up = S.n, S.E.bits, S._up_map
-    if not (R.n == n == T.n and up(R.bits) == R.bits
-            and up(T.bits) == T.bits):
+    if not (R.n == n == T.n and _or_map(up, R.bits) == R.bits
+            and _or_map(up, T.bits) == T.bits):
         S.check_upset(R)    # up(r) == r puts r in E: one of these raises
         S.check_upset(T)
     rc, tc = _converse(n, R.bits), e & ~T.bits

@@ -17,17 +17,15 @@ from .relations import (
     BinRel,
     CarrierMismatchError,
     RelStructure,
-    _OrMap,
     _cell_map,
     _compose,
     _conjugate,
     _converse,
     _family_tables,
-    _minus_bits,
-    _neg_bits,
+    _first_cell,
     _negation,
+    _or_map,
     _order_faults,
-    _tilde_bits,
     validate_structure,
 )
 
@@ -173,6 +171,7 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
     E = S.E.bits
     leq = A.leq.tolist()
     tilde, minus, negn = A.tilde.tolist(), A.minus.tolist(), A.negn.tolist()
+    unary = tuple(zip((tilde, minus, negn), S._negations))
     mult, meet, join = (A.mult.tolist(), A.meet_table.tolist(),
                         A.join_table.tolist())
     # `A.is_lattice` on the lists: a quarter of its cost on small algebras
@@ -214,10 +213,9 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
         """Assign what the trail's elements force, walking it as it grows."""
         for x in trail:
             r = phi[x]
-            if not (assign(tilde[x], _tilde_bits(S, r), trail)
-                    and assign(minus[x], _minus_bits(S, r), trail)
-                    and assign(negn[x], _neg_bits(S, r), trail)):
-                return False
+            for table, f in unary:
+                if not assign(table[x], _or_map(f, E & ~r), trail):
+                    return False
             for y in range(n):
                 q = phi[y]
                 if q is None:
@@ -339,15 +337,15 @@ def _require(cond: bool, message: str, witness=None) -> None:
 def _require_empty(n: int, bad: int, message: str) -> None:
     """Fail with the first row-major cell of relation bits `bad`, if any:
     the most significant set bit."""
-    _require(not bad, message, bad and divmod(n * n - bad.bit_length(), n))
+    _require(not bad, message, bad and _first_cell(n, bad))
 
 
-def _class_restriction(n: int, class_map, reps) -> _OrMap:
-    """Relation bits over n points -> bits over the classes: cell
+def _class_restriction(n: int, class_map, reps) -> list[list[int]]:
+    """Relation bits over n points -> bits over the classes, as tables: cell
     (reps[i], reps[j]) goes to cell (i, j), every other cell to nothing."""
     is_rep = [reps[c] == x for x, c in enumerate(class_map)]
-    return _cell_map(n, len(reps), lambda x, y: (class_map[x], class_map[y])
-                     if is_rep[x] and is_rep[y] else None)
+    return _cell_map(n, len(reps), lambda x, y: [(class_map[x], class_map[y])]
+                     if is_rep[x] and is_rep[y] else [])
 
 
 def quotient_representation(e: Embedding, p: int) -> QuotientStructure:
@@ -408,8 +406,8 @@ def quotient_representation(e: Embedding, p: int) -> QuotientStructure:
 
     labels = tuple(f"[{S.labels[r]}]" for r in reps)
     restrict = _class_restriction(nx, class_map, reps)
-    quotient = RelStructure(nq, BinRel(nq, restrict(P)),
-                            BinRel(nq, restrict(S.E.bits)),
+    quotient = RelStructure(nq, BinRel(nq, _or_map(restrict, P)),
+                            BinRel(nq, _or_map(restrict, S.E.bits)),
                             alpha_q, beta_q, labels)
     validate_structure(quotient).raise_if_failed(
         "quotient fails structure validation")
@@ -432,8 +430,9 @@ def _induced_embedding(e: Embedding, p: int, q: QuotientStructure
     `quotient_representation(e, p)` has already built."""
     c = contract(e.algebra, p)
     restrict = _class_restriction(e.structure.n, q.class_map, q.representatives)
-    images = tuple(BinRel(q.n_classes, restrict(e.assignment[x].bits))
-                   for x in c.members)
+    images = tuple(
+        BinRel(q.n_classes, _or_map(restrict, e.assignment[x].bits))
+        for x in c.members)
     emb = Embedding(c.algebra, q.quotient, images)
     verify_embedding(emb).raise_if_failed("induced map is not an embedding")
     return emb

@@ -6,6 +6,7 @@ from dqra.catalogue import (
     antichain_example_generators,
     antichain_example_structure,
 )
+from dqra.relations import _compose
 
 ALL_NAMES = list(catalogue_names())
 
@@ -20,6 +21,32 @@ def block_structure(n: int) -> RelStructure:
     E = BinRel.identity(n).union(BinRel.from_pairs(n, [(0, 1), (1, 0)]))
     return RelStructure(n, BinRel.identity(n), E,
                         (1, 0) + tuple(range(2, n)), tuple(range(n)))
+
+
+# --- the three negations by their formulas, on the bits of a relation R,
+# unchecked; the converse is the transposed matrix
+
+def ref_converse_bits(n: int, r: int) -> int:
+    return BinRel.from_matrix(n, BinRel(n, r).mat.T).bits
+
+
+def ref_tilde_bits(S: RelStructure, r: int) -> int:
+    """~R = (E - R)^-1;alpha."""
+    n = S.n
+    return _compose(n, ref_converse_bits(n, S.E.bits & ~r), S.alpha_rel.bits)
+
+
+def ref_minus_bits(S: RelStructure, r: int) -> int:
+    """-R = alpha;(E - R)^-1."""
+    n = S.n
+    return _compose(n, S.alpha_rel.bits, ref_converse_bits(n, S.E.bits & ~r))
+
+
+def ref_neg_bits(S: RelStructure, r: int) -> int:
+    """The third negation alpha;beta;(E - R);beta."""
+    n = S.n
+    ab = _compose(n, S.alpha_rel.bits, S.beta_rel.bits)
+    return _compose(n, _compose(n, ab, S.E.bits & ~r), S.beta_rel.bits)
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ replaced, kept below as the reference.
 The reference reaches each check through the chain it used to run:
 `check_upset` -> `is_upset` -> `BinRel.__le__` -> `BinRel._check`, with
 `_checked_upset` testing each negation's result and `_complement` each
-residual.  The public operations now test carriers inline and upsets on the
+residual; a negation's value is its formula (`conftest.py`).  The public operations now test carriers inline and upsets on the
 relation bits.  Both must return the same bits, or raise the same exception
 class with the same message, on every structure with at most two points
 (valid or not; its four maps and both relations range over every value)
@@ -18,8 +18,9 @@ import pytest
 from dqra import (BinRel, CarrierMismatchError, LawViolationError,
                   NotAnUpsetError, RelStructure, lneg_minus, lneg_tilde, neg,
                   rel_residuals, validate_structure)
-from dqra.relations import (_compose, _converse, _minus_bits, _neg_bits, _rel,
-                            _tilde_bits)
+from dqra.relations import _compose, _converse, _or_map, _rel
+
+from conftest import ref_minus_bits, ref_neg_bits, ref_tilde_bits
 
 
 # --- the replaced code ---------------------------------------------------------
@@ -66,7 +67,7 @@ def ref_complement_in(R: BinRel, E: BinRel) -> BinRel:
 def ref_is_upset(S: RelStructure, R: BinRel) -> bool:
     if not ref_le(R, S.E):
         return False
-    return S._up_map(R.bits) == R.bits
+    return _or_map(S._up_map, R.bits) == R.bits
 
 
 def ref_check_upset(S: RelStructure, R: BinRel,
@@ -87,17 +88,17 @@ def ref_checked_upset(S: RelStructure, out: BinRel) -> BinRel:
 
 def ref_lneg_tilde(S: RelStructure, R: BinRel) -> BinRel:
     ref_check_upset(S, R)
-    return ref_checked_upset(S, _rel(S.n, _tilde_bits(S, R.bits)))
+    return ref_checked_upset(S, _rel(S.n, ref_tilde_bits(S, R.bits)))
 
 
 def ref_lneg_minus(S: RelStructure, R: BinRel) -> BinRel:
     ref_check_upset(S, R)
-    return ref_checked_upset(S, _rel(S.n, _minus_bits(S, R.bits)))
+    return ref_checked_upset(S, _rel(S.n, ref_minus_bits(S, R.bits)))
 
 
 def ref_neg(S: RelStructure, R: BinRel) -> BinRel:
     ref_check_upset(S, R)
-    return ref_checked_upset(S, _rel(S.n, _neg_bits(S, R.bits)))
+    return ref_checked_upset(S, _rel(S.n, ref_neg_bits(S, R.bits)))
 
 
 def ref_rel_residuals(S: RelStructure, R: BinRel, T: BinRel

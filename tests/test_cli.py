@@ -253,6 +253,18 @@ def test_find_embedding_requires_target(capsys):
     assert main(["find-embedding", data_path(SIX)]) == 2
 
 
+def test_find_embedding_takes_a_structure_or_max_size_not_both(capsys):
+    assert main(["find-embedding", data_path(SIX)]) == 2
+    assert capsys.readouterr().err == (
+        "find-embedding: give a structure file or --max-size\n")
+    assert main(["find-embedding", data_path(SIX), data_path(SIX, "structure"),
+                 "--max-size", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "find-embedding: give a structure file or --max-size, not both\n")
+
+
 def test_find_embedding_refutes_d3_over_four_points(capsys):
     # acceptance criterion 7 one size up: every structure with n <= 4
     assert main(["find-embedding", data_path("D^3_{1,1}"),

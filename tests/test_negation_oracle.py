@@ -1,49 +1,35 @@
-"""The three negations as cached bit maps against the formulas they replaced.
+"""The three negations as cached bit maps against their formulas.
 
-`_tilde_bits`, `_minus_bits` and `_neg_bits` apply one bit permutation per
-negation to the complement E - R.  The references below are the
-composition-and-converse formulas as they were, kept verbatim.  They are
-compared on every upset of every structure with n <= 4 and at most 256
-upsets, one relation at a time and as an int64 column (`_map_columns` of the
-structure's `_negations` on E - R), on an object column of 8-point relations, and on every relation of a structure whose maps are
-permutations that break the structure's laws.
+`RelStructure._negations` holds one union-preserving cell map per negation,
+applied to the complement E - R: one relation at a time through `_or_map`,
+a column through `_map_columns`.  The references are the
+composition-and-converse formulas of `conftest.py`, with the converse taken
+from the transposed matrix.  They are compared on every upset of every
+structure with n <= 4 and at most 256 upsets, one relation at a time and as
+an int64 column, on an object column of 8-point relations, on every relation
+of a structure whose maps are permutations that break the structure's laws,
+and on every relation of structures whose maps are not permutations.
 """
 
 import pickle
 
 import numpy as np
-from dqra import BinRel, RelStructure
-from dqra.relations import (_compose, _converse, _map_columns, _minus_bits,
-                            _neg_bits, _tilde_bits, enumerate_structures,
+from dqra import BinRel, RelStructure, neg
+from dqra.relations import (_map_columns, _or_map, enumerate_structures,
                             validate_structure)
 
+from conftest import ref_minus_bits, ref_neg_bits, ref_tilde_bits
 
-def ref_tilde_bits(S: RelStructure, r: int) -> int:
-    """~R = converse-of-complement composed with alpha, on the bits of an
-    upset R, unchecked."""
-    n = S.n
-    return _compose(n, _converse(n, S.E.bits & ~r), S.alpha_rel.bits)
+REFS = (ref_tilde_bits, ref_minus_bits, ref_neg_bits)
 
 
-def ref_minus_bits(S: RelStructure, r: int) -> int:
-    """-R = alpha composed with converse-of-complement, unchecked."""
-    n = S.n
-    return _compose(n, S.alpha_rel.bits, _converse(n, S.E.bits & ~r))
-
-
-def ref_neg_bits(S: RelStructure, r: int) -> int:
-    """The third negation alpha;beta;R^c;beta, unchecked."""
-    n = S.n
-    ab = _compose(n, S.alpha_rel.bits, S.beta_rel.bits)
-    return _compose(n, _compose(n, ab, S.E.bits & ~r), S.beta_rel.bits)
-
-
-PAIRS = ((_tilde_bits, ref_tilde_bits), (_minus_bits, ref_minus_bits),
-         (_neg_bits, ref_neg_bits))
+def one_at_a_time(S: RelStructure, k: int, r: int) -> int:
+    """Negation k (0 ~, 1 -, 2 the third) of the bits r, unchecked."""
+    return _or_map(S._negations[k], S.E.bits & ~r)
 
 
 def column_negations(S: RelStructure, col: np.ndarray) -> list[np.ndarray]:
-    """The three negations of a column of upsets, in the order of PAIRS."""
+    """The three negations of a column of upsets, in the order of REFS."""
     return _map_columns(S._negations, S.E.bits & ~col)
 
 
@@ -59,9 +45,10 @@ def test_every_upset_of_the_small_structures():
             structures += 1
             relations += len(bits)
             col = np.array(bits, dtype=np.int64)
-            for (fast, ref), got in zip(PAIRS, column_negations(S, col)):
+            columns = column_negations(S, col)
+            for k, (ref, got) in enumerate(zip(REFS, columns)):
                 want = [ref(S, r) for r in bits]
-                assert [fast(S, r) for r in bits] == want, (S, fast.__name__)
+                assert [one_at_a_time(S, k, r) for r in bits] == want, (S, k)
                 assert got.dtype == np.int64 and got.tolist() == want
     assert (structures, relations) == (304, 36370)
 
@@ -87,10 +74,10 @@ def test_object_column_of_eight_point_relations():
     bits = [0, E.bits] + [sum(c for c, keep in zip(cells, row) if keep)
                           for row in rng.integers(0, 2, (62, len(cells)))]
     col = np.array(bits, dtype=object)
-    for (fast, ref), got in zip(PAIRS, column_negations(S, col)):
+    for k, (ref, got) in enumerate(zip(REFS, column_negations(S, col))):
         assert got.dtype == object
         assert got.tolist() == [ref(S, r) for r in bits]
-        assert [fast(S, r) for r in bits] == got.tolist()
+        assert [one_at_a_time(S, k, r) for r in bits] == got.tolist()
 
 
 def test_permutations_that_break_the_laws():
@@ -102,14 +89,28 @@ def test_permutations_that_break_the_laws():
                      (1, 2, 0))
     assert not validate_structure(S).ok
     bits = list(range(1 << n * n))
-    for fast, ref in PAIRS:
-        assert [fast(S, r) for r in bits] == [ref(S, r) for r in bits]
+    for k, ref in enumerate(REFS):
+        want = [ref(S, r) for r in bits]
+        assert [one_at_a_time(S, k, r) for r in bits] == want
+
+
+def test_maps_that_are_not_permutations():
+    # -R and the third negation send a cell to every preimage under alpha
+    # (under beta;alpha): here two cells, one or none
+    n = 3
+    bits = list(range(1 << n * n))
+    for alpha, beta in (((0, 0, 2), (0, 1, 2)), ((0, 1, 2), (1, 1, 0)),
+                        ((2, 2, 2), (0, 0, 1))):
+        S = RelStructure(n, BinRel.identity(n), BinRel.full(n), alpha, beta)
+        for k, ref in enumerate(REFS):
+            assert [one_at_a_time(S, k, r) for r in bits] == [
+                ref(S, r) for r in bits], (alpha, beta, k)
 
 
 def test_a_structure_pickles_after_its_negations():
     # past a machine word too: the structure caches only shared bit maps
     S = eight_point_structure()
-    _neg_bits(S, S.leq.bits)
+    neg(S, S.leq)
     T = pickle.loads(pickle.dumps(S))
-    for fast, ref in PAIRS:
-        assert fast(T, T.leq.bits) == ref(S, S.leq.bits)
+    for k, ref in enumerate(REFS):
+        assert one_at_a_time(T, k, T.leq.bits) == ref(S, S.leq.bits)

@@ -1,11 +1,12 @@
-"""Union-preserving bit maps (`_OrMap`) on a column of relation ints
-(`_map_columns`) against the same map applied one relation at a time.
+"""Union-preserving bit maps on a column of relation ints (`_map_columns`)
+against the same map applied one relation at a time (`_or_map`).
 
-A column is mapped through one stacked array of the map's 16-entry tables,
-one `take` for all of its nibbles; a relation int goes through the tables
-as lists.  Both must agree on every carrier size from 0 to 9 points: cell
-counts that are not multiples of 4 (9, 25, 49, 81) leave a short last
-table, padded in the stacked array, and from 8 points the relations are
+A map is a list of 16-entry tables (`_or_tables`).  `_or_map` reads them as
+lists, four bits of a relation int at a time; `_map_columns` stacks them,
+on each call, into one array of the column's dtype and maps all nibbles of
+the column in one `take`.  Both must agree on every carrier size from 0 to
+9 points: cell counts that are not multiples of 4 (9, 25, 49, 81) leave a
+short last table, padded with zeros, and from 8 points the relations are
 wider than a machine word (object columns).  The maps are the converse,
 the three negations, the upward closure and the quotient's class
 restriction.  `_family_tables` takes the negations of every family as one
@@ -18,8 +19,7 @@ import pytest
 
 from dqra import BinRel, RelStructure, lneg_minus, lneg_tilde, neg
 from dqra.relations import (_cell_map, _converse, _family_tables,
-                            _map_columns, _minus_bits, _neg_bits,
-                            _tilde_bits)
+                            _map_columns, _or_map)
 from dqra.representation import _class_restriction
 
 from conftest import block_structure
@@ -53,9 +53,9 @@ def random_classes(rng: np.random.Generator, n: int):
 
 
 def maps(rng: np.random.Generator, n: int):
-    """Each map by name: applied to one relation int, and as the `_OrMap`
-    that maps a column together with what it is applied to (the negations
-    map the complement E - R)."""
+    """Each map by name: applied to one relation int, and as the tables
+    that map a column together with what they are applied to (the
+    negations map the complement E - R)."""
     S = random_structure(rng, n)
     class_map, reps = random_classes(rng, n)
     tilde, minus, negn = S._negations
@@ -63,12 +63,15 @@ def maps(rng: np.random.Generator, n: int):
     same = lambda r: r
     complement = lambda r: S.E.bits & ~r
     return {"converse": (lambda r: _converse(n, r),
-                         _cell_map(n, n, lambda i, j: (j, i)), same),
-            "tilde": (lambda r: _tilde_bits(S, r), tilde, complement),
-            "minus": (lambda r: _minus_bits(S, r), minus, complement),
-            "neg": (lambda r: _neg_bits(S, r), negn, complement),
-            "up": (S._up_map, S._up_map, same),
-            "classes": (restrict, restrict, same)}
+                         _cell_map(n, n, lambda i, j: [(j, i)]), same),
+            "tilde": (lambda r: _or_map(tilde, complement(r)), tilde,
+                      complement),
+            "minus": (lambda r: _or_map(minus, complement(r)), minus,
+                      complement),
+            "neg": (lambda r: _or_map(negn, complement(r)), negn,
+                    complement),
+            "up": (lambda r: _or_map(S._up_map, r), S._up_map, same),
+            "classes": (lambda r: _or_map(restrict, r), restrict, same)}
 
 
 @pytest.mark.parametrize("n", range(10))

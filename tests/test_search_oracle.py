@@ -21,8 +21,10 @@ from dqra import (
     enumerate_structures,
     find_embedding,
 )
-from dqra.relations import _cell, _compose, _minus_bits, _neg_bits, _tilde_bits
+from dqra.relations import _cell, _compose
 from dqra.representation import verify_embedding
+
+from conftest import ref_minus_bits, ref_neg_bits, ref_tilde_bits
 
 SMALL = [S for n in (1, 2, 3) for S in enumerate_structures(n)]
 
@@ -146,11 +148,11 @@ def scan_find_embedding(A, S, budget: int = 200_000,
         while queue:
             x = queue.pop()
             r = phi[x]
-            if not assign(tilde[x], _tilde_bits(S, r), trail, queue):
+            if not assign(tilde[x], ref_tilde_bits(S, r), trail, queue):
                 return False
-            if not assign(minus[x], _minus_bits(S, r), trail, queue):
+            if not assign(minus[x], ref_minus_bits(S, r), trail, queue):
                 return False
-            if not assign(negn[x], _neg_bits(S, r), trail, queue):
+            if not assign(negn[x], ref_neg_bits(S, r), trail, queue):
                 return False
             for y in range(n):
                 q = phi[y]
