@@ -267,12 +267,12 @@ def _map_columns(maps: Sequence[Sequence[list[int]]], bits: np.ndarray
     """Each map (`_or_tables`) applied to a column of relation ints (int64,
     or object for relations wider than a machine word; images of relations
     fit the same dtype): each nibble of the column indexes its own table of
-    the maps stacked as one array, all in one `take`.  The maps must have
+    the maps, put in one array on each call, in one `take`.  The maps must have
     equally many tables (maps on relations over one carrier do)."""
     k = np.arange(len(maps[0]))[:, None]
     index = (bits >> 4 * k & 15 | 16 * k).astype(np.intp, copy=False)
-    stacked = np.array(maps, dtype=bits.dtype).reshape(len(maps), -1)
-    return [np.bitwise_or.reduce(f.take(index), axis=0) for f in stacked]
+    tables = np.array(maps, dtype=bits.dtype).reshape(len(maps), -1)
+    return [np.bitwise_or.reduce(f.take(index), axis=0) for f in tables]
 
 
 def _cell_map(n: int, m: int, f: Callable[..., list]) -> list[list[int]]:
