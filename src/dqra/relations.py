@@ -215,25 +215,29 @@ def _cell(n: int, x: int, y: int) -> int:
     return 1 << (n * n - 1 - (x * n + y))
 
 
-_LOW_COLUMN: dict[int, int] = {}
+_SHIFTS: dict[int, tuple[int, int, tuple[tuple[int, int], ...]]] = {}
 
 
 def _compose(n: int, a: int, b: int) -> int:
     """Bits of a;b.  The k-th row of b from the bottom (row n-1-k) is ORed
     into each row of the result whose cell in column n-1-k of a is set: the
     shifted column of a has one bit at the foot of each selected row, and
-    multiplying it by the row copies the row there without carries.  Only
-    >>, &, * and | are used, so a and b may also be arrays of relation ints
-    (int64 when n*n <= 63: no product carries past bit n*n; object beyond),
-    which broadcast like any ndarray (neither is modified)."""
-    low = _LOW_COLUMN.get(n)
-    if low is None:
-        low = _LOW_COLUMN[n] = sum(1 << (n * i) for i in range(n))
-    row = (1 << n) - 1
+    multiplying it by the row copies the row there without carries.  The
+    per-carrier entry of `_SHIFTS`, filled on first use, holds the low
+    column (bit 0 of each row), the row mask and the shift pairs (k, n*k)
+    for k = 1..n-1.  Only >>, &, * and | are used, so a and b may also be
+    arrays of relation ints (int64 when n*n <= 63: no product carries past
+    bit n*n; object beyond), which broadcast like any ndarray (neither is
+    modified)."""
+    entry = _SHIFTS.get(n)
+    if entry is None:
+        entry = _SHIFTS[n] = (sum(1 << (n * i) for i in range(n)),
+                              (1 << n) - 1,
+                              tuple((k, n * k) for k in range(1, n)))
+    low, row, steps = entry
     out = (a & low) * (b & row)    # on 0 points: zeros in the broadcast shape
-    for k in range(1, n):
-        b = b >> n
-        out |= ((a >> k) & low) * (b & row)
+    for k, s in steps:
+        out |= (a >> k & low) * (b >> s & row)
     return out
 
 
@@ -370,13 +374,6 @@ class RelStructure:
     @cached_property
     def beta_rel(self) -> BinRel:
         return BinRel.from_function(self.beta)
-
-    @cached_property
-    def alpha_inv(self) -> tuple[int, ...]:
-        inv = [0] * self.n
-        for x, y in enumerate(self.alpha):
-            inv[y] = x
-        return tuple(inv)
 
     @cached_property
     def _negations(self) -> tuple[list[list[int]], ...]:

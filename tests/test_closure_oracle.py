@@ -23,10 +23,9 @@ import pytest
 from dqra import (BinRel, CapExceededError, ClosureResult, RelStructure,
                   dq_closure, enumerate_structures, lneg_minus, lneg_tilde,
                   neg, sample_structures, validate_structure)
-from dqra.relations import (_canonical_order, _compose, _rel,
-                            algebra_from_upsets)
+from dqra.relations import _canonical_order, _rel, algebra_from_upsets
 
-from conftest import block_structure
+from conftest import block_structure, ref_compose_bits
 
 
 # --- the replaced code ---------------------------------------------------------
@@ -59,8 +58,8 @@ def closure_reference(S: RelStructure, generators: Sequence[BinRel],
         for s in list(seen):
             push(r & s)
             push(r | s)
-            push(_compose(n, r, s))
-            push(_compose(n, s, r))
+            push(ref_compose_bits(n, r, s))
+            push(ref_compose_bits(n, s, r))
     ordered = _canonical_order(S, (_rel(n, r) for r in seen), insertion=True)
     algebra = algebra_from_upsets(S, ordered)
     return ClosureResult(tuple(ordered), algebra, S)

@@ -151,18 +151,47 @@ def test_is_upset_and_enumerate_upsets_equal_brute_force_filter():
             assert {R.key() for R in ups} == brute
 
 
+def relation_lists(max_n: int):
+    """A carrier size n in 1..max_n and two short lists of relation ints."""
+    return st.integers(1, max_n).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(0, (1 << n * n) - 1), min_size=1, max_size=6),
+        st.lists(st.integers(0, (1 << n * n) - 1), min_size=1, max_size=6)))
+
+
+def check_broadcast(n: int, left: list[int], right: list[int], dtype) -> None:
+    """A column times a row of relation ints of `dtype` equals composition
+    cell by cell, keeps the dtype and leaves both operands as they were."""
+    col = np.array(left, dtype=dtype)[:, None]
+    row = np.array(right, dtype=dtype)[None, :]
+    got = _compose(n, col, row)
+    assert got.shape == (len(left), len(right)) and got.dtype == dtype
+    assert got.tolist() == [[_compose(n, a, b) for b in right] for a in left]
+    assert col[:, 0].tolist() == left and row[0].tolist() == right
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
-    st.just(n),
-    st.lists(st.integers(0, (1 << n * n) - 1), min_size=1, max_size=6),
-    st.lists(st.integers(0, (1 << n * n) - 1), min_size=1, max_size=6))))
+@given(relation_lists(9))
 def test_compose_broadcasts_over_object_arrays(case):
     """Composition over object arrays of relation ints equals composition
     cell by cell and leaves both operands as they were."""
-    n, left, right = case
-    col = np.array(left, dtype=object)[:, None]
-    row = np.array(right, dtype=object)[None, :]
-    got = _compose(n, col, row)
-    assert got.shape == (len(left), len(right))
-    assert got.tolist() == [[_compose(n, a, b) for b in right] for a in left]
-    assert col[:, 0].tolist() == left and row[0].tolist() == right
+    check_broadcast(*case, object)
+
+
+@settings(max_examples=100, deadline=None)
+@given(relation_lists(7))
+def test_compose_broadcasts_over_int64_arrays(case):
+    """The same over int64 arrays, up to n = 7 (49-bit relations, the
+    widest carrier whose relations are int64 columns)."""
+    check_broadcast(*case, np.int64)
+
+
+def test_compose_on_zero_points():
+    """On 0 points the product is 0, and columns of either dtype give zeros
+    in the broadcast shape."""
+    assert _compose(0, 0, 0) == 0
+    for dtype in (np.int64, object):
+        got = _compose(0, np.zeros((3, 1), dtype=dtype),
+                       np.zeros((1, 2), dtype=dtype))
+        assert got.shape == (3, 2) and got.dtype == dtype
+        assert got.tolist() == [[0, 0], [0, 0], [0, 0]]

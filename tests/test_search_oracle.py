@@ -21,10 +21,11 @@ from dqra import (
     enumerate_structures,
     find_embedding,
 )
-from dqra.relations import _cell, _compose
+from dqra.relations import _cell
 from dqra.representation import verify_embedding
 
-from conftest import ref_minus_bits, ref_neg_bits, ref_tilde_bits
+from conftest import (ref_compose_bits, ref_minus_bits, ref_neg_bits,
+                      ref_tilde_bits)
 
 SMALL = [S for n in (1, 2, 3) for S in enumerate_structures(n)]
 
@@ -158,9 +159,11 @@ def scan_find_embedding(A, S, budget: int = 200_000,
                 q = phi[y]
                 if q is None:
                     continue
-                if not assign(mult[x][y], _compose(nS, r, q), trail, queue):
+                if not assign(mult[x][y], ref_compose_bits(nS, r, q), trail,
+                              queue):
                     return False
-                if not assign(mult[y][x], _compose(nS, q, r), trail, queue):
+                if not assign(mult[y][x], ref_compose_bits(nS, q, r), trail,
+                              queue):
                     return False
                 if not assign(meet[x][y], r & q, trail, queue):
                     return False

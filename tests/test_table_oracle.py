@@ -46,7 +46,7 @@ def naive_tables(S: RelStructure, rels) -> tuple[np.ndarray, ...]:
     bits = stack.reshape(m, n * n).astype(bool)
     leq = ~np.any(bits[:, None, :] & ~bits[None, :, :], axis=-1)
     mult = index_of((stack[:, None] @ stack[None, :]) > 0)
-    a, ainv, b = np.array(S.alpha), np.array(S.alpha_inv), np.array(S.beta)
+    a, ainv, b = np.array(S.alpha), np.argsort(S.alpha), np.array(S.beta)
     compl = S.E.mat[None, :, :] & ~(stack > 0)
     conv = compl.transpose(0, 2, 1)
     return (leq, mult, index_of(conv[:, :, ainv]), index_of(conv[:, a, :]),
