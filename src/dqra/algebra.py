@@ -514,19 +514,18 @@ def _validate_dqra(A: FiniteDqRA) -> ValidationReport:
         checks.append(LawCheck(name, witness is None, witness, detail))
 
     # partial order
-    order_bad = _order_bad(L)
     for name, bad, detail in zip(
             ("order-reflexive", "order-antisymmetric", "order-transitive"),
-            order_bad, ("a <= a", "", "")):
+            _order_bad(L), ("a <= a", "", "")):
         add(name, _first_bad(bad), detail)
-    if any(bad.any() for bad in order_bad):
+    if not all(check.ok for check in checks):
         # lattice and law checks below presume a partial order
         return ValidationReport(tuple(checks))
 
     mt, jt = A.meet_table, A.join_table
     add("meets-exist", _first_bad(mt < 0))
     add("joins-exist", _first_bad(jt < 0))
-    if not ((mt >= 0).all() and (jt >= 0).all()):
+    if not (checks[-2].ok and checks[-1].ok):
         return ValidationReport(tuple(checks))
 
     dist_ok, assoc_ok, res1_ok, res2_ok = _law_verdicts(A)

@@ -4,12 +4,14 @@ code it replaced, kept below as the reference.
 Both are run on every full upset algebra of a small structure at every
 positive symmetric idempotent, on the shipped representation at every
 element, and on mutants: single images of the shipped representation
-replaced, and every invalid structure on at most two points whose upset
-family still yields an algebra.  The class map, representatives and emitted
-quotient and induced assignment must agree, or the raised exception type
-and message must.
+replaced, every invalid structure on at most two points whose upset
+family still yields an algebra, and seeded walks of single edits away from
+every structure on at most three points.  The class map, representatives
+and emitted quotient and induced assignment must agree, or the raised
+exception type and message must.
 """
 
+import random
 from functools import cache
 from itertools import product
 
@@ -226,4 +228,55 @@ def test_invalid_structures_with_an_upset_algebra():
         "image of p is not reflexive",
         "quotient fails structure validation",
         "contraction members are not closed under the operations",
+    }
+
+
+def edited(S: RelStructure, rng: random.Random) -> RelStructure:
+    """S with one leq or E cell flipped, or one alpha or beta entry
+    replaced."""
+    n = S.n
+    leq, E, alpha, beta = S.leq.bits, S.E.bits, list(S.alpha), list(S.beta)
+    kind = rng.randrange(4)
+    if kind == 0:
+        leq ^= 1 << rng.randrange(n * n)
+    elif kind == 1:
+        E ^= 1 << rng.randrange(n * n)
+    else:
+        f = alpha if kind == 2 else beta
+        f[rng.randrange(n)] = rng.randrange(n)
+    return RelStructure(n, BinRel(n, leq), BinRel(n, E), alpha, beta)
+
+
+def test_edit_walks_from_every_small_structure():
+    """From every structure on at most three points with at most 64 upsets,
+    30 seeded edits, each one edit away from the last mutant whose full
+    upset family yields an algebra, compared at every element of that
+    algebra.  No single edit of these structures reaches the reflexivity
+    check with a verified embedding, so the walk lets edits add up."""
+    reached = set()
+    for n in (1, 2, 3):
+        for k, S in enumerate(enumerate_structures(n)):
+            try:
+                S.count_upsets(64)
+            except CapExceededError:
+                continue
+            rng = random.Random(f"{n}-{k}")
+            last = S
+            for _ in range(30):
+                mutant = edited(last, rng)
+                try:
+                    e = full_embedding(mutant)
+                except (ValueError, CapExceededError):
+                    continue    # no upset algebra: walk on from the last
+                last = mutant
+                for p in range(e.algebra.size):
+                    got = assert_same(e, p)
+                    if isinstance(got[0], type):
+                        reached.add((got[0], got[1].split(":")[0].split(";")[0]
+                                     .split(" witness")[0]))
+    assert {t for t, _ in reached} >= {NotPsiError}
+    assert {m for t, m in reached if t is LawViolationError} >= {
+        "embedding does not verify",
+        "algebra order is not a lattice",
+        "image of p is not reflexive",
     }
