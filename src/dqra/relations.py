@@ -45,23 +45,22 @@ class BinRel:
 
     Cell (i, j) is bit n*n-1-(i*n+j): row-major with (0, 0) as the most
     significant bit, so integer order is the order of the `key()` bytes.
-    Values are immutable; `mat` is a read-only boolean matrix built on
-    demand.
+    Values are immutable, on at most three points one shared object each
+    (`_rel`); `mat` is a read-only boolean matrix built on demand.
     """
 
     __slots__ = ("n", "bits")
     n: int
     bits: int
 
-    def __init__(self, n: int, bits: int) -> None:
+    def __new__(cls, n: int, bits: int) -> "BinRel":
         n, bits = operator.index(n), operator.index(bits)
         if n < 0:
             raise CarrierMismatchError("carrier size must be non-negative")
         if bits < 0 or bits >> (n * n):
             raise CarrierMismatchError(
                 f"relation bits do not fit {n} points")
-        _set_n(self, n)
-        _set_bits(self, bits)
+        return _rel(n, bits)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("BinRel is immutable")
@@ -197,11 +196,24 @@ _new = object.__new__
 
 
 def _rel(n: int, bits: int) -> BinRel:
-    """A BinRel from bits already known to fit n points (no checks)."""
+    """A BinRel from bits known to fit n points (no checks); shared if n <= 3."""
+    if n <= 3:
+        return _SHARED[n][bits]
     r = _new(BinRel)
     _set_n(r, n)
     _set_bits(r, bits)
     return r
+
+
+# Every relation on at most three points as one shared object (1 + 2 + 16 +
+# 512 = 531), so kernel results on small carriers allocate nothing; four
+# points would make 65,536 (about 5.5 MB and 0.2 s at every import).
+_SHARED = [[_new(BinRel) for _ in range(1 << n * n)] for n in range(4)]
+for _n, _row in enumerate(_SHARED):
+    for _bits, _r in enumerate(_row):
+        _set_n(_r, _n)
+        _set_bits(_r, _bits)
+del _n, _row, _bits, _r
 
 
 # --- the kernel on relation bits ---------------------------------------------
@@ -271,11 +283,11 @@ def _map_columns(maps: Sequence[Sequence[list[int]]], bits: np.ndarray
     """Each map (`_or_tables`) applied to a column of relation ints (int64,
     or object for relations wider than a machine word; images of relations
     fit the same dtype): each nibble of the column indexes its own table of
-    the maps, put in one array on each call, in one `take`.  The maps must have
-    equally many tables (maps on relations over one carrier do)."""
+    the maps, in one `take` (lists are stacked on each call).  The maps
+    must have equally many tables (maps on relations over one carrier do)."""
     k = np.arange(len(maps[0]))[:, None]
     index = (bits >> 4 * k & 15 | 16 * k).astype(np.intp, copy=False)
-    tables = np.array(maps, dtype=bits.dtype).reshape(len(maps), -1)
+    tables = np.asarray(maps, dtype=bits.dtype).reshape(len(maps), -1)
     return [np.bitwise_or.reduce(f.take(index), axis=0) for f in tables]
 
 
@@ -336,7 +348,7 @@ def _perm_witness(fn: Sequence[int], n: int) -> Optional[tuple[int, ...]]:
         seen.add(v)
 
 
-_NEGATIONS: dict[tuple, tuple[list[list[int]], ...]] = {}
+_NEGATIONS: dict[tuple, tuple[tuple[list[list[int]], ...], Sequence]] = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,28 +388,31 @@ class RelStructure:
         return BinRel.from_function(self.beta)
 
     @cached_property
-    def _negations(self) -> tuple[list[list[int]], ...]:
+    def _negations(self) -> tuple[tuple[list[list[int]], ...], Sequence]:
         """~, - and the third negation as maps (`_cell_map` tables) of the
-        bits of the complement E - R, built once for each n, alpha and beta
-        and shared by every structure that has them.  With R^c = E - R,
-        ~R = (R^c)^-1;alpha sends cell (u, v) to (v, alpha(u)),
+        bits of the complement E - R, then the maps for `_map_columns` (one
+        int64 array when n*n <= 63, else the lists), built once for each n,
+        alpha and beta and shared by every structure that has them.  With
+        R^c = E - R, ~R = (R^c)^-1;alpha sends cell (u, v) to (v, alpha(u)),
         -R = alpha;(R^c)^-1 sends it to each (x, u) with alpha(x) = v, and
         alpha;beta;R^c;beta sends it to each (x, beta(v)) with
         beta(alpha(x)) = u: one cell each when alpha and beta are
         permutations of the points."""
         n, a, b = self.n, self.alpha, self.beta
-        maps = _NEGATIONS.get((n, a, b))
-        if maps is None:
+        entry = _NEGATIONS.get((n, a, b))
+        if entry is None:
             a_pre = [[] for _ in range(n)]     # the x with alpha(x) = v
             ba_pre = [[] for _ in range(n)]    # the x with beta(alpha(x)) = u
             for x, y in enumerate(a):
                 a_pre[y].append(x)
                 ba_pre[b[y]].append(x)
-            maps = _NEGATIONS[n, a, b] = (
+            maps = (
                 _cell_map(n, n, lambda u, v: [(v, a[u])]),
                 _cell_map(n, n, lambda u, v: [(x, u) for x in a_pre[v]]),
                 _cell_map(n, n, lambda u, v: [(x, b[v]) for x in ba_pre[u]]))
-        return maps
+            entry = _NEGATIONS[n, a, b] = (
+                maps, np.array(maps, dtype=np.int64) if n * n <= 63 else maps)
+        return entry
 
     def point_index(self, label: str) -> int:
         try:
@@ -622,7 +637,7 @@ def _negation(S: RelStructure, k: int, r: int) -> int:
     e, up = S.E.bits, S._up_map
     if r & ~e or _or_map(up, r) != r:
         raise NotAnUpsetError("relation is not an upset of the pair poset")
-    out = _or_map(S._negations[k], e & ~r)
+    out = _or_map(S._negations[0][k], e & ~r)
     if out & ~e or _or_map(up, out) != out:
         raise LawViolationError("negation left the upsets; invalid structure")
     return out
@@ -743,7 +758,7 @@ def _family_tables(S: RelStructure, bits: Sequence[int]
     the whole column (products broadcast over the family grid)."""
     col = np.array(bits, dtype=np.int64 if S.n * S.n <= 63 else object)
     r, s = col[:, None], col[None, :]
-    negations = _map_columns(S._negations, S.E.bits & ~col)
+    negations = _map_columns(S._negations[1], S.E.bits & ~col)
     found = _lookup(col, S.n, [_compose(S.n, r, s), r & s, r | s, *negations])
     return col, found[:3], found[3:]
 

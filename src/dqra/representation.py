@@ -170,7 +170,7 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
     E = S.E.bits
     leq = A.leq.tolist()
     tilde, minus, negn = A.tilde.tolist(), A.minus.tolist(), A.negn.tolist()
-    unary = tuple(zip((tilde, minus, negn), S._negations))
+    unary = tuple(zip((tilde, minus, negn), S._negations[0]))
     mult, meet, join = (A.mult.tolist(), A.meet_table.tolist(),
                         A.join_table.tolist())
     # `A.is_lattice` on the lists: a quarter of its cost on small algebras

@@ -1,14 +1,16 @@
 """The three negations as cached bit maps against their formulas.
 
 `RelStructure._negations` holds one union-preserving cell map per negation,
-applied to the complement E - R: one relation at a time through `_or_map`,
-a column through `_map_columns`.  The references are the
-composition-and-converse formulas of `conftest.py`, with the converse taken
-from the transposed matrix.  They are compared on every upset of every
-structure with n <= 4 and at most 256 upsets, one relation at a time and as
-an int64 column, on an object column of 8-point relations, on every relation
-of a structure whose maps are permutations that break the structure's laws,
-and on every relation of structures whose maps are not permutations.
+applied to the complement E - R: one relation at a time through `_or_map`, a
+column through `_map_columns`, which takes the maps stacked into one int64
+array, built once with them, when a relation fits a machine word.  The
+references are the composition-and-converse formulas of `conftest.py`, with
+the converse taken from the transposed matrix.  They are compared on every
+upset of every structure with n <= 4 and at most 256 upsets, one relation at
+a time and as an int64 column, on an object column of 8-point relations, on
+every relation of a structure whose maps are permutations that break the
+structure's laws, and on every relation of structures whose maps are not
+permutations.
 """
 
 import pickle
@@ -25,12 +27,12 @@ REFS = (ref_tilde_bits, ref_minus_bits, ref_neg_bits)
 
 def one_at_a_time(S: RelStructure, k: int, r: int) -> int:
     """Negation k (0 ~, 1 -, 2 the third) of the bits r, unchecked."""
-    return _or_map(S._negations[k], S.E.bits & ~r)
+    return _or_map(S._negations[0][k], S.E.bits & ~r)
 
 
 def column_negations(S: RelStructure, col: np.ndarray) -> list[np.ndarray]:
     """The three negations of a column of upsets, in the order of REFS."""
-    return _map_columns(S._negations, S.E.bits & ~col)
+    return _map_columns(S._negations[1], S.E.bits & ~col)
 
 
 def test_every_upset_of_the_small_structures():

@@ -3,8 +3,8 @@ against the same map applied one relation at a time (`_or_map`).
 
 A map is a list of 16-entry tables (`_or_tables`).  `_or_map` reads them as
 lists, four bits of a relation int at a time; `_map_columns` stacks them,
-on each call, into one array of the column's dtype and maps all nibbles of
-the column in one `take`.  Both must agree on every carrier size from 0 to
+on each call, into one array of the column's dtype (or takes such an array
+as it is) and maps all nibbles of the column in one `take`.  Both must agree on every carrier size from 0 to
 9 points: cell counts that are not multiples of 4 (9, 25, 49, 81) leave a
 short last table, padded with zeros, and from 8 points the relations are
 wider than a machine word (object columns).  The maps are the converse,
@@ -58,7 +58,7 @@ def maps(rng: np.random.Generator, n: int):
     negations map the complement E - R)."""
     S = random_structure(rng, n)
     class_map, reps = random_classes(rng, n)
-    tilde, minus, negn = S._negations
+    tilde, minus, negn = S._negations[0]
     restrict = _class_restriction(n, class_map, reps)
     same = lambda r: r
     complement = lambda r: S.E.bits & ~r
@@ -84,6 +84,26 @@ def test_column_matches_one_relation_at_a_time(n):
             got, = _map_columns((f_map,), arg(column(n, bits[:k])))
             assert got.shape == (k,), name
             assert got.tolist() == want[:k], (name, k)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_negation_stack_is_built_once_with_the_maps(n):
+    # the int64 stack of the negation maps is made with them and shared by
+    # every structure with the same n, alpha and beta; relations wider than
+    # a machine word keep the lists, stacked on each call
+    rng = np.random.default_rng(n)
+    S = random_structure(rng, n)
+    maps, stack = S._negations
+    twin = RelStructure(n, S.leq, S.E, S.alpha, S.beta)
+    assert twin._negations[0] is maps and twin._negations[1] is stack
+    if n * n <= 63:
+        assert stack.dtype == np.int64 and stack.tolist() == list(maps)
+    else:
+        assert stack is maps
+    col = S.E.bits & ~column(n, random_bits(rng, n, 40))
+    assert ([c.tolist() for c in _map_columns(stack, col)]
+            == [c.tolist() for c in _map_columns(maps, col)]
+            == [[_or_map(f, r) for r in col.tolist()] for f in maps])
 
 
 @pytest.mark.parametrize("S", [

@@ -6,9 +6,10 @@ positive symmetric idempotent, on the shipped representation at every
 element, and on mutants: single images of the shipped representation
 replaced, every invalid structure on at most two points whose upset
 family still yields an algebra, and seeded walks of single edits away from
-every structure on at most three points.  The class map, representatives
-and emitted quotient and induced assignment must agree, or the raised
-exception type and message must.
+every structure on at most three points, and one hand-built algebra whose
+order breaks its own meet.  The class map, representatives and emitted
+quotient and induced assignment must agree, or the raised exception type and
+message must.
 """
 
 import random
@@ -21,6 +22,7 @@ from dqra import (
     BinRel,
     CapExceededError,
     Embedding,
+    FiniteDqRA,
     LawViolationError,
     NotPsiError,
     QuotientStructure,
@@ -280,3 +282,26 @@ def test_edit_walks_from_every_small_structure():
         "algebra order is not a lattice",
         "image of p is not reflexive",
     }
+
+
+def test_an_order_that_breaks_its_meet_reaches_the_order_check():
+    """The check that P contains the order is implied when the structure's
+    order is reflexive: then the upset P, which holds the diagonal, holds
+    leq ; id ; leq, which is leq.  So it needs a non-reflexive order, here
+    the swap of two points, whose three-fold product is itself, and an
+    algebra in which 1 <= p holds but 1 ^ p is not 1: its order is neither
+    reflexive nor transitive, and it is the only order on these four
+    elements with 1 <= p whose derived meets and joins are the
+    intersections and unions of the images."""
+    swap, ident = BinRel(2, 0b0110), BinRel.identity(2)
+    S = RelStructure(2, swap, BinRel.full(2), (0, 1), (0, 1))
+    images = (BinRel.empty(2), swap, ident, BinRel.full(2))
+    A = FiniteDqRA(4, [[1, 1, 1, 1], [0, 0, 1, 1], [0, 1, 0, 1], [0, 0, 0, 1]],
+                   [[0, 0, 0, 0], [0, 2, 1, 3], [0, 1, 2, 3], [0, 3, 3, 3]],
+                   [3, 2, 1, 0], [3, 2, 1, 0], [3, 2, 1, 0], 1)
+    e = Embedding(A, S, images)
+    assert verify_embedding(e).ok and is_psi(A, 2)
+    assert A.leq[1, 2] and A.meet(1, 2) == 0 and not A.leq[1, 1]
+    assert not validate_structure(S).ok
+    got = assert_same(e, 2)
+    assert got == (LawViolationError, "image of p does not contain the order")

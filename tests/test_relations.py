@@ -1,5 +1,7 @@
 """Relation calculus, structures, negations, closures and full algebras."""
 
+import copy
+import pickle
 import tracemalloc
 from collections import Counter
 from functools import cache
@@ -497,20 +499,26 @@ def test_points_outside_the_carrier_are_rejected():
 
 def test_relation_bits_must_fit_the_carrier():
     assert BinRel(2, 0b1001) == BinRel.identity(2)
-    for bits in (-1, 1 << 4):
-        with pytest.raises(CarrierMismatchError):
-            BinRel(2, bits)
-    with pytest.raises(CarrierMismatchError, match="non-negative"):
-        BinRel(-1, 0)
+    for n in range(6):    # shared values up to three points, new ones beyond
+        for bits in (-1, 1 << n * n, -(1 << n * n)):
+            with pytest.raises(CarrierMismatchError):
+                BinRel(n, bits)
+        assert BinRel(np.int64(n), np.int64(n)) == BinRel(n, n)
+    for n in (-1, -4):
+        with pytest.raises(CarrierMismatchError, match="non-negative"):
+            BinRel(n, 0)
     with pytest.raises(CarrierMismatchError):
         BinRel.from_matrix(2, np.eye(3, dtype=bool))
-    R = BinRel.identity(2)
-    for name in ("n", "bits", "extra"):
+    with pytest.raises(TypeError):
+        BinRel(2.0, 1)
+    for R in (BinRel.identity(2), BinRel.identity(4)):
+        value = R.bits
+        for name in ("n", "bits", "extra"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(R, name, 0)
         with pytest.raises(AttributeError, match="immutable"):
-            setattr(R, name, 0)
-    with pytest.raises(AttributeError, match="immutable"):
-        del R.bits
-    assert R == BinRel(2, 0b1001)
+            del R.bits
+        assert R == BinRel(R.n, value) and R.bits == value
 
 
 def test_less_than_is_proper_inclusion():
@@ -520,3 +528,94 @@ def test_less_than_is_proper_inclusion():
     assert not BinRel.from_pairs(2, [(0, 1)]) < ident
     with pytest.raises(CarrierMismatchError):
         ident < BinRel.identity(3)
+
+
+# --- relations on at most three points are shared values ---------------------
+
+
+def test_every_constructor_shares_each_small_relation():
+    # one object per relation on at most three points, however it is made
+    for n in range(4):
+        for bits in range(1 << n * n):
+            R = BinRel(n, bits)
+            assert (R.n, R.bits) == (n, bits)
+            assert BinRel(n, bits) is R
+            assert BinRel(np.int64(n), np.int64(bits)) is R
+            assert BinRel.from_pairs(n, R.pairs()) is R
+            assert BinRel.from_matrix(n, R.mat) is R
+            assert pickle.loads(pickle.dumps(R)) is R
+            assert copy.copy(R) is R and copy.deepcopy(R) is R
+        assert BinRel.empty(n) is BinRel(n, 0)
+        assert BinRel.full(n) is BinRel(n, (1 << n * n) - 1)
+        assert BinRel.identity(n) is BinRel.from_function(range(n))
+        assert BinRel.from_function([0] * n) is BinRel.from_pairs(
+            n, [(x, 0) for x in range(n)])
+
+
+def small_kernel_results(S: RelStructure, R: BinRel, T: BinRel) -> list:
+    """Every relation-valued kernel operation on upsets R and T of S."""
+    return [R.compose(T), T.compose(R), R.converse(), R.union(T),
+            R.intersection(T), R.complement_in(S.E), *rel_residuals(S, R, T),
+            lneg_tilde(S, R), lneg_minus(S, R), neg(S, R)]
+
+
+def test_kernel_results_on_small_carriers_are_shared():
+    # on every structure with n <= 3: each upset, each result on 16 seeded
+    # pairs of upsets, and each member of the full family and of a closure
+    # is the one object of its value; an operation made twice gives it twice
+    rng = np.random.default_rng(25)
+    for S in (S for n in (1, 2, 3) for S in enumerate_structures(n)):
+        ups = S.enumerate_upsets(1 << 10)
+        assert all(BinRel(R.n, R.bits) is R for R in ups)
+        assert [BinRel(S.n, b) for b in S._upset_bits(1 << 10)] == ups
+        for i, j in rng.integers(0, len(ups), size=(16, 2)):
+            R, T = ups[i], ups[j]
+            first = small_kernel_results(S, R, T)
+            again = small_kernel_results(S, BinRel(S.n, R.bits),
+                                         pickle.loads(pickle.dumps(T)))
+            for got, twin in zip(first, again):
+                assert got is twin is BinRel(got.n, got.bits)
+        fam = full_dq_family(S, cap=1 << 10)
+        assert all(BinRel(R.n, R.bits) is R for R in fam.relations)
+        closure = dq_closure(S, [ups[len(ups) // 2]])
+        assert all(R is fam.relations[fam.relations.index(R)]
+                   for R in closure.relations)
+
+
+def test_kernel_results_on_four_points_keep_their_values(example_structure):
+    # beyond three points results are built as before: equal by value to
+    # the same relation made afresh (whether they are one object is not
+    # part of the contract)
+    S = example_structure
+    ups = S.enumerate_upsets(1 << 17)
+    for i, j in RNG.integers(0, len(ups), size=(24, 2)):
+        R, T = ups[i], ups[j]
+        first = small_kernel_results(S, R, T)
+        again = small_kernel_results(S, BinRel.from_matrix(4, R.mat),
+                                     pickle.loads(pickle.dumps(T)))
+        for got, twin in zip(first, again):
+            assert got == twin and hash(got) == hash(twin)
+            assert (got.n, got.bits) == (4, twin.bits)
+        assert R.compose(T) == BinRel.from_matrix(
+            4, R.mat.astype(int) @ T.mat.astype(int) > 0)
+        assert R.converse() == BinRel.from_matrix(4, R.mat.T)
+
+
+def test_a_shared_relation_refuses_changes_for_every_holder():
+    # the order of a two-point antichain is held by the structure, by its
+    # upsets, by a dictionary key and by the cached identity; failed writes
+    # leave every holder with the same value
+    ident = BinRel.identity(2)
+    S = RelStructure(2, BinRel(2, 0b1001), BinRel.full(2), (1, 0), (0, 1))
+    keyed = {BinRel.from_pairs(2, [(0, 0), (1, 1)]): "order"}
+    ups = S.enumerate_upsets()
+    assert S.leq is ident and ident in ups
+    for name in ("n", "bits", "extra"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(S.leq, name, 0)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(ups[ups.index(ident)], name)
+    for R in (ident, S.leq, BinRel.identity(2), next(iter(keyed))):
+        assert (R.n, R.bits, R.pairs()) == (2, 0b1001, ((0, 0), (1, 1)))
+    assert keyed[BinRel(2, 0b1001)] == "order"
+    assert validate_structure(S).ok and len(ups) == 16
