@@ -388,6 +388,11 @@ class RelStructure:
         return BinRel.from_function(self.beta)
 
     @cached_property
+    def _report(self) -> ValidationReport:
+        """`validate_structure`'s report, kept with the frozen fields."""
+        return _validate_structure(self)
+
+    @cached_property
     def _negations(self) -> tuple[tuple[list[list[int]], ...], Sequence]:
         """~, - and the third negation as maps (`_cell_map` tables) of the
         bits of the complement E - R, then the maps for `_map_columns` (one
@@ -588,7 +593,13 @@ class RelStructure:
 
 
 def validate_structure(S: RelStructure) -> ValidationReport:
-    """Exhaustively check every structure invariant, reporting witnesses."""
+    """Exhaustively check every structure invariant, reporting witnesses.
+    The fields are frozen, so the report is computed once per structure and
+    kept on it."""
+    return S._report
+
+
+def _validate_structure(S: RelStructure) -> ValidationReport:
     n, L, E = S.n, S.leq.bits, S.E.bits
     checks: list[LawCheck] = []
 

@@ -11,7 +11,7 @@ from functools import cached_property
 from typing import Optional
 
 from .algebra import (FiniteDqRA, LawCheck, LawViolationError,
-                      ValidationReport, _first_bad)
+                      ValidationReport, _first_bad, validate_dqra)
 from .contraction import contract, is_psi, NotPsiError
 from .relations import (
     BinRel,
@@ -19,11 +19,8 @@ from .relations import (
     RelStructure,
     _cell_map,
     _compose,
-    _conjugate,
     _converse,
     _family_tables,
-    _first_cell,
-    _negation,
     _or_map,
     validate_structure,
 )
@@ -53,7 +50,10 @@ class Embedding:
 
 def verify_embedding(e: Embedding) -> ValidationReport:
     """Exhaustively check injectivity, the unit condition and preservation of
-    all six operations; failures carry element witnesses.
+    all six operations; failures carry element witnesses.  An algebra or a
+    structure that does not validate raises `LawViolationError` naming its
+    failing checks: both reports are kept, so this costs nothing more once
+    they are validated.
 
     Once the images are known to be distinct upsets, each operation's table
     on the images (meets and joins as intersections and unions) comes from
@@ -71,6 +71,8 @@ def _verify_embedding(e: Embedding) -> ValidationReport:
         if R.n != S.n:
             raise CarrierMismatchError(
                 "assignment relation carrier does not match the structure")
+    validate_dqra(A).raise_if_failed("algebra does not validate")
+    validate_structure(S).raise_if_failed("structure does not validate")
     checks: list[LawCheck] = []
 
     def add(name, witness, detail=""):
@@ -90,9 +92,6 @@ def _verify_embedding(e: Embedding) -> ValidationReport:
 
     add("unit-is-order",
         None if e.assignment[A.unit] == S.leq else (A.unit,))
-
-    if not A.is_lattice:
-        raise LawViolationError("algebra order is not a lattice; validate first")
     if not ValidationReport(tuple(checks)).ok:
         return ValidationReport(tuple(checks))
 
@@ -102,13 +101,10 @@ def _verify_embedding(e: Embedding) -> ValidationReport:
                              ("preserves-join", A.join_table, join),
                              ("preserves-product", A.mult, product)):
         add(name, _first_bad(table != got))
-    for k, (name, table, got) in enumerate(zip(
+    for name, table, got in zip(
             ("preserves-tilde", "preserves-minus", "preserves-neg"),
-            (A.tilde, A.minus, A.negn), negations)):
-        w = _first_bad(table != got)
-        if w is not None:
-            _negation(S, k, bits[w[0]])
-        add(name, w)
+            (A.tilde, A.minus, A.negn), negations):
+        add(name, _first_bad(table != got))
     return ValidationReport(tuple(checks))
 
 
@@ -159,7 +155,8 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
     in the canonical (len, key) order, so the first embedding found is the
     lexicographically least one and the outcome is reproducible.  Bounds
     that are not upsets mean S is not a valid structure, and raise
-    `LawViolationError`.
+    `LawViolationError`; so does the final gate, `verify_embedding`, on an
+    algebra or a structure that does not validate.
 
     NOT_FOUND means the whole space was refuted within budget and is
     definitive; BUDGET_EXHAUSTED is reported separately.
@@ -327,18 +324,6 @@ class QuotientStructure:
         return len(self.representatives)
 
 
-def _require(cond: bool, message: str, witness=None) -> None:
-    if not cond:
-        w = f" witness={witness}" if witness is not None else ""
-        raise LawViolationError(message + w)
-
-
-def _require_empty(n: int, bad: int, message: str) -> None:
-    """Fail with the first row-major cell of relation bits `bad`, if any:
-    the most significant set bit."""
-    _require(not bad, message, bad and _first_cell(n, bad))
-
-
 def _class_restriction(n: int, class_map, reps) -> list[list[int]]:
     """Relation bits over n points -> bits over the classes, as tables: cell
     (reps[i], reps[j]) goes to cell (i, j), every other cell to nothing."""
@@ -350,15 +335,17 @@ def _class_restriction(n: int, class_map, reps) -> list[list[int]]:
 def quotient_representation(e: Embedding, p: int) -> QuotientStructure:
     """Collapse the carrier along P, the image of p, and rebuild the structure.
 
-    Checked in turn, on relation bits: p is a PSI; the embedding verifies;
-    P is reflexive and contains the order; P is invariant under alpha
-    (covariantly) and beta (contravariantly); E is well defined on every
-    class member, not just representatives; the quotient validates.  Any
+    Checked in turn: p is a PSI; the embedding verifies, which needs the
+    algebra and the structure to validate; the quotient validates.  Any
     failure aborts with a witness since it signals invalid inputs.  The
-    rest follows: the verified embedding preserves products, so P;P is the
-    image of p.p = p and P is a preorder; so P holds between two points iff
-    it holds between their representatives, and the invariances send each
-    class into one class under alpha and beta.
+    rest follows.  1 <= p gives 1 ^ p = 1, so the embedding, which
+    preserves meets, puts the order inside P, and P is reflexive.  It
+    preserves products, so P;P is the image of p.p = p and P is a
+    preorder: P holds between two points iff it holds between their
+    representatives.  ~p = -p = neg p makes E - P, and so P, invariant
+    under alpha and reversed under beta, which send each class into one
+    class.  P lies in the equivalence E, so E is well defined on the
+    classes.
     """
     A, S = e.algebra, e.structure
     if not is_psi(A, p):
@@ -368,15 +355,6 @@ def quotient_representation(e: Embedding, p: int) -> QuotientStructure:
 
     P = e.assignment[p].bits
     nx = S.n
-    a, b = S.alpha_rel.bits, S.beta_rel.bits
-    _require(not BinRel.identity(nx).bits & ~P, "image of p is not reflexive")
-    _require(not S.leq.bits & ~P, "image of p does not contain the order")
-    # (x, y) -> (alpha x, alpha y) is alpha ; P ; alpha^-1, and dually for beta
-    _require_empty(nx, P ^ _conjugate(nx, a, P),
-                   "image of p is not alpha-invariant")
-    _require_empty(nx, P ^ _converse(nx, _conjugate(nx, b, P)),
-                   "image of p is not beta-reversed-invariant")
-
     # P is a preorder, so P & P^-1 is an equivalence; the first cell of row
     # x in row-major order is the least member of x's class
     least: dict[int, int] = {}
@@ -385,11 +363,6 @@ def quotient_representation(e: Embedding, p: int) -> QuotientStructure:
     reps = sorted(set(least.values()))
     class_map = [reps.index(least[x]) for x in range(nx)]
     nq = len(reps)
-
-    # E is well defined over every member, not only representatives
-    to_rep = BinRel.from_function([reps[c] for c in class_map]).bits
-    _require_empty(nx, S.E.bits ^ _conjugate(nx, to_rep, S.E.bits),
-                   "quotient equivalence is not well defined")
 
     alpha_q = tuple(class_map[S.alpha[r]] for r in reps)
     beta_q = tuple(class_map[S.beta[r]] for r in reps)

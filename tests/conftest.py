@@ -3,8 +3,9 @@ from functools import cache
 import numpy as np
 import pytest
 
-from dqra import (BinRel, RelStructure, catalogue_names, load_algebra,
-                  load_representation)
+from dqra import (BinRel, CapExceededError, Embedding, RelStructure,
+                  catalogue_names, dq_closure, enumerate_structures,
+                  load_algebra, load_representation)
 from dqra.catalogue import (
     antichain_example_generators,
     antichain_example_structure,
@@ -23,6 +24,26 @@ def block_structure(n: int) -> RelStructure:
     E = BinRel.identity(n).union(BinRel.from_pairs(n, [(0, 1), (1, 0)]))
     return RelStructure(n, BinRel.identity(n), E,
                         (1, 0) + tuple(range(2, n)), tuple(range(n)))
+
+
+@cache
+def one_generator_closures() -> tuple[Embedding, ...]:
+    """The closure of one upset, as an embedding into its structure, for
+    every upset of the structures on at most 3 points with at most 64
+    upsets; at most 8 elements, and only the first closure of each
+    algebra."""
+    out = {}
+    for S in (S for n in (1, 2, 3) for S in enumerate_structures(n)):
+        if S.count_upsets() > 64:
+            continue
+        for U in S.enumerate_upsets():
+            try:
+                c = dq_closure(S, [U], cap=8)
+            except CapExceededError:
+                continue
+            out.setdefault(c.algebra.table_key(),
+                           Embedding(c.algebra, S, c.relations))
+    return tuple(out.values())
 
 
 # --- the three negations by their formulas, on the bits of a relation R,

@@ -302,7 +302,7 @@ def test_criterion_8e_contraction_census():
     induced embedding verifies, the contraction validates, and the meet and
     join tables that `contract` restricted from the full algebra (which
     holds its own) are the bound tables of the contraction's order.  Each
-    embedding keeps its report, and one rebuilt with an image changed is
+    embedding and each structure keeps its report, and one rebuilt with an image changed is
     verified afresh and fails."""
     pool = sample_structures(4, 200, seed=SEED, upset_cap=256)
     t0 = time.time()
@@ -319,6 +319,7 @@ def test_criterion_8e_contraction_census():
             assert (sub.meet_table == meet).all()
             assert (sub.join_table == join).all()
             assert verify_embedding(e) is verify_embedding(e)
+            assert validate_structure(S) is validate_structure(S)
             assert verify_embedding(psi) is verify_embedding(psi)
             images = list(e.assignment)
             images[(p + 1) % A.size] = images[p]

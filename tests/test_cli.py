@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 import dqra
-from dqra import CATALOGUE, CapExceededError, load_algebra, validate_dqra
+from dqra import (CATALOGUE, CapExceededError, Embedding, load_algebra,
+                  validate_dqra)
 from dqra.catalogue import _read, data_dir
 from dqra.cli import main
-from dqra.textio import parse_algebra, parse_assignment, parse_structure
+from dqra.textio import (emit_assignment, parse_algebra, parse_assignment,
+                         parse_structure)
 
 
 def data_path(name: str, which: str = "algebra") -> str:
@@ -331,6 +333,59 @@ def test_find_embedding_rejects_an_invalid_algebra(tmp_path, capsys, mode,
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("invalid input: FAIL " + check)
+    assert "Traceback" not in err
+
+
+# the one-element algebra, whose unit goes to the structure's order
+ONE = ("dqra one 1\norder\n1\nmult\nu\ntilde u\nminus u\nneg u\nunit u\n"
+       "labels u\n")
+EMBEDDING_COMMANDS = [["verify-embedding"], ["quotient", "-p", "u"]]
+
+
+def embedding_args(tmp_path, command, algebra, structure, assignment):
+    files = []
+    for name, text in (("a.dqra", algebra), ("s.struct", structure),
+                       ("e.assign", assignment)):
+        (tmp_path / name).write_text(text)
+        files.append(str(tmp_path / name))
+    return command[:1] + files + command[1:]
+
+
+@pytest.mark.parametrize("command", EMBEDDING_COMMANDS)
+@pytest.mark.parametrize("text,check", INVALID_STRUCTURES)
+def test_embedding_commands_reject_an_invalid_structure(tmp_path, capsys,
+                                                        command, text, check):
+    _, A = parse_algebra(ONE)
+    _, S = parse_structure(text)
+    images = emit_assignment("order", Embedding(A, S, (S.leq,)))
+    assert main(embedding_args(tmp_path, command, ONE, text, images)) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invalid input: structure does not validate: FAIL "
+                          + check.rstrip("\n"))
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["verify-embedding"],
+                                     ["quotient", "-p", "p"]])
+def test_embedding_commands_reject_an_order_that_breaks_its_meet(
+        tmp_path, capsys, command):
+    # the four-element algebra of the quotient oracle: its derived meets and
+    # joins are the intersections and unions of the images, but its order
+    # is neither reflexive nor transitive, and the unit is no unit
+    algebra = ("dqra meetless 4\norder\n1111\n0011\n0101\n0001\n"
+               "mult\nz z z z\nz p u t\nz u p t\nz t t t\n"
+               "tilde t p u z\nminus t p u z\nneg t p u z\nunit u\n"
+               "labels z u p t\n")
+    structure = INVALID_STRUCTURES[2][0]
+    images = ("assign images\nz: {}\nu: {(x0,x1),(x1,x0)}\n"
+              "p: {(x0,x0),(x1,x1)}\nt: {(x0,x0),(x0,x1),(x1,x0),(x1,x1)}\n")
+    assert main(embedding_args(tmp_path, command, algebra, structure,
+                               images)) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invalid input: algebra does not validate: "
+                          "FAIL order-reflexive witness=(1,)")
     assert "Traceback" not in err
 
 

@@ -13,10 +13,12 @@ message must.
 """
 
 import random
+import re
 from functools import cache
 from itertools import product
 
 import numpy as np
+import pytest
 
 from dqra import (
     BinRel,
@@ -38,6 +40,8 @@ from dqra import (
     verify_embedding,
 )
 from dqra.textio import emit_assignment, emit_structure
+
+from conftest import one_generator_closures
 
 
 # --- the replaced code ---------------------------------------------------------
@@ -194,6 +198,17 @@ def test_shipped_representation_at_every_element(six, six_embedding):
         assert (got[0] is NotPsiError) == (p not in psi_elements(six))
 
 
+def test_one_generator_closures_at_every_element():
+    """The closure algebras of single upsets, each with its closure
+    embedding: valid algebras, 18 of them no full upset algebra."""
+    closures = one_generator_closures()
+    assert len(closures) == 25
+    for e in closures:
+        for p in range(e.algebra.size):
+            got = assert_same(e, p)
+            assert (got[0] is NotPsiError) == (not is_psi(e.algebra, p))
+
+
 def test_replaced_images_of_the_shipped_representation(six, six_embedding):
     images = six_embedding.assignment
     for k, r in product(range(six.size), images):
@@ -225,12 +240,9 @@ def test_invalid_structures_with_an_upset_algebra():
                 got = assert_same(e, p)
                 if got[0] is LawViolationError:
                     reached.add(got[1].split(":")[0].split(" witness")[0])
-    assert reached >= {
-        "embedding does not verify",
-        "image of p is not reflexive",
-        "quotient fails structure validation",
-        "contraction members are not closed under the operations",
-    }
+    # verify_embedding refuses every one of them before the quotient starts
+    assert reached == {"algebra does not validate",
+                       "structure does not validate"}
 
 
 def edited(S: RelStructure, rng: random.Random) -> RelStructure:
@@ -253,8 +265,8 @@ def test_edit_walks_from_every_small_structure():
     """From every structure on at most three points with at most 64 upsets,
     30 seeded edits, each one edit away from the last mutant whose full
     upset family yields an algebra, compared at every element of that
-    algebra.  No single edit of these structures reaches the reflexivity
-    check with a verified embedding, so the walk lets edits add up."""
+    algebra.  The walk lets edits add up, away from the valid structures
+    where every full family verifies."""
     reached = set()
     for n in (1, 2, 3):
         for k, S in enumerate(enumerate_structures(n)):
@@ -278,21 +290,19 @@ def test_edit_walks_from_every_small_structure():
                                      .split(" witness")[0]))
     assert {t for t, _ in reached} >= {NotPsiError}
     assert {m for t, m in reached if t is LawViolationError} >= {
-        "embedding does not verify",
-        "algebra order is not a lattice",
-        "image of p is not reflexive",
+        "algebra does not validate",
+        "structure does not validate",
     }
 
 
-def test_an_order_that_breaks_its_meet_reaches_the_order_check():
-    """The check that P contains the order is implied when the structure's
-    order is reflexive: then the upset P, which holds the diagonal, holds
-    leq ; id ; leq, which is leq.  So it needs a non-reflexive order, here
-    the swap of two points, whose three-fold product is itself, and an
-    algebra in which 1 <= p holds but 1 ^ p is not 1: its order is neither
-    reflexive nor transitive, and it is the only order on these four
-    elements with 1 <= p whose derived meets and joins are the
-    intersections and unions of the images."""
+def test_an_order_that_breaks_its_meet_is_refused_at_verification():
+    """An algebra in which 1 <= p holds but 1 ^ p is not 1 and a structure
+    whose order is the swap of two points: the derived meets and joins of
+    the four-element algebra are the intersections and unions of the
+    images, so only the algebra's own laws tell it apart from an
+    embedding.  Its order is neither reflexive nor transitive, and
+    `verify_embedding` refuses it, so the quotient never checks that P
+    contains the order."""
     swap, ident = BinRel(2, 0b0110), BinRel.identity(2)
     S = RelStructure(2, swap, BinRel.full(2), (0, 1), (0, 1))
     images = (BinRel.empty(2), swap, ident, BinRel.full(2))
@@ -300,8 +310,12 @@ def test_an_order_that_breaks_its_meet_reaches_the_order_check():
                    [[0, 0, 0, 0], [0, 2, 1, 3], [0, 1, 2, 3], [0, 3, 3, 3]],
                    [3, 2, 1, 0], [3, 2, 1, 0], [3, 2, 1, 0], 1)
     e = Embedding(A, S, images)
-    assert verify_embedding(e).ok and is_psi(A, 2)
+    assert is_psi(A, 2)
     assert A.leq[1, 2] and A.meet(1, 2) == 0 and not A.leq[1, 1]
     assert not validate_structure(S).ok
-    got = assert_same(e, 2)
-    assert got == (LawViolationError, "image of p does not contain the order")
+    want = "algebra does not validate: FAIL order-reflexive witness=(1,)"
+    with pytest.raises(LawViolationError, match=re.escape(want)):
+        verify_embedding(e)
+    with pytest.raises(LawViolationError, match=re.escape(want)):
+        quotient_representation(e, 2)
+    assert assert_same(e, 2)[0] is LawViolationError

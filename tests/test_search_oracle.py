@@ -17,15 +17,14 @@ from dqra import (
     RelStructure,
     SearchResult,
     SearchStatus,
-    dq_closure,
     enumerate_structures,
     find_embedding,
 )
 from dqra.relations import _cell
 from dqra.representation import verify_embedding
 
-from conftest import (ref_compose_bits, ref_minus_bits, ref_neg_bits,
-                      ref_tilde_bits)
+from conftest import (one_generator_closures, ref_compose_bits,
+                      ref_minus_bits, ref_neg_bits, ref_tilde_bits)
 
 SMALL = [S for n in (1, 2, 3) for S in enumerate_structures(n)]
 
@@ -240,21 +239,10 @@ def test_search_matches_the_scan_on_each_four_point_upset_class(algebras):
 
 def test_search_matches_the_scan_on_one_generator_closures():
     # many of these embed, some in several ways, so the answer and the node
-    # count depend on the candidate order, not only on the candidate set;
-    # generators from the structures with at most 64 upsets, at most 8
-    # elements per algebra
-    algebras = {}
-    for S in SMALL:
-        if S.count_upsets() > 64:
-            continue
-        for U in S.enumerate_upsets():
-            try:
-                A = dq_closure(S, [U], cap=8).algebra
-            except CapExceededError:
-                continue
-            algebras.setdefault(A.table_key(), A)
+    # count depend on the candidate order, not only on the candidate set
+    algebras = [e.algebra for e in one_generator_closures()]
     found = 0
-    for A in algebras.values():
+    for A in algebras:
         for S in SMALL:
             got = find_embedding(A, S)
             assert outcome(got) == outcome(scan_find_embedding(A, S)), (

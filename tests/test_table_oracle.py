@@ -17,7 +17,8 @@ from typing import Optional
 
 from dqra import (BinRel, CarrierMismatchError, Embedding, FiniteDqRA,
                   LawViolationError, RelStructure, dq_closure, full_dq_family,
-                  lneg_minus, lneg_tilde, neg, verify_embedding)
+                  lneg_minus, lneg_tilde, neg, validate_dqra,
+                  validate_structure, verify_embedding)
 from dqra.algebra import LawCheck, ValidationReport, lattice_tables
 from dqra.relations import (_family_tables, algebra_from_upsets,
                             enumerate_structures)
@@ -260,6 +261,8 @@ def pairwise_verify(e: Embedding) -> ValidationReport:
         if R.n != S.n:
             raise CarrierMismatchError(
                 "assignment relation carrier does not match the structure")
+    validate_dqra(A).raise_if_failed("algebra does not validate")
+    validate_structure(S).raise_if_failed("structure does not validate")
     checks: list[LawCheck] = []
 
     def add(name, witness, detail=""):
@@ -284,8 +287,6 @@ def pairwise_verify(e: Embedding) -> ValidationReport:
     add("unit-is-order",
         None if e.assignment[A.unit] == S.leq else (A.unit,))
 
-    if not A.is_lattice:
-        raise LawViolationError("algebra order is not a lattice; validate first")
     if not ValidationReport(tuple(checks)).ok:
         return ValidationReport(tuple(checks))
 
@@ -387,7 +388,8 @@ def test_verify_embedding_matches_pairwise_oracle(embeddings, name):
 
 
 def test_verify_embedding_on_an_invalid_structure_matches_oracle():
-    # alpha swaps the points of a chain: the negations leave the upsets
+    # alpha swaps the points of a chain: the structure does not validate,
+    # so both refuse it before the negations could leave the upsets
     leq = BinRel.from_pairs(2, [(0, 0), (1, 1), (0, 1)])
     S = RelStructure(2, leq, BinRel.full(2), (1, 0), (0, 1))
     A1 = FiniteDqRA(1, [[1]], [[0]], [0], [0], [0], 0)
