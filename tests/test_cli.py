@@ -370,9 +370,10 @@ def test_embedding_commands_reject_an_invalid_structure(tmp_path, capsys,
                                      ["quotient", "-p", "p"]])
 def test_embedding_commands_reject_an_order_that_breaks_its_meet(
         tmp_path, capsys, command):
-    # the four-element algebra of the quotient oracle: its derived meets and
-    # joins are the intersections and unions of the images, but its order
-    # is neither reflexive nor transitive, and the unit is no unit
+    # the four-element algebra of the quotient oracle, over the structure
+    # whose order is the swap: its derived meets and joins are the
+    # intersections and unions of the images, but its order is neither
+    # reflexive nor transitive, and the unit is no unit
     algebra = ("dqra meetless 4\norder\n1111\n0011\n0101\n0001\n"
                "mult\nz z z z\nz p u t\nz u p t\nz t t t\n"
                "tilde t p u z\nminus t p u z\nneg t p u z\nunit u\n"

@@ -2,8 +2,8 @@
 code it replaced, kept below as the reference.
 
 Both are run on every full upset algebra of a small structure at every
-positive symmetric idempotent, on the shipped representation at every
-element, and on mutants: single images of the shipped representation
+positive symmetric idempotent, on the shipped representation and on the
+closure algebras of single upsets at every element, and on mutants: single images of the shipped representation
 replaced, every invalid structure on at most two points whose upset
 family still yields an algebra, and seeded walks of single edits away from
 every structure on at most three points, and one hand-built algebra whose
@@ -316,6 +316,5 @@ def test_an_order_that_breaks_its_meet_is_refused_at_verification():
     want = "algebra does not validate: FAIL order-reflexive witness=(1,)"
     with pytest.raises(LawViolationError, match=re.escape(want)):
         verify_embedding(e)
-    with pytest.raises(LawViolationError, match=re.escape(want)):
-        quotient_representation(e, 2)
-    assert assert_same(e, 2)[0] is LawViolationError
+    got = assert_same(e, 2)
+    assert got[0] is LawViolationError and got[1].startswith(want)
