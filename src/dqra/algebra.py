@@ -345,8 +345,8 @@ def _set_lattice_tables(A: FiniteDqRA, meet: np.ndarray,
                         join: np.ndarray) -> None:
     """Give A its meet and join tables instead of deriving them from the
     order, when both are total (no -1 entry), as the bounds of A's order
-    are when a family holds all its intersections and unions, or when a
-    parent's bounds restricted to a contraction are all members."""
+    are when a family holds all its intersections and unions, or when they
+    are a valid parent's bounds restricted to a contraction."""
     if meet.min() >= 0 and join.min() >= 0:
         A.__dict__.update(meet_table=_freeze(meet), join_table=_freeze(join))
 

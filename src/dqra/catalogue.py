@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .algebra import FiniteDqRA, validate_dqra
+from .algebra import FiniteDqRA
 from .relations import BinRel, RelStructure, dq_closure
 from .representation import Embedding, verify_embedding
 from .reconstruct import DIAGRAMS, reconstruct_catalogue
@@ -182,8 +182,6 @@ def regenerate(directory: Optional[Path] = None) -> list[str]:
         log.append(f"wrote {_slug(d.name)}.dqra")
 
     algebra, S, embedding = build_relational_entry()
-    if not validate_dqra(algebra).ok:
-        raise RuntimeError("relational entry failed validation")
     if not verify_embedding(embedding).ok:
         raise RuntimeError("relational entry embedding failed verification")
     slug = _slug(RELATIONAL_ENTRY)

@@ -117,6 +117,7 @@ def cmd_validate(args) -> int:
 
 def cmd_psi_list(args) -> int:
     _, A = parse_algebra(_read(args.file))
+    validate_dqra(A).raise_if_failed("algebra does not validate")
     for p in psi_elements(A):
         print(A.labels[p])
     return EXIT_OK

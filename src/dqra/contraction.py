@@ -1,8 +1,8 @@
 """Positive symmetric idempotents and the algebras they carve out.
 
-For a positive symmetric idempotent p the set {x : p.x.p = x} is closed under
-every operation except the unit, which becomes p; the result is again a quasi
-relation algebra on the surviving elements.
+The contraction theorem: for a positive symmetric idempotent p of a
+distributive quasi relation algebra, {x : p.x.p = x} is closed under every
+operation and is again one, with unit p.
 """
 
 from __future__ import annotations
@@ -91,38 +91,25 @@ class Contraction:
 def contract(A: FiniteDqRA, p: int) -> Contraction:
     """Build the contraction at a positive symmetric idempotent p.
 
-    All operations restrict; only the unit changes.  The member list follows
-    parent index order so regression output is stable.  The parent's meet
-    and join tables (derived once, if it has none) are handed over
-    restricted when every restricted bound is a member, and so the bound
-    among the members.  The extracted tables are revalidated.
+    A must validate (its kept report is checked once, after p).  Then the
+    contraction theorem makes every table, the parent's meet and join
+    tables included, restrict to the members as it is, and the result is
+    not revalidated.  Members follow parent index order, so output is
+    stable.
     """
     if not is_psi(A, p):
         raise NotPsiError(
             f"element {A.label(p)} is not a positive symmetric idempotent")
+    validate_dqra(A).raise_if_failed("algebra does not validate")
     sel = np.flatnonzero(A.mult[A.mult[p], p] == np.arange(A.size))
     members = tuple(sel.tolist())
-    # parent -> member index, -1 elsewhere; the extra last entry sends a
-    # missing parent bound (-1) to -1
-    back = np.full(A.size + 1, -1, dtype=np.int64)
+    back = np.full(A.size, -1, dtype=np.int64)   # parent -> member index
     back[sel] = np.arange(len(members))
-
-    def reindex(table: np.ndarray) -> np.ndarray:
-        out = back[table]
-        if (out < 0).any():
-            raise LawViolationError(
-                "contraction members are not closed under the operations")
-        return out
-
-    leq = A.leq[sel][:, sel]
-    mult = reindex(A.mult[sel][:, sel])
-    til = reindex(A.tilde[sel])
-    mns = reindex(A.minus[sel])
-    ngn = reindex(A.negn[sel])
     labels = tuple(A.labels[x] for x in members)
-    algebra = FiniteDqRA(len(members), leq, mult, til, mns, ngn,
+    algebra = FiniteDqRA(len(members), A.leq[sel][:, sel],
+                         back[A.mult[sel][:, sel]], back[A.tilde[sel]],
+                         back[A.minus[sel]], back[A.negn[sel]],
                          int(back[p]), labels)
     _set_lattice_tables(algebra, back[A.meet_table[sel][:, sel]],
                         back[A.join_table[sel][:, sel]])
-    validate_dqra(algebra).raise_if_failed("contraction failed validation")
     return Contraction(A, p, members, algebra)

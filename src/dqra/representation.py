@@ -159,7 +159,9 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
     algebra or a structure that does not validate.
 
     NOT_FOUND means the whole space was refuted within budget and is
-    definitive; BUDGET_EXHAUSTED is reported separately.
+    definitive; BUDGET_EXHAUSTED is reported separately.  Neither means
+    anything on inputs that do not validate; validate them first, as the
+    CLI does (here that would cost more than a small search).
     """
     S._check_upset_cap(upset_cap)
     n = A.size

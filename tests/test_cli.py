@@ -366,22 +366,25 @@ def test_embedding_commands_reject_an_invalid_structure(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+# the four-element algebra of the quotient oracle: its order is neither
+# reflexive nor transitive, and the unit u is no unit (u.u = p)
+MEETLESS = ("dqra meetless 4\norder\n1111\n0011\n0101\n0001\n"
+            "mult\nz z z z\nz p u t\nz u p t\nz t t t\n"
+            "tilde t p u z\nminus t p u z\nneg t p u z\nunit u\n"
+            "labels z u p t\n")
+
+
 @pytest.mark.parametrize("command", [["verify-embedding"],
                                      ["quotient", "-p", "p"]])
 def test_embedding_commands_reject_an_order_that_breaks_its_meet(
         tmp_path, capsys, command):
-    # the four-element algebra of the quotient oracle, over the structure
-    # whose order is the swap: its derived meets and joins are the
-    # intersections and unions of the images, but its order is neither
-    # reflexive nor transitive, and the unit is no unit
-    algebra = ("dqra meetless 4\norder\n1111\n0011\n0101\n0001\n"
-               "mult\nz z z z\nz p u t\nz u p t\nz t t t\n"
-               "tilde t p u z\nminus t p u z\nneg t p u z\nunit u\n"
-               "labels z u p t\n")
+    # the four-element algebra over the structure whose order is the swap:
+    # its derived meets and joins are the intersections and unions of the
+    # images
     structure = INVALID_STRUCTURES[2][0]
     images = ("assign images\nz: {}\nu: {(x0,x1),(x1,x0)}\n"
               "p: {(x0,x0),(x1,x1)}\nt: {(x0,x0),(x0,x1),(x1,x0),(x1,x1)}\n")
-    assert main(embedding_args(tmp_path, command, algebra, structure,
+    assert main(embedding_args(tmp_path, command, MEETLESS, structure,
                                images)) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -448,6 +451,29 @@ def test_check_nonfinrep_rejects_an_invalid_algebra(tmp_path, capsys, text,
     assert out == ""
     assert err == f"input algebra is invalid\n{report}\n"
     assert "FAIL " + check in err
+
+
+# each invalid algebra with a positive symmetric idempotent to contract at:
+# the unit of each of INVALID_ALGEBRAS, p of the four-element algebra
+INVALID_WITH_PSI = [(*INVALID_ALGEBRAS[0], "x"), (*INVALID_ALGEBRAS[1], "1"),
+                    (MEETLESS, "order-reflexive witness=(1,)", "p")]
+
+
+@pytest.mark.parametrize("command", ["psi-list", "contract",
+                                     "scan-contractions"])
+@pytest.mark.parametrize("text,check,psi", INVALID_WITH_PSI)
+def test_contraction_commands_reject_an_invalid_algebra(tmp_path, capsys,
+                                                        command, text, check,
+                                                        psi):
+    alg = tmp_path / "bad.dqra"
+    alg.write_text(text)
+    element = ["-p", psi] if command == "contract" else []
+    assert main([command, str(alg), *element]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invalid input: algebra does not validate: FAIL "
+                          + check)
+    assert "Traceback" not in err
 
 
 def test_scan_contractions_output(capsys):

@@ -147,10 +147,30 @@ def test_operations_restrict_from_parent(six):
 
 def test_contract_rejects_members_not_closed_under_the_operations():
     # p = 1 is a positive symmetric idempotent whose only member is itself,
-    # but the negations send it outside the members
+    # but the negations send it outside the members; the contraction
+    # theorem rules that out in a valid algebra, and this one breaks
+    # residuation, so contract refuses the parent
     A = FiniteDqRA(2, [[1, 1], [0, 1]], [[0, 1], [1, 1]], [1, 0], [1, 0],
                    [1, 0], 0)
     assert is_psi(A, 1)
     with pytest.raises(LawViolationError,
-                       match="contraction members are not closed"):
+                       match=r"algebra does not validate: FAIL "
+                             r"residuation-left"):
         contract(A, 1)
+
+
+def test_contract_checks_the_idempotent_before_the_parent():
+    # the four-element algebra of the quotient oracle: its order is neither
+    # reflexive nor transitive, its unit u is no PSI and p is one
+    A = FiniteDqRA(4, [[1, 1, 1, 1], [0, 0, 1, 1], [0, 1, 0, 1],
+                       [0, 0, 0, 1]],
+                   [[0, 0, 0, 0], [0, 2, 1, 3], [0, 1, 2, 3], [0, 3, 3, 3]],
+                   [3, 2, 1, 0], [3, 2, 1, 0], [3, 2, 1, 0], 1)
+    assert not validate_dqra(A).ok
+    assert not is_psi(A, 1) and is_psi(A, 2)
+    with pytest.raises(NotPsiError):
+        contract(A, 1)
+    with pytest.raises(LawViolationError,
+                       match=r"algebra does not validate: FAIL "
+                             r"order-reflexive"):
+        contract(A, 2)

@@ -3,11 +3,14 @@
 import pytest
 
 from dqra import (
+    FiniteDqRA,
+    LawViolationError,
     algebras_isomorphic,
     basic_obstruction,
     contraction_obstruction,
     derived_zero,
     load_algebra,
+    psi_elements,
     scan_contractions,
 )
 
@@ -93,8 +96,19 @@ def test_scan_finds_both_routes_for_the_second_parent(algebras):
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_scan_agrees_with_relativised_scan(algebras, name):
     A = algebras[name]
-    scan = scan_contractions(A)   # raises if the two scans disagree
+    scan = scan_contractions(A)   # the contraction theorem: they agree
     assert scan.flagged == (contraction_obstruction(A) is not None)
+
+
+def test_scan_refuses_an_invalid_algebra_with_no_idempotent():
+    # one element whose order is not reflexive, so the unit is no PSI and
+    # there is nothing to contract at: the scan still refuses the algebra
+    A = FiniteDqRA(1, [[0]], [[0]], [0], [0], [0], 0)
+    assert psi_elements(A) == ()
+    with pytest.raises(LawViolationError,
+                       match=r"algebra does not validate: FAIL "
+                             r"order-reflexive"):
+        scan_contractions(A)
 
 
 def test_obstruction_census_over_the_catalogue(algebras):
