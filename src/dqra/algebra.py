@@ -280,10 +280,6 @@ class FiniteDqRA:
         the order with the meet table (`lattice_tables`)."""
         return _derive_lattice_tables(self)[1]
 
-    @property
-    def is_lattice(self) -> bool:
-        return bool(self.meet_table.min() >= 0 and self.join_table.min() >= 0)
-
     def meet(self, a: int, b: int) -> int:
         m = int(self.meet_table[a, b])
         if m < 0:

@@ -50,7 +50,6 @@ class CatalogueEntry:
 
     name: str
     algebra_file: str
-    provenance: str
     structure_file: Optional[str] = None
     assignment_file: Optional[str] = None
 
@@ -63,12 +62,10 @@ def _slug(name: str) -> str:
 def _entries() -> dict[str, CatalogueEntry]:
     out = {}
     for d in DIAGRAMS:
-        out[d.name] = CatalogueEntry(
-            d.name, _slug(d.name) + ".dqra", _CONSTRAINT_PROVENANCE)
+        out[d.name] = CatalogueEntry(d.name, _slug(d.name) + ".dqra")
     slug = _slug(RELATIONAL_ENTRY)
     out[RELATIONAL_ENTRY] = CatalogueEntry(
-        RELATIONAL_ENTRY, slug + ".dqra", _RELATIONAL_PROVENANCE,
-        slug + ".struct", slug + ".assign")
+        RELATIONAL_ENTRY, slug + ".dqra", slug + ".struct", slug + ".assign")
     return out
 
 

@@ -55,7 +55,6 @@ class Diagram:
     dropped_products: tuple[tuple[str, str, str], ...] = ()
     distinct_from: tuple[str, ...] = ()
     cross_check: Optional[tuple[str, str]] = None      # (psi label, target name)
-    provenance: str = "constraint reconstruction from annotated lattice diagram"
 
 
 @dataclass(frozen=True)

@@ -291,12 +291,11 @@ def _map_columns(maps: Sequence[Sequence[list[int]]], bits: np.ndarray
     return [np.bitwise_or.reduce(f.take(index), axis=0) for f in tables]
 
 
-def _cell_map(n: int, m: int, f: Callable[..., list]) -> list[list[int]]:
+def _cell_map(n: int, f: Callable[..., list]) -> list[list[int]]:
     """The tables (`_or_tables`) of the map that sends the bit of each cell
-    (x, y) of n points, bit n*n-1-(x*n+y), to the bits of the cells f(x, y)
-    of m points."""
+    (x, y) of n points, bit n*n-1-(x*n+y), to the bits of the cells f(x, y)."""
     cells = (f(*divmod(n * n - 1 - p, n)) for p in range(n * n))
-    return _or_tables([sum(1 << m * m - 1 - (i * m + j) for i, j in c)
+    return _or_tables([sum(1 << n * n - 1 - (i * n + j) for i, j in c)
                        for c in cells])
 
 
@@ -307,7 +306,7 @@ def _converse(n: int, a: int) -> int:
     """Bits of the converse: cell (i, j) moves to (j, i)."""
     f = _CONVERSE.get(n)
     if f is None:
-        f = _CONVERSE[n] = _cell_map(n, n, lambda i, j: [(j, i)])
+        f = _CONVERSE[n] = _cell_map(n, lambda i, j: [(j, i)])
     return _or_map(f, a)
 
 
@@ -412,9 +411,9 @@ class RelStructure:
                 a_pre[y].append(x)
                 ba_pre[b[y]].append(x)
             maps = (
-                _cell_map(n, n, lambda u, v: [(v, a[u])]),
-                _cell_map(n, n, lambda u, v: [(x, u) for x in a_pre[v]]),
-                _cell_map(n, n, lambda u, v: [(x, b[v]) for x in ba_pre[u]]))
+                _cell_map(n, lambda u, v: [(v, a[u])]),
+                _cell_map(n, lambda u, v: [(x, u) for x in a_pre[v]]),
+                _cell_map(n, lambda u, v: [(x, b[v]) for x in ba_pre[u]]))
             entry = _NEGATIONS[n, a, b] = (
                 maps, np.array(maps, dtype=np.int64) if n * n <= 63 else maps)
         return entry
@@ -642,23 +641,17 @@ def _validate_structure(S: RelStructure) -> ValidationReport:
 # --- the three negations and the residuals ----------------------------------
 
 
-def _negation(S: RelStructure, k: int, r: int) -> int:
-    """Negation k (0 ~, 1 -, 2 the third) of the bits of an upset r, checked:
-    r must be an upset, and so must the result (always, on a valid S)."""
-    e, up = S.E.bits, S._up_map
-    if r & ~e or _or_map(up, r) != r:
-        raise NotAnUpsetError("relation is not an upset of the pair poset")
-    out = _or_map(S._negations[0][k], e & ~r)
-    if out & ~e or _or_map(up, out) != out:
-        raise LawViolationError("negation left the upsets; invalid structure")
-    return out
-
-
 def _negate(S: RelStructure, k: int, R: BinRel) -> BinRel:
-    """`_negation` of a relation R over S's carrier."""
-    if R.n != S.n:
-        raise CarrierMismatchError("relation carrier does not match structure")
-    return _rel(S.n, _negation(S, k, R.bits))
+    """Negation k (0 ~, 1 -, 2 the third) of an upset R over S's carrier,
+    checked: R and the result (always, on a valid S) must be upsets, that is
+    fixed points of the upward closure, whose images lie in E."""
+    up, r = S._up_map, R.bits
+    if not (R.n == S.n and _or_map(up, r) == r):
+        S.check_upset(R)
+    out = _or_map(S._negations[0][k], S.E.bits & ~r)
+    if _or_map(up, out) != out:
+        raise LawViolationError("negation left the upsets; invalid structure")
+    return _rel(S.n, out)
 
 
 def lneg_tilde(S: RelStructure, R: BinRel) -> BinRel:
@@ -774,8 +767,8 @@ def _family_tables(S: RelStructure, bits: Sequence[int]
     return col, found[:3], found[3:]
 
 
-def algebra_from_upsets(S: RelStructure, rels: Sequence[BinRel],
-                        labels: Optional[Sequence[str]] = None) -> FiniteDqRA:
+def algebra_from_upsets(S: RelStructure, rels: Sequence[BinRel]
+                        ) -> FiniteDqRA:
     """Operation tables for a family of upsets that is closed under the six
     operations, ordered by inclusion with the order relation as unit.
 
@@ -795,10 +788,8 @@ def algebra_from_upsets(S: RelStructure, rels: Sequence[BinRel],
     col, (product, meet, join), unary = _family_tables(S, bits)
     if (product < 0).any() or any((t < 0).any() for t in unary):
         raise ValueError("family is not closed under the operations")
-    if labels is None:
-        labels = tuple(f"r{i}" for i in range(len(rels)))
     A = FiniteDqRA(len(rels), (col[:, None] & ~col) == 0, product, *unary,
-                   rels.index(S.leq), tuple(labels))
+                   rels.index(S.leq), tuple(f"r{i}" for i in range(len(rels))))
     if len(set(bits)) == len(bits):
         _set_lattice_tables(A, meet, join)
     return A
@@ -815,10 +806,13 @@ def dq_closure(S: RelStructure, generators: Sequence[BinRel],
     three negations, then, as one column over all members so far, r & s,
     r | s, r;s and s;r for each member s in turn; new results join in that
     order.  Raises CapExceededError when the closure grows past `cap`.
+    S is validated once, after the generators (LawViolationError if it
+    fails; the report is kept on S), so the negations run unchecked.
     """
     for g in generators:
         S.check_upset(g, "generator")
-    n = S.n
+    validate_structure(S).raise_if_failed("structure does not validate")
+    n, e, negations = S.n, S.E.bits, S._negations[0]
     dtype = np.int64 if n * n <= 63 else object
     members: list[int] = []   # relation bits in insertion order
     seen: set[int] = set()
@@ -832,7 +826,7 @@ def dq_closure(S: RelStructure, generators: Sequence[BinRel],
 
     add([S.leq.bits, *(g.bits for g in generators)])
     for r in members:   # the loop reaches members added while it runs
-        add([_negation(S, 0, r), _negation(S, 1, r), _negation(S, 2, r)])
+        add([_or_map(f, e & ~r) for f in negations])
         col = np.array(members, dtype=dtype)
         add(np.stack([r & col, r | col, _compose(n, r, col),
                       _compose(n, col, r)], axis=1).ravel().tolist())

@@ -17,7 +17,6 @@ from .relations import (
     BinRel,
     CarrierMismatchError,
     RelStructure,
-    _cell_map,
     _compose,
     _converse,
     _family_tables,
@@ -35,9 +34,6 @@ class Embedding:
     algebra: FiniteDqRA
     structure: RelStructure
     assignment: tuple[BinRel, ...]
-
-    def image(self, a: int) -> BinRel:
-        return self.assignment[a]
 
     @cached_property
     def _report(self) -> ValidationReport:
@@ -172,7 +168,7 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
     unary = tuple(zip((tilde, minus, negn), S._negations[0]))
     mult, meet, join = (A.mult.tolist(), A.meet_table.tolist(),
                         A.join_table.tolist())
-    # `A.is_lattice` on the lists: a quarter of its cost on small algebras
+    # the lattice test on lists: a quarter of numpy's cost on small algebras
     if any(-1 in row for row in meet + join):
         raise LawViolationError("algebra order is not a lattice; validate first")
     above = [[y for y in range(n) if y != x and leq[x][y]] for x in range(n)]
@@ -326,12 +322,12 @@ class QuotientStructure:
         return len(self.representatives)
 
 
-def _class_restriction(n: int, class_map, reps) -> list[list[int]]:
-    """Relation bits over n points -> bits over the classes, as tables: cell
-    (reps[i], reps[j]) goes to cell (i, j), every other cell to nothing."""
-    is_rep = [reps[c] == x for x, c in enumerate(class_map)]
-    return _cell_map(n, len(reps), lambda x, y: [(class_map[x], class_map[y])]
-                     if is_rep[x] and is_rep[y] else [])
+def _on_classes(R: BinRel, class_map, reps) -> BinRel:
+    """R read at the class representatives: cell (reps[i], reps[j]) of R is
+    cell (i, j) over the classes, and every other cell is dropped."""
+    return BinRel.from_pairs(len(reps), [
+        (class_map[x], class_map[y]) for x, y in R.pairs()
+        if reps[class_map[x]] == x and reps[class_map[y]] == y])
 
 
 def quotient_representation(e: Embedding, p: int) -> QuotientStructure:
@@ -347,7 +343,7 @@ def quotient_representation(e: Embedding, p: int) -> QuotientStructure:
     representatives.  ~p = -p = neg p makes E - P, and so P, invariant
     under alpha and reversed under beta, which send each class into one
     class.  P lies in the equivalence E, so E is well defined on the
-    classes.
+    classes; both are read at the representatives (`_on_classes`).
     """
     A, S = e.algebra, e.structure
     if not is_psi(A, p):
@@ -355,12 +351,12 @@ def quotient_representation(e: Embedding, p: int) -> QuotientStructure:
             f"element {A.label(p)} is not a positive symmetric idempotent")
     verify_embedding(e).raise_if_failed("embedding does not verify")
 
-    P = e.assignment[p].bits
+    P = e.assignment[p]
     nx = S.n
     # P is a preorder, so P & P^-1 is an equivalence; the first cell of row
     # x in row-major order is the least member of x's class
     least: dict[int, int] = {}
-    for x, y in BinRel(nx, P & _converse(nx, P)).pairs():
+    for x, y in BinRel(nx, P.bits & _converse(nx, P.bits)).pairs():
         least.setdefault(x, y)
     reps = sorted(set(least.values()))
     class_map = [reps.index(least[x]) for x in range(nx)]
@@ -369,9 +365,8 @@ def quotient_representation(e: Embedding, p: int) -> QuotientStructure:
     alpha_q = tuple(class_map[S.alpha[r]] for r in reps)
     beta_q = tuple(class_map[S.beta[r]] for r in reps)
     labels = tuple(f"[{S.labels[r]}]" for r in reps)
-    restrict = _class_restriction(nx, class_map, reps)
-    quotient = RelStructure(nq, BinRel(nq, _or_map(restrict, P)),
-                            BinRel(nq, _or_map(restrict, S.E.bits)),
+    quotient = RelStructure(nq, _on_classes(P, class_map, reps),
+                            _on_classes(S.E, class_map, reps),
                             alpha_q, beta_q, labels)
     validate_structure(quotient).raise_if_failed(
         "quotient fails structure validation")
@@ -382,9 +377,9 @@ def induced_embedding(e: Embedding, p: int) -> Embedding:
     """Push the embedding down to the contraction at p: the image of a member
     is the set of class pairs covering its original image.  A member x
     satisfies p.x.p = x, so its image is a union of class blocks and is
-    read off at the class representatives.  The result is verified; the
-    unit of the contraction lands on the quotient order.  `e` is verified
-    once (`quotient_representation` keeps the report on it)."""
+    read off at the class representatives (`_on_classes`).  The result is
+    verified; the unit of the contraction lands on the quotient order.  `e`
+    is verified once (`quotient_representation` keeps the report on it)."""
     return _induced_embedding(e, p, quotient_representation(e, p))
 
 
@@ -393,10 +388,8 @@ def _induced_embedding(e: Embedding, p: int, q: QuotientStructure
     """`induced_embedding` on the quotient `q` that
     `quotient_representation(e, p)` has already built."""
     c = contract(e.algebra, p)
-    restrict = _class_restriction(e.structure.n, q.class_map, q.representatives)
-    images = tuple(
-        BinRel(q.n_classes, _or_map(restrict, e.assignment[x].bits))
-        for x in c.members)
+    images = tuple(_on_classes(e.assignment[x], q.class_map, q.representatives)
+                   for x in c.members)
     emb = Embedding(c.algebra, q.quotient, images)
     verify_embedding(emb).raise_if_failed("induced map is not an embedding")
     return emb

@@ -8,10 +8,9 @@ as it is) and maps all nibbles of the column in one `take`.  Both must agree on 
 9 points: cell counts that are not multiples of 4 (9, 25, 49, 81) leave a
 short last table, padded with zeros, and from 8 points the relations are
 wider than a machine word (object columns).  The maps are the converse,
-the three negations, the upward closure and the quotient's class
-restriction.  `_family_tables` takes the negations of every family as one
-column; on families of 1 to 15 relations it must give the index of each
-relation's own negation.
+the three negations and the upward closure.  `_family_tables` takes the
+negations of every family as one column; on families of 1 to 15 relations
+it must give the index of each relation's own negation.
 """
 
 import numpy as np
@@ -20,7 +19,6 @@ import pytest
 from dqra import BinRel, RelStructure, lneg_minus, lneg_tilde, neg
 from dqra.relations import (_cell_map, _converse, _family_tables,
                             _map_columns, _or_map)
-from dqra.representation import _class_restriction
 
 from conftest import block_structure
 
@@ -44,34 +42,23 @@ def random_structure(rng: np.random.Generator, n: int) -> RelStructure:
                         tuple(int(v) for v in rng.permutation(n)))
 
 
-def random_classes(rng: np.random.Generator, n: int):
-    """A class map with classes numbered in order of first member, and the
-    first member of each class as its representative."""
-    labels = rng.integers(0, max(n // 2, 1), n).tolist()
-    first = list(dict.fromkeys(labels))
-    return [first.index(v) for v in labels], [labels.index(v) for v in first]
-
-
 def maps(rng: np.random.Generator, n: int):
     """Each map by name: applied to one relation int, and as the tables
     that map a column together with what they are applied to (the
     negations map the complement E - R)."""
     S = random_structure(rng, n)
-    class_map, reps = random_classes(rng, n)
     tilde, minus, negn = S._negations[0]
-    restrict = _class_restriction(n, class_map, reps)
     same = lambda r: r
     complement = lambda r: S.E.bits & ~r
     return {"converse": (lambda r: _converse(n, r),
-                         _cell_map(n, n, lambda i, j: [(j, i)]), same),
+                         _cell_map(n, lambda i, j: [(j, i)]), same),
             "tilde": (lambda r: _or_map(tilde, complement(r)), tilde,
                       complement),
             "minus": (lambda r: _or_map(minus, complement(r)), minus,
                       complement),
             "neg": (lambda r: _or_map(negn, complement(r)), negn,
                     complement),
-            "up": (lambda r: _or_map(S._up_map, r), S._up_map, same),
-            "classes": (lambda r: _or_map(restrict, r), restrict, same)}
+            "up": (lambda r: _or_map(S._up_map, r), S._up_map, same)}
 
 
 @pytest.mark.parametrize("n", range(10))

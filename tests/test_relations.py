@@ -318,6 +318,16 @@ def test_negations_reject_results_outside_the_upsets():
             op(S, leq)
 
 
+def test_closure_refuses_a_structure_that_does_not_validate():
+    # the structure above, validated once after the generators are checked
+    leq = BinRel.from_pairs(2, [(0, 0), (1, 1), (0, 1)])
+    S = RelStructure(2, leq, BinRel.full(2), (1, 0), (0, 1))
+    for gens in ([], [leq]):
+        with pytest.raises(LawViolationError, match="^structure does not "
+                           "validate: FAIL alpha-order-automorphism"):
+            dq_closure(S, gens)
+
+
 def test_count_upsets_matches_brute_force():
     # every subset of E tested with is_upset, over every structure with n <= 3
     for n in (1, 2, 3):
