@@ -20,7 +20,7 @@ from typing import Optional
 
 from .algebra import FiniteDqRA
 from .relations import BinRel, RelStructure, dq_closure
-from .representation import Embedding, verify_embedding
+from .representation import Embedding
 from .reconstruct import DIAGRAMS, reconstruct_catalogue
 from .textio import (
     emit_algebra,
@@ -179,8 +179,6 @@ def regenerate(directory: Optional[Path] = None) -> list[str]:
         log.append(f"wrote {_slug(d.name)}.dqra")
 
     algebra, S, embedding = build_relational_entry()
-    if not verify_embedding(embedding).ok:
-        raise RuntimeError("relational entry embedding failed verification")
     slug = _slug(RELATIONAL_ENTRY)
     comments = [f"{RELATIONAL_ENTRY}: {_RELATIONAL_PROVENANCE}"]
     (directory / (slug + ".dqra")).write_text(

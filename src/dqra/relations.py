@@ -401,10 +401,14 @@ class RelStructure:
         -R = alpha;(R^c)^-1 sends it to each (x, u) with alpha(x) = v, and
         alpha;beta;R^c;beta sends it to each (x, beta(v)) with
         beta(alpha(x)) = u: one cell each when alpha and beta are
-        permutations of the points."""
+        permutations of the points.  Maps that do not send the n points
+        into themselves raise `LawViolationError`."""
         n, a, b = self.n, self.alpha, self.beta
         entry = _NEGATIONS.get((n, a, b))
         if entry is None:
+            if not (len(a) == len(b) == n and all(0 <= v < n for v in a + b)):
+                raise LawViolationError(
+                    "alpha or beta maps outside the points; invalid structure")
             a_pre = [[] for _ in range(n)]     # the x with alpha(x) = v
             ba_pre = [[] for _ in range(n)]    # the x with beta(alpha(x)) = u
             for x, y in enumerate(a):
@@ -549,14 +553,9 @@ class RelStructure:
         """All upsets of the pair poset.  Bounds, then counts them (see
         `_check_upset_cap`) and refuses to start if the total exceeds the
         cap."""
-        return [_rel(self.n, bits) for bits in self._upset_bits(cap)]
-
-    def _upset_bits(self, cap: int) -> list[int]:
-        """The relation bits of every upset, in enumeration order.  Bounds,
-        then counts them (`_check_upset_cap`) and refuses to start if the
-        total exceeds the cap."""
         self._check_upset_cap(cap)
-        return self._upsets_between(0, self.E.bits)
+        return [_rel(self.n, bits)
+                for bits in self._upsets_between(0, self.E.bits)]
 
     def _upsets_between(self, lo: int, hi: int) -> list[int]:
         """The relation bits of every upset r with lo <= r <= hi, for upsets

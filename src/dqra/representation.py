@@ -140,7 +140,9 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
     The unit's image is forced to the order relation; images of the three
     unary operations, of meets, joins and products of assigned elements are
     propagated, so only join generators are branched on: in a lattice every
-    element is a join of them, so a leaf has every image.  This root
+    element is a join of them, so a leaf has every image.  The meet and
+    join steps also keep the order, as x <= y iff x ^ y = x: an image
+    below or above the wrong ones conflicts there.  This root
     propagation needs no upsets, so a structure it refutes costs 0 nodes
     and 0 candidates.  Generators are ordered by decreasing constraint
     degree (unary orbit size plus number of comparabilities) since one
@@ -180,23 +182,11 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
     nodes = 0
     candidates = 0
 
-    def fits_order(x: int, r: int) -> bool:
-        """r respects the order against every assigned element."""
-        for y in above[x]:
-            q = phi[y]
-            if q is not None and r & ~q:
-                return False
-        for y in below[x]:
-            q = phi[y]
-            if q is not None and q & ~r:
-                return False
-        return True
-
     def assign(x: int, r: int, trail: list[int]) -> bool:
         cur = phi[x]
         if cur is not None:
             return cur == r
-        if r in used or not fits_order(x, r):
+        if r in used:
             return False
         phi[x] = r
         used.add(r)
@@ -334,16 +324,16 @@ def quotient_representation(e: Embedding, p: int) -> QuotientStructure:
     """Collapse the carrier along P, the image of p, and rebuild the structure.
 
     Checked in turn: p is a PSI; the embedding verifies, which needs the
-    algebra and the structure to validate; the quotient validates.  Any
-    failure aborts with a witness since it signals invalid inputs.  The
-    rest follows.  1 <= p gives 1 ^ p = 1, so the embedding, which
-    preserves meets, puts the order inside P, and P is reflexive.  It
-    preserves products, so P;P is the image of p.p = p and P is a
-    preorder: P holds between two points iff it holds between their
-    representatives.  ~p = -p = neg p makes E - P, and so P, invariant
-    under alpha and reversed under beta, which send each class into one
-    class.  P lies in the equivalence E, so E is well defined on the
-    classes; both are read at the representatives (`_on_classes`).
+    algebra and the structure to validate.  Either failure aborts with a
+    witness since it signals invalid inputs.  The rest follows.  1 <= p
+    gives 1 ^ p = 1, so the embedding, which preserves meets, puts the
+    order inside P, and P is reflexive.  It preserves products, so P;P is
+    the image of p.p = p and P is a preorder: P holds between two points
+    iff it holds between their representatives.  ~p = -p = neg p makes
+    E - P, and so P, invariant under alpha and reversed under beta, which
+    send each class into one class.  P lies in the equivalence E, so E is
+    well defined on the classes; both are read at the representatives
+    (`_on_classes`).  So the quotient is valid, and is not validated again.
     """
     A, S = e.algebra, e.structure
     if not is_psi(A, p):
@@ -368,8 +358,6 @@ def quotient_representation(e: Embedding, p: int) -> QuotientStructure:
     quotient = RelStructure(nq, _on_classes(P, class_map, reps),
                             _on_classes(S.E, class_map, reps),
                             alpha_q, beta_q, labels)
-    validate_structure(quotient).raise_if_failed(
-        "quotient fails structure validation")
     return QuotientStructure(S, tuple(class_map), tuple(reps), quotient)
 
 
@@ -377,9 +365,10 @@ def induced_embedding(e: Embedding, p: int) -> Embedding:
     """Push the embedding down to the contraction at p: the image of a member
     is the set of class pairs covering its original image.  A member x
     satisfies p.x.p = x, so its image is a union of class blocks and is
-    read off at the class representatives (`_on_classes`).  The result is
-    verified; the unit of the contraction lands on the quotient order.  `e`
-    is verified once (`quotient_representation` keeps the report on it)."""
+    read off at the class representatives (`_on_classes`).  By the
+    representation theorem the result is an embedding, not re-verified
+    here; the unit of the contraction lands on the quotient order.  `e` is
+    verified once (`quotient_representation` keeps the report on it)."""
     return _induced_embedding(e, p, quotient_representation(e, p))
 
 
@@ -390,6 +379,4 @@ def _induced_embedding(e: Embedding, p: int, q: QuotientStructure
     c = contract(e.algebra, p)
     images = tuple(_on_classes(e.assignment[x], q.class_map, q.representatives)
                    for x in c.members)
-    emb = Embedding(c.algebra, q.quotient, images)
-    verify_embedding(emb).raise_if_failed("induced map is not an embedding")
-    return emb
+    return Embedding(c.algebra, q.quotient, images)

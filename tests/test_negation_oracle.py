@@ -43,7 +43,7 @@ def test_every_upset_of_the_small_structures():
         for S in enumerate_structures(n):
             if S.count_upsets(1 << 16) > 256:
                 continue
-            bits = S._upset_bits(256)
+            bits = [R.bits for R in S.enumerate_upsets(256)]
             structures += 1
             relations += len(bits)
             col = np.array(bits, dtype=np.int64)

@@ -101,9 +101,15 @@ def test_regeneration_is_stable(tmp_path):
     from dqra.catalogue import CATALOGUE, regenerate, _read
     log = regenerate(tmp_path)
     assert not any(line.startswith("FLAGGED") for line in log)
-    for entry in CATALOGUE.values():
-        fresh = (tmp_path / entry.algebra_file).read_text()
-        assert fresh == _read(entry.algebra_file)
+    # every file of every entry: the relational entry's .struct and .assign
+    # are written unverified, so they must match the shipped (and verified)
+    # representation byte for byte
+    files = [f for entry in CATALOGUE.values()
+             for f in (entry.algebra_file, entry.structure_file,
+                       entry.assignment_file) if f is not None]
+    assert len(files) == 13
+    for f in files:
+        assert (tmp_path / f).read_text() == _read(f), f
 
 
 def test_catalogue_module_writes_every_data_file(tmp_path):

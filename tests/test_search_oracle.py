@@ -297,7 +297,7 @@ def test_enumeration_order_is_unchanged():
 @given(st.data())
 def test_interval_walk_equals_a_filter_of_every_upset(data):
     S = data.draw(st.sampled_from(SMALL))
-    ups = S._upset_bits(1 << 16)
+    ups = [R.bits for R in S.enumerate_upsets(1 << 16)]
     a, b = (data.draw(st.sampled_from(ups)) for _ in range(2))
     lo, hi = a & b, a | b
     got = S._upsets_between(lo, hi)
