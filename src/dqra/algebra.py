@@ -81,28 +81,40 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def lattice_tables(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The meet and join tables of an order matrix; -1 marks pairs without
-    a greatest lower or least upper bound.
+def lattice_rows(leq: np.ndarray) -> tuple[list[list[int]], list[list[int]]]:
+    """The meet and join tables of a boolean order matrix as lists of rows;
+    -1 marks pairs without a greatest lower or least upper bound.
 
     Entry (a, b) of the meet table is the x whose column of the matrix is
     the intersection of columns a and b (the set below x is the set of
     common lower bounds), of the join table the x whose row is the
     intersection of rows a and b; the last such x, -1 where there is none.
-    The columns and rows are packed into bitmasks in one pass, one
-    dictionary per table keyed on those masks resolves every pair, and
-    both tables fill one int64 array."""
-    leq = np.asarray(leq, dtype=bool)
+    Rows and columns become int bitmasks in one pass over the cells, and
+    one dictionary per table, keyed on the masks, resolves every pair."""
     n = len(leq)
-    packed = np.packbits(np.concatenate((leq.T, leq)), axis=1,
-                         bitorder="little")
-    masks = [int.from_bytes(r, "little") for r in packed.tolist()]
+    up, down = [0] * n, [0] * n
+    for x, row in enumerate(leq.tolist()):
+        for y, v in enumerate(row):
+            if v:
+                up[x] |= 1 << y
+                down[y] |= 1 << x
     tables = []
-    for rows in (masks[:n], masks[n:]):
-        get = {m: x for x, m in enumerate(rows)}.get
-        tables.append([[get(a & b, -1) for b in rows] for a in rows])
-    meet, join = _freeze(np.array(tables, dtype=np.int64).reshape(2, n, n))
+    for masks in (down, up):
+        get = {m: x for x, m in enumerate(masks)}.get
+        tables.append([[get(a & b, -1) for b in masks] for a in masks])
+    return tables[0], tables[1]
+
+
+def _int64_tables(rows: tuple[list, list]) -> tuple[np.ndarray, np.ndarray]:
+    """The meet and join rows as two frozen views of one int64 array."""
+    n = len(rows[0])
+    meet, join = _freeze(np.array(rows, dtype=np.int64).reshape(2, n, n))
     return meet, join
+
+
+def lattice_tables(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`lattice_rows` of an order matrix as two frozen int64 arrays."""
+    return _int64_tables(lattice_rows(np.asarray(leq, dtype=bool)))
 
 
 def join_generators(join: np.ndarray) -> tuple[int, ...]:
@@ -221,7 +233,10 @@ class FiniteDqRA:
         n = self.size
         if n <= 0:
             raise MalformedAlgebraError("carrier must be non-empty")
-        leq = _freeze(np.asarray(self.leq, dtype=bool))
+        leq = np.asarray(self.leq)
+        if leq.dtype != bool and not ((leq == 0) | (leq == 1)).all():
+            raise MalformedAlgebraError("order table entries must be 0 or 1")
+        leq = _freeze(leq.astype(bool, copy=False))
         mult = _freeze(np.asarray(self.mult, dtype=np.int64))
         unaries = []
         for nm in ("tilde", "minus", "negn"):
@@ -270,15 +285,23 @@ class FiniteDqRA:
 
     @cached_property
     def meet_table(self) -> np.ndarray:
-        """Greatest lower bounds; -1 marks pairs without one.  Derived from
-        the order with the join table (`lattice_tables`)."""
+        """Greatest lower bounds; -1 marks pairs without one.  Derived with
+        the join table (`_derive_lattice_tables`)."""
         return _derive_lattice_tables(self)[0]
 
     @cached_property
     def join_table(self) -> np.ndarray:
-        """Least upper bounds; -1 marks pairs without one.  Derived from
-        the order with the meet table (`lattice_tables`)."""
+        """Least upper bounds; -1 marks pairs without one.  Derived with
+        the meet table, as `meet_table` is."""
         return _derive_lattice_tables(self)[1]
+
+    @cached_property
+    def _lattice_rows(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The meet and join tables as lists of rows, for the search: the
+        kept tables' rows, else `lattice_rows` of the order (no array)."""
+        if "meet_table" in self.__dict__:
+            return self.meet_table.tolist(), self.join_table.tolist()
+        return lattice_rows(self.leq)
 
     def meet(self, a: int, b: int) -> int:
         m = int(self.meet_table[a, b])
@@ -348,9 +371,10 @@ def _set_lattice_tables(A: FiniteDqRA, meet: np.ndarray,
 
 
 def _derive_lattice_tables(A: FiniteDqRA) -> tuple[np.ndarray, np.ndarray]:
-    """Derive both lattice tables of A from its order in one pass and keep
-    them on A."""
-    meet, join = lattice_tables(A.leq)
+    """Both lattice tables of A, kept on A: of the search's rows, or else
+    derived from the order (`lattice_rows`)."""
+    meet, join = _int64_tables(A.__dict__.get("_lattice_rows")
+                               or lattice_rows(A.leq))
     A.__dict__.update(meet_table=meet, join_table=join)
     return meet, join
 

@@ -21,8 +21,8 @@ class NotPsiError(ValueError):
 
 def is_psi(A: FiniteDqRA, p: int) -> bool:
     """True iff 1 <= p, the three unary images of p coincide, and p.p = p."""
-    return (
-        bool(A.leq[A.unit, p])
+    return bool(
+        A.leq[A.unit, p]
         and int(A.tilde[p]) == int(A.minus[p]) == int(A.negn[p])
         and int(A.mult[p, p]) == p
     )

@@ -136,7 +136,9 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
     The upsets are bounded, then counted, first (`CapExceededError` above
     `upset_cap`): when leq is a partial order and 2^|E| <= upset_cap the
     bound settles the cap and nothing is counted.  An order of A that is
-    not a lattice raises `LawViolationError`.
+    not a lattice raises `LawViolationError`.  Up to the root propagation
+    the search reads list rows (`FiniteDqRA._lattice_rows`), no arrays;
+    the set-up that only branching needs follows the root.
     The unit's image is forced to the order relation; images of the three
     unary operations, of meets, joins and products of assigned elements are
     propagated, so only join generators are branched on: in a lattice every
@@ -165,16 +167,12 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
     n = A.size
     nS = S.n
     E = S.E.bits
-    leq = A.leq.tolist()
-    tilde, minus, negn = A.tilde.tolist(), A.minus.tolist(), A.negn.tolist()
-    unary = tuple(zip((tilde, minus, negn), S._negations[0]))
-    mult, meet, join = (A.mult.tolist(), A.meet_table.tolist(),
-                        A.join_table.tolist())
-    # the lattice test on lists: a quarter of numpy's cost on small algebras
+    meet, join = A._lattice_rows
     if any(-1 in row for row in meet + join):
         raise LawViolationError("algebra order is not a lattice; validate first")
-    above = [[y for y in range(n) if y != x and leq[x][y]] for x in range(n)]
-    below = [[y for y in range(n) if y != x and leq[y][x]] for x in range(n)]
+    tilde, minus, negn = A.tilde.tolist(), A.minus.tolist(), A.negn.tolist()
+    unary = tuple(zip((tilde, minus, negn), S._negations[0]))
+    mult = A.mult.tolist()
 
     # images as relation bits
     phi: list[Optional[int]] = [None] * n
@@ -220,7 +218,10 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
     if not (assign(A.unit, S.leq.bits, trail0) and propagate(trail0)):
         return SearchResult(SearchStatus.NOT_FOUND, None, 0)
 
-    # static branching order over join generators
+    # branching set-up: the order's lists, a static order over generators
+    leq = A.leq.tolist()
+    above = [[y for y in range(n) if y != x and leq[x][y]] for x in range(n)]
+    below = [[y for y in range(n) if y != x and leq[y][x]] for x in range(n)]
     orbit_size = {}
     for g in A.join_generators:
         orbit = {g}

@@ -12,13 +12,17 @@ from dqra import (
     check_di,
     check_residuals,
     derived_zero,
+    enumerate_structures,
     load_algebra,
     plus,
     residuals,
     validate_dqra,
 )
-from dqra.algebra import _order_bad, join_generators, lattice_tables
-from dqra.relations import BinRel, RelStructure, full_dq
+from dqra.algebra import (_order_bad, join_generators, lattice_rows,
+                          lattice_tables)
+from dqra.contraction import contract
+from dqra.reconstruct import DIAGRAMS_BY_NAME, reconstruct
+from dqra.relations import BinRel, RelStructure, full_dq, full_dq_family
 
 from conftest import ALL_NAMES
 
@@ -319,6 +323,7 @@ def test_lattice_tables_on_arbitrary_boolean_matrices():
         assert not meet.flags.writeable and not join.flags.writeable
         assert meet.tolist() == last_row_at_the_intersection(m.T.tolist())
         assert join.tolist() == last_row_at_the_intersection(m.tolist())
+        assert lattice_rows(m) == (meet.tolist(), join.tolist())
 
 
 @pytest.mark.parametrize("first", ["meet_table", "join_table"])
@@ -331,6 +336,46 @@ def test_either_lattice_table_fills_both(algebras, first):
         meet, join = lattice_tables(fresh.leq)
         assert (fresh.meet_table == meet).all()
         assert (fresh.join_table == join).all()
+
+
+def test_lattice_rows_are_the_rows_of_the_tables(algebras, six):
+    # derived from the order, and set by a family, a contraction and a
+    # diagram's reconstruction
+    A = algebras["D^4_{3,1}"]
+    fresh = FiniteDqRA(A.size, A.leq, A.mult, A.tilde, A.minus, A.negn,
+                       A.unit, A.labels)
+    S = list(enumerate_structures(2))[-1]
+    for B in (fresh, full_dq_family(S).algebra,
+              contract(six, six.index_of("a")).algebra,
+              reconstruct(DIAGRAMS_BY_NAME["D^4_{3,1}"]).algebra):
+        # only the order's rows are derived before the tables exist
+        assert ("meet_table" in B.__dict__) is (B is not fresh)
+        rows = B._lattice_rows
+        assert rows == (B.meet_table.tolist(), B.join_table.tolist())
+        assert all(type(v) is int for row in rows[0] + rows[1] for v in row)
+
+
+def test_validation_keeps_no_lattice_rows(algebras):
+    for A in algebras.values():
+        fresh = FiniteDqRA(A.size, A.leq, A.mult, A.tilde, A.minus, A.negn,
+                           A.unit, A.labels)
+        assert validate_dqra(fresh).ok
+        assert "_lattice_rows" not in fresh.__dict__
+
+
+@pytest.mark.parametrize("entry", [2, -1, 0.5])
+def test_order_entries_other_than_0_and_1_rejected(six, entry):
+    # a nonzero entry where the order holds would otherwise read as True
+    leq = six.leq.astype(type(entry))
+    leq[0, 0] = entry
+    with pytest.raises(MalformedAlgebraError,
+                       match="order table entries must be 0 or 1"):
+        FiniteDqRA(six.size, leq, six.mult, six.tilde, six.minus, six.negn,
+                   six.unit)
+    leq[0, 0] = 1
+    B = FiniteDqRA(six.size, leq, six.mult, six.tilde, six.minus, six.negn,
+                   six.unit)
+    assert np.array_equal(B.leq, six.leq) and validate_dqra(B).ok
 
 
 def test_validation_is_idempotent(six):

@@ -1,5 +1,6 @@
 """Positive symmetric idempotents and contraction extraction."""
 
+import numpy as np
 import pytest
 
 from dqra import (
@@ -29,6 +30,12 @@ def test_unit_and_top_are_always_psi(algebras, name):
     A = algebras[name]
     assert is_psi(A, A.unit)
     assert A.top is not None and is_psi(A, A.top)
+
+
+@pytest.mark.parametrize("index", [int, np.int64])
+def test_is_psi_returns_a_python_bool(six, index):
+    for p in range(six.size):
+        assert type(is_psi(six, index(p))) is bool
 
 
 def test_one_element_psi():

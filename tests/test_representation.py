@@ -16,6 +16,7 @@ from dqra import (
     find_embedding,
     full_dq_family,
     induced_embedding,
+    load_algebra,
     psi_elements,
     quotient_representation,
     structures_isomorphic,
@@ -108,6 +109,21 @@ def test_find_embedding_definitive_refusal(algebras):
         for S in enumerate_structures(n):
             result = find_embedding(A, S, budget=100_000)
             assert result.status is SearchStatus.NOT_FOUND
+
+
+def test_root_refutation_builds_no_lattice_arrays():
+    # a search that the root propagation refutes reads the meet and join
+    # tables as lists of rows only
+    refuted = 0
+    for S in enumerate_structures(2):
+        A = load_algebra("D^3_{1,1}")
+        result = find_embedding(A, S)
+        assert result.status is SearchStatus.NOT_FOUND
+        if result.nodes == 0:
+            refuted += 1
+            assert not {"meet_table", "join_table"} & A.__dict__.keys()
+            assert "_lattice_rows" in A.__dict__
+    assert refuted > 0
 
 
 def test_find_embedding_budget_exhaustion_is_distinct(six, example_structure):
