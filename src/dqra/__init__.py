@@ -12,6 +12,7 @@ from .algebra import (
     LawCheck,
     LawViolationError,
     MalformedAlgebraError,
+    NotAnElementError,
     ValidationReport,
     check_di,
     check_residuals,

@@ -12,6 +12,7 @@ violation in a row-major scan.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
@@ -25,6 +26,11 @@ class MalformedAlgebraError(ValueError):
 
 class LawViolationError(ValueError):
     """An operation's defining identity failed on a supposedly valid algebra."""
+
+
+class NotAnElementError(ValueError):
+    """An element argument is not an integer index (bools excluded) in
+    0..size-1 of its algebra."""
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,16 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _frozen_input(a, dtype: type) -> np.ndarray:
+    """A frozen array of `a` in `dtype` that its caller cannot write: `a`
+    itself when it is already a read-only array of that dtype, else a
+    frozen copy (the caller's array stays writable)."""
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype
+            and not a.flags.writeable):
+        a = np.array(a, dtype=dtype, order="C")
+    return _freeze(a)
+
+
 def lattice_rows(leq: np.ndarray) -> tuple[list[list[int]], list[list[int]]]:
     """The meet and join tables of a boolean order matrix as lists of rows;
     -1 marks pairs without a greatest lower or least upper bound.
@@ -105,16 +121,11 @@ def lattice_rows(leq: np.ndarray) -> tuple[list[list[int]], list[list[int]]]:
     return tables[0], tables[1]
 
 
-def _int64_tables(rows: tuple[list, list]) -> tuple[np.ndarray, np.ndarray]:
-    """The meet and join rows as two frozen views of one int64 array."""
-    n = len(rows[0])
-    meet, join = _freeze(np.array(rows, dtype=np.int64).reshape(2, n, n))
-    return meet, join
-
-
 def lattice_tables(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`lattice_rows` of an order matrix as two frozen int64 arrays."""
-    return _int64_tables(lattice_rows(np.asarray(leq, dtype=bool)))
+    leq = np.asarray(leq, dtype=bool)
+    return tuple(_freeze(np.array(lattice_rows(leq), dtype=np.int64)
+                         .reshape(2, *leq.shape)))
 
 
 def join_generators(join: np.ndarray) -> tuple[int, ...]:
@@ -218,6 +229,11 @@ class FiniteDqRA:
     `leq[a, b]` is the lattice order, `mult[a, b]` the product table,
     `tilde`/`minus`/`negn` the unary tables and `unit` the monoid identity.
     Values are immutable after construction; all operations on them are pure.
+    An input array that is still writable is kept as a frozen copy.  The
+    meet and join tables, as int64 arrays and as the search's list rows,
+    each come from the order alone, or the arrays from their one hand-over
+    (`_set_lattice_tables`).  The elements given to `label`, `le`, `lt`,
+    `meet` and `join` must be indices in 0..size-1 (NotAnElementError).
     """
 
     size: int
@@ -236,11 +252,11 @@ class FiniteDqRA:
         leq = np.asarray(self.leq)
         if leq.dtype != bool and not ((leq == 0) | (leq == 1)).all():
             raise MalformedAlgebraError("order table entries must be 0 or 1")
-        leq = _freeze(leq.astype(bool, copy=False))
-        mult = _freeze(np.asarray(self.mult, dtype=np.int64))
+        leq = _frozen_input(leq, bool)
+        mult = _frozen_input(self.mult, np.int64)
         unaries = []
         for nm in ("tilde", "minus", "negn"):
-            u = _freeze(np.asarray(getattr(self, nm), dtype=np.int64))
+            u = _frozen_input(getattr(self, nm), np.int64)
             if u.shape != (n,):
                 raise MalformedAlgebraError(f"{nm} table must have {n} entries")
             if u.min() < 0 or u.max() >= n:
@@ -266,8 +282,23 @@ class FiniteDqRA:
 
     # --- element helpers -------------------------------------------------
 
+    def _element(self, a: int) -> int:
+        """`a` as a Python int, when it is an integer index (through
+        `operator.index`; bools refused) in 0..size-1; else
+        NotAnElementError naming `a` and the size."""
+        if not isinstance(a, (bool, np.bool_)):
+            try:
+                i = operator.index(a)
+            except TypeError:
+                i = -1
+            if 0 <= i < self.size:
+                return i
+        raise NotAnElementError(
+            f"{a!r} is not an element of an algebra of size {self.size} "
+            f"(an integer index in 0..{self.size - 1})")
+
     def label(self, a: int) -> str:
-        return self.labels[a]
+        return self.labels[self._element(a)]
 
     def index_of(self, label: str) -> int:
         try:
@@ -276,40 +307,43 @@ class FiniteDqRA:
             raise KeyError(f"no element labelled {label!r}") from None
 
     def le(self, a: int, b: int) -> bool:
-        return bool(self.leq[a, b])
+        return bool(self.leq[self._element(a), self._element(b)])
 
     def lt(self, a: int, b: int) -> bool:
+        a, b = self._element(a), self._element(b)
         return a != b and bool(self.leq[a, b])
 
     # --- derived lattice structure ---------------------------------------
 
     @cached_property
-    def meet_table(self) -> np.ndarray:
-        """Greatest lower bounds; -1 marks pairs without one.  Derived with
-        the join table (`_derive_lattice_tables`)."""
-        return _derive_lattice_tables(self)[0]
+    def _lattice_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """`lattice_tables` of the order, unless handed over."""
+        return lattice_tables(self.leq)
 
-    @cached_property
+    @property
+    def meet_table(self) -> np.ndarray:
+        """Greatest lower bounds; -1 marks pairs without one."""
+        return self._lattice_tables[0]
+
+    @property
     def join_table(self) -> np.ndarray:
-        """Least upper bounds; -1 marks pairs without one.  Derived with
-        the meet table, as `meet_table` is."""
-        return _derive_lattice_tables(self)[1]
+        """Least upper bounds; -1 marks pairs without one."""
+        return self._lattice_tables[1]
 
     @cached_property
     def _lattice_rows(self) -> tuple[list[list[int]], list[list[int]]]:
-        """The meet and join tables as lists of rows, for the search: the
-        kept tables' rows, else `lattice_rows` of the order (no array)."""
-        if "meet_table" in self.__dict__:
-            return self.meet_table.tolist(), self.join_table.tolist()
+        """`lattice_rows` of the order, for the search: no array."""
         return lattice_rows(self.leq)
 
     def meet(self, a: int, b: int) -> int:
+        a, b = self._element(a), self._element(b)
         m = int(self.meet_table[a, b])
         if m < 0:
             raise LawViolationError(f"elements {a},{b} have no meet")
         return m
 
     def join(self, a: int, b: int) -> int:
+        a, b = self._element(a), self._element(b)
         j = int(self.join_table[a, b])
         if j < 0:
             raise LawViolationError(f"elements {a},{b} have no join")
@@ -362,21 +396,12 @@ class FiniteDqRA:
 
 def _set_lattice_tables(A: FiniteDqRA, meet: np.ndarray,
                         join: np.ndarray) -> None:
-    """Give A its meet and join tables instead of deriving them from the
-    order, when both are total (no -1 entry), as the bounds of A's order
-    are when a family holds all its intersections and unions, or when they
-    are a valid parent's bounds restricted to a contraction."""
+    """Hand A its meet and join tables (`_lattice_tables`; the only write
+    after construction) when both are total (no -1 entry), as the bounds of
+    A's order are when a family holds all its intersections and unions, or
+    when they are a valid parent's bounds restricted to a contraction."""
     if meet.min() >= 0 and join.min() >= 0:
-        A.__dict__.update(meet_table=_freeze(meet), join_table=_freeze(join))
-
-
-def _derive_lattice_tables(A: FiniteDqRA) -> tuple[np.ndarray, np.ndarray]:
-    """Both lattice tables of A, kept on A: of the search's rows, or else
-    derived from the order (`lattice_rows`)."""
-    meet, join = _int64_tables(A.__dict__.get("_lattice_rows")
-                               or lattice_rows(A.leq))
-    A.__dict__.update(meet_table=meet, join_table=join)
-    return meet, join
+        A.__dict__["_lattice_tables"] = (_freeze(meet), _freeze(join))
 
 
 # --- validation -----------------------------------------------------------

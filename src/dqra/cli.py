@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from .algebra import (FiniteDqRA, LawViolationError, MalformedAlgebraError,
-                      ValidationReport, validate_dqra)
+                      NotAnElementError, ValidationReport, validate_dqra)
 from .catalogue import CATALOGUE, _read as _read_data
 from .contraction import NotPsiError, contract, psi_elements
 from .dot import algebra_dot, structure_dot
@@ -391,7 +391,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_SEARCH
     except (MalformedAlgebraError, LawViolationError, NotPsiError,
-            NotAnUpsetError, CarrierMismatchError, KeyError) as exc:
+            NotAnElementError, NotAnUpsetError, CarrierMismatchError,
+            KeyError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -20,7 +20,9 @@ class NotPsiError(ValueError):
 
 
 def is_psi(A: FiniteDqRA, p: int) -> bool:
-    """True iff 1 <= p, the three unary images of p coincide, and p.p = p."""
+    """True iff 1 <= p, the three unary images of p coincide, and p.p = p.
+    Raises NotAnElementError unless p is an integer index in 0..size-1."""
+    p = A._element(p)
     return bool(
         A.leq[A.unit, p]
         and int(A.tilde[p]) == int(A.minus[p]) == int(A.negn[p])
@@ -50,7 +52,10 @@ def membership_tfae(A: FiniteDqRA, p: int, b: int) -> MembershipVerdict:
     """Evaluate all three membership characterisations and check they agree.
 
     Disagreement means the ambient algebra is broken (p must be idempotent).
+    Raises NotAnElementError unless p and b are integer indices in
+    0..size-1.
     """
+    p, b = A._element(p), A._element(b)
     if int(A.mult[p, p]) != p:
         raise NotPsiError(f"element {A.label(p)} is not idempotent")
     in_pap = any(
@@ -89,7 +94,8 @@ class Contraction:
 
 
 def contract(A: FiniteDqRA, p: int) -> Contraction:
-    """Build the contraction at a positive symmetric idempotent p.
+    """Build the contraction at a positive symmetric idempotent p (an
+    integer index in 0..size-1, else NotAnElementError, from `is_psi`).
 
     A must validate (its kept report is checked once, after p).  Then the
     contraction theorem makes every table, the parent's meet and join

@@ -278,13 +278,19 @@ def _or_map(tables: Sequence[list[int]], bits: int) -> int:
     return out
 
 
+def _column(n: int, bits) -> np.ndarray:
+    """Relation ints on n points (or nested lists of them) as an array:
+    int64 when a relation fits a machine word (n*n <= 63), object beyond."""
+    return np.array(bits, dtype=np.int64 if n * n <= 63 else object)
+
+
 def _map_columns(maps: Sequence[Sequence[list[int]]], bits: np.ndarray
                  ) -> list[np.ndarray]:
-    """Each map (`_or_tables`) applied to a column of relation ints (int64,
-    or object for relations wider than a machine word; images of relations
-    fit the same dtype): each nibble of the column indexes its own table of
-    the maps, in one `take` (lists are stacked on each call).  The maps
-    must have equally many tables (maps on relations over one carrier do)."""
+    """Each map (`_or_tables`, best stacked by `_column`) applied to a
+    `_column` of relation ints (images of relations fit the same dtype):
+    each nibble of the column indexes its own table of the maps, in one
+    `take`.  The maps must have equally many tables (maps on relations over
+    one carrier do)."""
     k = np.arange(len(maps[0]))[:, None]
     index = (bits >> 4 * k & 15 | 16 * k).astype(np.intp, copy=False)
     tables = np.asarray(maps, dtype=bits.dtype).reshape(len(maps), -1)
@@ -392,15 +398,15 @@ class RelStructure:
         return _validate_structure(self)
 
     @cached_property
-    def _negations(self) -> tuple[tuple[list[list[int]], ...], Sequence]:
+    def _negations(self) -> tuple[tuple[list[list[int]], ...], np.ndarray]:
         """~, - and the third negation as maps (`_cell_map` tables) of the
-        bits of the complement E - R, then the maps for `_map_columns` (one
-        int64 array when n*n <= 63, else the lists), built once for each n,
-        alpha and beta and shared by every structure that has them.  With
-        R^c = E - R, ~R = (R^c)^-1;alpha sends cell (u, v) to (v, alpha(u)),
-        -R = alpha;(R^c)^-1 sends it to each (x, u) with alpha(x) = v, and
-        alpha;beta;R^c;beta sends it to each (x, beta(v)) with
-        beta(alpha(x)) = u: one cell each when alpha and beta are
+        bits of the complement E - R, then the maps stacked for
+        `_map_columns` in one array of `_column`'s dtype, built once for
+        each n, alpha and beta and shared by every structure that has them.
+        With R^c = E - R, ~R = (R^c)^-1;alpha sends cell (u, v) to
+        (v, alpha(u)), -R = alpha;(R^c)^-1 sends it to each (x, u) with
+        alpha(x) = v, and alpha;beta;R^c;beta sends it to each (x, beta(v))
+        with beta(alpha(x)) = u: one cell each when alpha and beta are
         permutations of the points.  Maps that do not send the n points
         into themselves raise `LawViolationError`."""
         n, a, b = self.n, self.alpha, self.beta
@@ -418,8 +424,7 @@ class RelStructure:
                 _cell_map(n, lambda u, v: [(v, a[u])]),
                 _cell_map(n, lambda u, v: [(x, u) for x in a_pre[v]]),
                 _cell_map(n, lambda u, v: [(x, b[v]) for x in ba_pre[u]]))
-            entry = _NEGATIONS[n, a, b] = (
-                maps, np.array(maps, dtype=np.int64) if n * n <= 63 else maps)
+            entry = _NEGATIONS[n, a, b] = maps, _column(n, maps)
         return entry
 
     def point_index(self, label: str) -> int:
@@ -753,13 +758,12 @@ def _lookup(family: np.ndarray, n: int, results: Sequence[np.ndarray]
 def _family_tables(S: RelStructure, bits: Sequence[int]
                    ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """The table-extraction kernel for a family of upsets given by relation
-    ints: the family as a column, int64 when a relation fits a machine word
-    (n*n <= 63) and object beyond; the family index (-1 outside the family)
+    ints: the family as a `_column`; the family index (-1 outside the family)
     of every product, intersection and union and of each element's three
     negations, all six through one `_lookup` (a relation listed twice maps
     to its last occurrence).  Every operation is the int kernel applied to
     the whole column (products broadcast over the family grid)."""
-    col = np.array(bits, dtype=np.int64 if S.n * S.n <= 63 else object)
+    col = _column(S.n, bits)
     r, s = col[:, None], col[None, :]
     negations = _map_columns(S._negations[1], S.E.bits & ~col)
     found = _lookup(col, S.n, [_compose(S.n, r, s), r & s, r | s, *negations])
@@ -812,7 +816,6 @@ def dq_closure(S: RelStructure, generators: Sequence[BinRel],
         S.check_upset(g, "generator")
     validate_structure(S).raise_if_failed("structure does not validate")
     n, e, negations = S.n, S.E.bits, S._negations[0]
-    dtype = np.int64 if n * n <= 63 else object
     members: list[int] = []   # relation bits in insertion order
     seen: set[int] = set()
 
@@ -826,7 +829,7 @@ def dq_closure(S: RelStructure, generators: Sequence[BinRel],
     add([S.leq.bits, *(g.bits for g in generators)])
     for r in members:   # the loop reaches members added while it runs
         add([_or_map(f, e & ~r) for f in negations])
-        col = np.array(members, dtype=dtype)
+        col = _column(n, members)
         add(np.stack([r & col, r | col, _compose(n, r, col),
                       _compose(n, col, r)], axis=1).ravel().tolist())
     ordered = _canonical_order(S, (_rel(n, r) for r in members),

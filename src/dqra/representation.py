@@ -324,7 +324,8 @@ def _on_classes(R: BinRel, class_map, reps) -> BinRel:
 def quotient_representation(e: Embedding, p: int) -> QuotientStructure:
     """Collapse the carrier along P, the image of p, and rebuild the structure.
 
-    Checked in turn: p is a PSI; the embedding verifies, which needs the
+    Checked in turn: p is a PSI (NotAnElementError unless it is an index
+    of the algebra, from `is_psi`); the embedding verifies, which needs the
     algebra and the structure to validate.  Either failure aborts with a
     witness since it signals invalid inputs.  The rest follows.  1 <= p
     gives 1 ^ p = 1, so the embedding, which preserves meets, puts the
@@ -364,9 +365,10 @@ def quotient_representation(e: Embedding, p: int) -> QuotientStructure:
 
 def induced_embedding(e: Embedding, p: int) -> Embedding:
     """Push the embedding down to the contraction at p: the image of a member
-    is the set of class pairs covering its original image.  A member x
-    satisfies p.x.p = x, so its image is a union of class blocks and is
-    read off at the class representatives (`_on_classes`).  By the
+    is the set of class pairs covering its original image.  p is checked
+    first (`quotient_representation`: NotAnElementError for a bad index).
+    A member x satisfies p.x.p = x, so its image is a union of class blocks
+    and is read off at the class representatives (`_on_classes`).  By the
     representation theorem the result is an embedding, not re-verified
     here; the unit of the contraction lands on the quotient order.  `e` is
     verified once (`quotient_representation` keeps the report on it)."""

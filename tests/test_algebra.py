@@ -13,6 +13,7 @@ from dqra import (
     check_residuals,
     derived_zero,
     enumerate_structures,
+    find_embedding,
     load_algebra,
     plus,
     residuals,
@@ -332,7 +333,7 @@ def test_either_lattice_table_fills_both(algebras, first):
         fresh = FiniteDqRA(A.size, A.leq, A.mult, A.tilde, A.minus, A.negn,
                            A.unit, A.labels)
         getattr(fresh, first)
-        assert {"meet_table", "join_table"} <= fresh.__dict__.keys()
+        assert "_lattice_tables" in vars(fresh)
         meet, join = lattice_tables(fresh.leq)
         assert (fresh.meet_table == meet).all()
         assert (fresh.join_table == join).all()
@@ -348,11 +349,54 @@ def test_lattice_rows_are_the_rows_of_the_tables(algebras, six):
     for B in (fresh, full_dq_family(S).algebra,
               contract(six, six.index_of("a")).algebra,
               reconstruct(DIAGRAMS_BY_NAME["D^4_{3,1}"]).algebra):
-        # only the order's rows are derived before the tables exist
-        assert ("meet_table" in B.__dict__) is (B is not fresh)
+        # a family, a contraction and a diagram hand their tables over at
+        # construction; the fresh algebra has none before they are read
+        assert ("_lattice_tables" in vars(B)) is (B is not fresh)
         rows = B._lattice_rows
         assert rows == (B.meet_table.tolist(), B.join_table.tolist())
         assert all(type(v) is int for row in rows[0] + rows[1] for v in row)
+
+
+def test_lattice_forms_agree_in_any_order(algebras, six):
+    # each form comes from the order (or the one hand-over), whichever is
+    # read first: rows then tables, tables then rows, search then validate
+    S = list(enumerate_structures(2))[-1]
+    makers = [lambda A=A: FiniteDqRA(A.size, A.leq, A.mult, A.tilde,
+                                     A.minus, A.negn, A.unit, A.labels)
+              for A in algebras.values()]
+    makers += [lambda: full_dq_family(S).algebra,
+               lambda: contract(six, six.index_of("a")).algebra]
+    target = list(enumerate_structures(1))[0]
+    for make in makers:
+        leq = make().leq
+        rows, tables = lattice_rows(leq), lattice_tables(leq)
+        for first in ("rows", "tables", "search"):
+            B = make()
+            if first == "rows":
+                B._lattice_rows
+            elif first == "search":
+                find_embedding(B, target)
+                assert validate_dqra(B).ok
+            got_tables = B.meet_table, B.join_table
+            got_rows = B._lattice_rows
+            assert got_rows == rows, first
+            for got, want in zip(got_tables, tables):
+                assert got.dtype == np.int64 and not got.flags.writeable
+                assert np.array_equal(got, want), first
+
+
+def test_caller_arrays_stay_writable(six):
+    leq, mult = six.leq.copy(), six.mult.copy()
+    A = FiniteDqRA(six.size, leq, mult, six.tilde, six.minus, six.negn,
+                   six.unit)
+    key = A.table_key()
+    assert leq.flags.writeable and mult.flags.writeable
+    assert not A.leq.flags.writeable and not A.mult.flags.writeable
+    leq[0, 1] = not leq[0, 1]
+    mult[0, 0] = (mult[0, 0] + 1) % six.size
+    assert A.table_key() == key
+    # read-only arrays are shared, as `relabel` passes them
+    assert A.relabel(A.labels).leq is A.leq
 
 
 def test_validation_keeps_no_lattice_rows(algebras):

@@ -1,17 +1,22 @@
 """Positive symmetric idempotents and contraction extraction."""
 
+import re
+
 import numpy as np
 import pytest
 
 from dqra import (
     FiniteDqRA,
     LawViolationError,
+    NotAnElementError,
     NotPsiError,
     algebras_isomorphic,
     contract,
+    induced_embedding,
     is_psi,
     membership_tfae,
     psi_elements,
+    quotient_representation,
     validate_dqra,
 )
 
@@ -181,3 +186,55 @@ def test_contract_checks_the_idempotent_before_the_parent():
                        match=r"algebra does not validate: FAIL "
                              r"order-reflexive"):
         contract(A, 2)
+
+
+def element_calls(e):
+    """Each library call that takes an element of e's algebra, as a
+    function of that element; the other elements are fixed at a, a
+    positive symmetric idempotent."""
+    A = e.algebra
+    a = A.index_of("a")
+    return {
+        "is_psi": lambda x: is_psi(A, x),
+        "contract": lambda x: contract(A, x).members,
+        "quotient_representation":
+            lambda x: quotient_representation(e, x).class_map,
+        "induced_embedding": lambda x: tuple(
+            r.bits for r in induced_embedding(e, x).assignment),
+        "membership_tfae p": lambda x: membership_tfae(A, x, a),
+        "membership_tfae b": lambda x: membership_tfae(A, a, x),
+        "label": A.label,
+        "le a": lambda x: A.le(x, a),
+        "le b": lambda x: A.le(a, x),
+        "lt a": lambda x: A.lt(x, a),
+        "lt b": lambda x: A.lt(a, x),
+        "meet a": lambda x: A.meet(x, a),
+        "meet b": lambda x: A.meet(a, x),
+        "join a": lambda x: A.join(x, a),
+        "join b": lambda x: A.join(a, x),
+    }
+
+
+def outcome(call, x):
+    """The call's answer, or the type of the documented error it raised."""
+    try:
+        return call(x)
+    except (NotPsiError, LawViolationError) as exc:
+        return type(exc)
+
+
+def test_element_arguments_are_indices_of_the_carrier(six_embedding):
+    # an element is an integer index in 0..size-1: -1 is not the last
+    # element (the top of D^6_{3,5,2}, a positive symmetric idempotent),
+    # and neither a bool nor an index past the carrier reaches numpy
+    A = six_embedding.algebra
+    n = A.size
+    for name, call in element_calls(six_embedding).items():
+        for bad in (-1, n, 10**30, True, np.True_):
+            with pytest.raises(NotAnElementError,
+                               match=rf"^{re.escape(repr(bad))} .* size {n} "):
+                call(bad)
+        for k in range(n):
+            assert outcome(call, np.int64(k)) == outcome(call, k), (name, k)
+    assert is_psi(A, n - 1) and A.label(n - 1) == "top"
+    assert issubclass(NotAnElementError, ValueError)

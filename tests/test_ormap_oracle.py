@@ -75,18 +75,16 @@ def test_column_matches_one_relation_at_a_time(n):
 
 @pytest.mark.parametrize("n", range(10))
 def test_negation_stack_is_built_once_with_the_maps(n):
-    # the int64 stack of the negation maps is made with them and shared by
-    # every structure with the same n, alpha and beta; relations wider than
-    # a machine word keep the lists, stacked on each call
+    # the stack of the negation maps, int64 or object as the relation
+    # column, is made with them and shared by every structure with the
+    # same n, alpha and beta
     rng = np.random.default_rng(n)
     S = random_structure(rng, n)
     maps, stack = S._negations
     twin = RelStructure(n, S.leq, S.E, S.alpha, S.beta)
     assert twin._negations[0] is maps and twin._negations[1] is stack
-    if n * n <= 63:
-        assert stack.dtype == np.int64 and stack.tolist() == list(maps)
-    else:
-        assert stack is maps
+    assert stack.dtype == (np.int64 if n * n <= 63 else object)
+    assert stack.tolist() == list(maps)
     col = S.E.bits & ~column(n, random_bits(rng, n, 40))
     assert ([c.tolist() for c in _map_columns(stack, col)]
             == [c.tolist() for c in _map_columns(maps, col)]

@@ -121,8 +121,8 @@ def test_root_refutation_builds_no_lattice_arrays():
         assert result.status is SearchStatus.NOT_FOUND
         if result.nodes == 0:
             refuted += 1
-            assert not {"meet_table", "join_table"} & A.__dict__.keys()
-            assert "_lattice_rows" in A.__dict__
+            assert "_lattice_tables" not in vars(A)
+            assert "_lattice_rows" in vars(A)
     assert refuted > 0
 
 
