@@ -128,41 +128,26 @@ def lattice_tables(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                          .reshape(2, *leq.shape)))
 
 
-def join_generators(join: np.ndarray) -> tuple[int, ...]:
-    """Elements that are not the join of two strictly smaller ones, in index
-    order.  Every element is a join of these.  The bottom (the empty join)
-    is always one: a join lies above its arguments, so a bottom that is a
-    join of b and c equals both."""
-    n = join.shape[0]
-    idx = np.arange(n)
-    reducible = np.zeros(n + 1, dtype=bool)    # -1 (no join) marks the last
-    reducible[join[(join != idx[:, None]) & (join != idx)]] = True
-    return tuple(np.flatnonzero(~reducible[:n]).tolist())
-
-
-def _transitive(L: np.ndarray) -> bool:
-    """Whether a boolean relation matrix is transitive: row b lies within
-    row a for every a <= b, decided on packed rows, a block of such pairs
-    at a time."""
-    rows = np.packbits(L, axis=1)
-    a, b = np.divmod(np.flatnonzero(L), L.shape[0])
-    block = 1 << 14
-    return not any((rows[b[i:i + block]] & ~rows[a[i:i + block]]).any()
-                   for i in range(0, len(a), block))
+def join_generators(leq: np.ndarray) -> tuple[int, ...]:
+    """Elements of a boolean order matrix whose strictly smaller elements
+    have a greatest one or none, in index order: y <= x with one element
+    fewer below it, or x alone below itself.  In a lattice these are the
+    bottom (the empty join) and the elements that are not the join of two
+    strictly smaller ones, and every element is a join of them."""
+    down = leq.sum(axis=0)                      # size of each down-set
+    covered = (leq & (down[:, None] == down - 1)).any(axis=0)
+    return tuple(np.flatnonzero(covered | (down == 1)).tolist())
 
 
 def _order_bad(L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The cells of a boolean relation matrix that break reflexivity (on the
     diagonal), antisymmetry and transitivity.  The transitivity cells, those
-    of L;L outside L, come from a boolean product that numpy runs in m^3
-    steps without BLAS; past 32 elements it runs only once `_transitive`
-    has failed."""
+    of L;L outside L, come from one float32 product, which numpy hands to
+    BLAS; it is exact, since a sum of 0/1 terms is nonzero iff one term
+    is 1."""
+    F = L.astype(np.float32)
     off_diagonal = ~np.eye(L.shape[0], dtype=bool)
-    if L.shape[0] > 32 and _transitive(L):
-        trans_bad = np.zeros_like(off_diagonal)
-    else:
-        trans_bad = (L @ L) & ~L
-    return ~L.diagonal(), L & L.T & off_diagonal, trans_bad
+    return ~L.diagonal(), L & L.T & off_diagonal, (F @ F).astype(bool) & ~L
 
 
 def _bijections(images: Sequence[Sequence[int]],
@@ -361,10 +346,10 @@ class FiniteDqRA:
 
     @cached_property
     def join_generators(self) -> tuple[int, ...]:
-        """Elements that are not the join of two strictly smaller ones (see
-        `join_generators`), which drive table extension and embedding
-        search."""
-        return join_generators(self.join_table)
+        """`join_generators` of the order, which drive table extension and
+        embedding search: read from the order alone, with no lattice
+        table."""
+        return join_generators(self.leq)
 
     @cached_property
     def _report(self) -> ValidationReport:
@@ -630,14 +615,18 @@ def derived_zero(A: FiniteDqRA) -> int:
 
 def residuals(A: FiniteDqRA, a: int, c: int) -> tuple[int, int]:
     """Return (a\\c, c/a) via the linear-negation formulas
-    a\\c = ~(-c.a) and c/a = -(a.~c)."""
+    a\\c = ~(-c.a) and c/a = -(a.~c).  a and c must be indices in
+    0..size-1 (NotAnElementError)."""
+    a, c = A._element(a), A._element(c)
     left = int(A.tilde[A.mult[A.minus[c], a]])
     right = int(A.minus[A.mult[a, A.tilde[c]]])
     return left, right
 
 
 def check_residuals(A: FiniteDqRA, a: int, c: int) -> bool:
-    """Verify the residuation equivalences at (a, c) against all b."""
+    """Verify the residuation equivalences at (a, c) against all b.  a and
+    c must be indices in 0..size-1 (NotAnElementError)."""
+    a, c = A._element(a), A._element(c)
     left, right = residuals(A, a, c)
     for b in range(A.size):
         ab_le_c = A.le(int(A.mult[a, b]), c)
@@ -655,8 +644,10 @@ def plus(A: FiniteDqRA, a: int, b: int) -> int:
 
     The factor flip inside the negations is what makes both expressions
     agree on noncommutative algebras; without it the two sides differ
-    exactly when products fail to commute.
+    exactly when products fail to commute.  a and b must be indices in
+    0..size-1 (NotAnElementError).
     """
+    a, b = A._element(a), A._element(b)
     s = int(A.tilde[A.mult[A.minus[b], A.minus[a]]])
     mirror = int(A.minus[A.mult[A.tilde[b], A.tilde[a]]])
     if s != mirror:

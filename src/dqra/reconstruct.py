@@ -148,7 +148,7 @@ def reconstruct(diagram: Diagram,
         raise ValueError("diagram is not a lattice")
     unit = ix[diagram.unit]
     bot = next(a for a in range(n) if leq[a].all())
-    gens = [g for g in join_generators(join) if g != bot]
+    gens = [g for g in join_generators(leq) if g != bot]
     gen_below = [[g for g in gens if leq[g, a]] for a in range(n)]
 
     annot = {(ix[x], ix[y]): ix[v] for x, y, v in diagram.products}

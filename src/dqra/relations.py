@@ -469,11 +469,11 @@ class RelStructure:
 
     def is_upset(self, R: BinRel) -> bool:
         """R lies within E and is upward closed in the pair poset.  The
-        upward closure of R is (leq ; R ; leq) restricted to E."""
+        upward closure of R is (leq ; R ; leq) restricted to E, so
+        up(R) == R puts R within E."""
         if R.n != self.n:
             R._check(self.E)
-        return (not R.bits & ~self.E.bits
-                and _or_map(self._up_map, R.bits) == R.bits)
+        return _or_map(self._up_map, R.bits) == R.bits
 
     @cached_property
     def _up_map(self) -> list[list[int]]:
@@ -485,7 +485,7 @@ class RelStructure:
     def check_upset(self, R: BinRel, what: str = "relation") -> BinRel:
         if R.n != self.n:
             raise CarrierMismatchError(f"{what} carrier does not match structure")
-        if R.bits & ~self.E.bits or _or_map(self._up_map, R.bits) != R.bits:
+        if _or_map(self._up_map, R.bits) != R.bits:
             raise NotAnUpsetError(f"{what} is not an upset of the pair poset")
         return R
 
@@ -704,19 +704,15 @@ class ClosureResult:
         return dict(enumerate(self.relations))
 
 
-def _canonical_order(S: RelStructure, rels: Iterable[BinRel],
-                     insertion: bool) -> list[BinRel]:
-    """Empty relation first, the order relation second, then either insertion
-    order (closures) or a size/bytes sort (full algebras)."""
+def _canonical_order(S: RelStructure, rels: Iterable[BinRel]) -> list[BinRel]:
+    """Empty relation first, the order relation second, then the others in
+    the order given."""
     rels = list(rels)
     head = [S.leq]
     if S.leq.bits and any(not r.bits for r in rels):
         head.insert(0, BinRel.empty(S.n))
     head_bits = {r.bits for r in head}
-    rest = [r for r in rels if r.bits not in head_bits]
-    if not insertion:
-        rest.sort(key=lambda r: (r.bits.bit_count(), r.bits))
-    return head + rest
+    return head + [r for r in rels if r.bits not in head_bits]
 
 
 _THREAD = threading.local()    # holds each thread's `_lookup` table
@@ -832,8 +828,7 @@ def dq_closure(S: RelStructure, generators: Sequence[BinRel],
         col = _column(n, members)
         add(np.stack([r & col, r | col, _compose(n, r, col),
                       _compose(n, col, r)], axis=1).ravel().tolist())
-    ordered = _canonical_order(S, (_rel(n, r) for r in members),
-                               insertion=True)
+    ordered = _canonical_order(S, (_rel(n, r) for r in members))
     algebra = algebra_from_upsets(S, ordered)
     return ClosureResult(tuple(ordered), algebra, S)
 
@@ -841,8 +836,10 @@ def dq_closure(S: RelStructure, generators: Sequence[BinRel],
 def full_dq_family(S: RelStructure, cap: int = 1 << 20) -> ClosureResult:
     """The algebra of all upsets of the pair poset, with the order relation
     as unit, and its element-to-upset assignment.  The upsets are bounded,
-    then counted, against the cap before enumeration (`enumerate_upsets`)."""
-    rels = _canonical_order(S, S.enumerate_upsets(cap), insertion=False)
+    then counted, against the cap before enumeration (`enumerate_upsets`),
+    and taken in the order of (size, bits)."""
+    rels = _canonical_order(S, sorted(
+        S.enumerate_upsets(cap), key=lambda r: (r.bits.bit_count(), r.bits)))
     return ClosureResult(tuple(rels), algebra_from_upsets(S, rels), S)
 
 

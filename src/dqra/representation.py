@@ -136,9 +136,9 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
     The upsets are bounded, then counted, first (`CapExceededError` above
     `upset_cap`): when leq is a partial order and 2^|E| <= upset_cap the
     bound settles the cap and nothing is counted.  An order of A that is
-    not a lattice raises `LawViolationError`.  Up to the root propagation
-    the search reads list rows (`FiniteDqRA._lattice_rows`), no arrays;
-    the set-up that only branching needs follows the root.
+    not a lattice raises `LawViolationError`.  The search reads list rows
+    (`FiniteDqRA._lattice_rows`) and the order's join generators, no
+    arrays; the set-up that only branching needs follows the root.
     The unit's image is forced to the order relation; images of the three
     unary operations, of meets, joins and products of assigned elements are
     propagated, so only join generators are branched on: in a lattice every

@@ -63,7 +63,7 @@ def closure_reference(S: RelStructure, generators: Sequence[BinRel],
             push(r | s)
             push(ref_compose_bits(n, r, s))
             push(ref_compose_bits(n, s, r))
-    ordered = _canonical_order(S, (_rel(n, r) for r in seen), insertion=True)
+    ordered = _canonical_order(S, (_rel(n, r) for r in seen))
     algebra = algebra_from_upsets(S, ordered)
     return ClosureResult(tuple(ordered), algebra, S)
 

@@ -11,12 +11,15 @@ from dqra import (
     NotAnElementError,
     NotPsiError,
     algebras_isomorphic,
+    check_residuals,
     contract,
     induced_embedding,
     is_psi,
     membership_tfae,
+    plus,
     psi_elements,
     quotient_representation,
+    residuals,
     validate_dqra,
 )
 
@@ -212,6 +215,12 @@ def element_calls(e):
         "meet b": lambda x: A.meet(a, x),
         "join a": lambda x: A.join(x, a),
         "join b": lambda x: A.join(a, x),
+        "residuals a": lambda x: residuals(A, x, a),
+        "residuals c": lambda x: residuals(A, a, x),
+        "check_residuals a": lambda x: check_residuals(A, x, a),
+        "check_residuals c": lambda x: check_residuals(A, a, x),
+        "plus a": lambda x: plus(A, x, a),
+        "plus b": lambda x: plus(A, a, x),
     }
 
 

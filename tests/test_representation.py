@@ -351,6 +351,21 @@ def test_verify_embedding_raises_on_an_invalid_structure():
         verify_embedding(Embedding(A1, S, (leq,)))
 
 
+def test_a_branching_search_builds_no_lattice_array(algebras):
+    # the search reads list rows and finds its join generators from the
+    # order: a refuted search that branched leaves the int64 tables unbuilt
+    structures = [S for n in (1, 2, 3) for S in enumerate_structures(n)]
+    branched = 0
+    for A in algebras.values():
+        for S in structures:
+            fresh = A.relabel(A.labels)
+            res = find_embedding(fresh, S)
+            if res.status is SearchStatus.NOT_FOUND and res.nodes > 0:
+                branched += 1
+                assert "_lattice_tables" not in fresh.__dict__
+    assert branched == 24
+
+
 def test_find_embedding_refuses_an_order_that_is_not_a_lattice(algebras):
     # D^4_{3,1} without 1 <= top and a <= top: 1 and a have no join.  A
     # missing join (-1) in the propagation tables would have assigned

@@ -3,11 +3,11 @@
 `algebra_from_upsets` computes every cell with the int kernel broadcast over
 the family and maps it to its index through one dictionary keyed on relation
 ints; `verify_embedding` compares tables computed the same way with the
-algebra's; `join_generators` marks reducible elements in one pass over the
-join table.  The references below take each cell from numpy matrix formulas
-and a dictionary keyed on packed bytes, check an embedding pair by pair
-through the checked negations, and test join-irreducibility literally, over
-all pairs.
+algebra's; `join_generators` reads the elements with at most one lower
+cover off the sizes of the down-sets of the order.  The references below
+take each cell from numpy matrix formulas and a dictionary keyed on packed
+bytes, check an embedding pair by pair through the checked negations, and
+test join-irreducibility literally, over all pairs.
 """
 
 import numpy as np
