@@ -12,6 +12,7 @@ from .algebra import (
     LawCheck,
     LawViolationError,
     MalformedAlgebraError,
+    NotACountError,
     NotAnElementError,
     ValidationReport,
     check_di,

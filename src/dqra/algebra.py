@@ -33,6 +33,11 @@ class NotAnElementError(ValueError):
     0..size-1 of its algebra."""
 
 
+class NotACountError(ValueError):
+    """A count, cap, budget or carrier size is not an integer (bools
+    excluded) at least as large as it must be."""
+
+
 @dataclass(frozen=True)
 class LawCheck:
     """Verdict for a single law, with a witness tuple when it failed."""
@@ -97,6 +102,29 @@ def _frozen_input(a, dtype: type) -> np.ndarray:
     return _freeze(a)
 
 
+def _integer(v) -> int:
+    """`v` as a Python int through `operator.index`, or -1, which no rule
+    takes, when it is a bool (Python's or numpy's) or not an integer: the
+    one integer rule for elements, counts and carrier sizes."""
+    if isinstance(v, (bool, np.bool_)):
+        return -1
+    try:
+        return operator.index(v)
+    except TypeError:
+        return -1
+
+
+def _count(v, what: str, least: int = 0,
+           error: type[ValueError] = NotACountError) -> int:
+    """`v` as a Python int when `_integer` takes it and it is at least
+    `least`; else `error` naming `what` and `v`."""
+    i = _integer(v)
+    if i < least:
+        raise error(
+            f"{what} must be an integer (not a bool) >= {least}, not {v!r}")
+    return i
+
+
 def lattice_rows(leq: np.ndarray) -> tuple[list[list[int]], list[list[int]]]:
     """The meet and join tables of a boolean order matrix as lists of rows;
     -1 marks pairs without a greatest lower or least upper bound.
@@ -146,8 +174,9 @@ def _order_bad(L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     BLAS; it is exact, since a sum of 0/1 terms is nonzero iff one term
     is 1."""
     F = L.astype(np.float32)
-    off_diagonal = ~np.eye(L.shape[0], dtype=bool)
-    return ~L.diagonal(), L & L.T & off_diagonal, (F @ F).astype(bool) & ~L
+    both_ways = L & L.T
+    np.fill_diagonal(both_ways, False)
+    return ~L.diagonal(), both_ways, (F @ F).astype(bool) & ~L
 
 
 def _bijections(images: Sequence[Sequence[int]],
@@ -214,11 +243,15 @@ class FiniteDqRA:
     `leq[a, b]` is the lattice order, `mult[a, b]` the product table,
     `tilde`/`minus`/`negn` the unary tables and `unit` the monoid identity.
     Values are immutable after construction; all operations on them are pure.
-    An input array that is still writable is kept as a frozen copy.  The
-    meet and join tables, as int64 arrays and as the search's list rows,
-    each come from the order alone, or the arrays from their one hand-over
-    (`_set_lattice_tables`).  The elements given to `label`, `le`, `lt`,
-    `meet` and `join` must be indices in 0..size-1 (NotAnElementError).
+    One rule takes each table: a read-only array of its dtype (bool for
+    `leq`, int64 else) is shared, anything else kept as a frozen copy, and
+    its shape and index range 0..size-1 are checked; `size` >= 1 and `unit`
+    go through the integer rule (`_integer`).  MalformedAlgebraError names
+    the table or field that fails.  The meet and join tables, as int64
+    arrays and as the search's list rows, each come from the order alone,
+    or the arrays from their one hand-over (`_set_lattice_tables`).  The
+    elements given to `label`, `le`, `lt`, `meet` and `join` must be
+    indices in 0..size-1 (NotAnElementError).
     """
 
     size: int
@@ -231,39 +264,31 @@ class FiniteDqRA:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        n = self.size
-        if n <= 0:
-            raise MalformedAlgebraError("carrier must be non-empty")
+        n = _count(self.size, "size", 1, MalformedAlgebraError)
+        unit = _integer(self.unit)
+        if not 0 <= unit < n:
+            raise MalformedAlgebraError(
+                f"unit must be an index in 0..{n - 1}, not {self.unit!r}")
         leq = np.asarray(self.leq)
         if leq.dtype != bool and not ((leq == 0) | (leq == 1)).all():
             raise MalformedAlgebraError("order table entries must be 0 or 1")
-        leq = _frozen_input(leq, bool)
-        mult = _frozen_input(self.mult, np.int64)
-        unaries = []
-        for nm in ("tilde", "minus", "negn"):
-            u = _frozen_input(getattr(self, nm), np.int64)
-            if u.shape != (n,):
-                raise MalformedAlgebraError(f"{nm} table must have {n} entries")
-            if u.min() < 0 or u.max() >= n:
-                raise MalformedAlgebraError(f"{nm} table has out-of-range index")
-            unaries.append(u)
-        if leq.shape != (n, n):
-            raise MalformedAlgebraError(f"order table must be {n}x{n}")
-        if mult.shape != (n, n):
-            raise MalformedAlgebraError(f"product table must be {n}x{n}")
-        if mult.min() < 0 or mult.max() >= n:
-            raise MalformedAlgebraError("product table has out-of-range index")
-        if not 0 <= self.unit < n:
-            raise MalformedAlgebraError("unit index out of range")
+        for name, shape in (("leq", (n, n)), ("mult", (n, n)), ("tilde", (n,)),
+                            ("minus", (n,)), ("negn", (n,))):
+            index = name != "leq"
+            a = _frozen_input(getattr(self, name), np.int64 if index else bool)
+            if a.shape != shape:
+                raise MalformedAlgebraError(
+                    f"{name} table has shape {a.shape}, not {shape}")
+            # as uint64 a negative entry exceeds every size: one reduction
+            if index and a.view(np.uint64).max() >= n:
+                raise MalformedAlgebraError(
+                    f"{name} table has an index outside 0..{n - 1}")
+            object.__setattr__(self, name, a)
         labels = tuple(self.labels) if self.labels else tuple(f"e{i}" for i in range(n))
         if len(labels) != n or len(set(labels)) != n:
             raise MalformedAlgebraError("labels must be distinct, one per element")
-        object.__setattr__(self, "leq", leq)
-        object.__setattr__(self, "mult", mult)
-        object.__setattr__(self, "tilde", unaries[0])
-        object.__setattr__(self, "minus", unaries[1])
-        object.__setattr__(self, "negn", unaries[2])
-        object.__setattr__(self, "labels", labels)
+        for name, value in (("size", n), ("unit", unit), ("labels", labels)):
+            object.__setattr__(self, name, value)
 
     # --- element helpers -------------------------------------------------
 
@@ -271,13 +296,9 @@ class FiniteDqRA:
         """`a` as a Python int, when it is an integer index (through
         `operator.index`; bools refused) in 0..size-1; else
         NotAnElementError naming `a` and the size."""
-        if not isinstance(a, (bool, np.bool_)):
-            try:
-                i = operator.index(a)
-            except TypeError:
-                i = -1
-            if 0 <= i < self.size:
-                return i
+        i = _integer(a)
+        if 0 <= i < self.size:
+            return i
         raise NotAnElementError(
             f"{a!r} is not an element of an algebra of size {self.size} "
             f"(an integer index in 0..{self.size - 1})")

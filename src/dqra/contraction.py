@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (FiniteDqRA, LawViolationError, _set_lattice_tables,
-                      validate_dqra)
+from .algebra import (FiniteDqRA, LawViolationError, _freeze,
+                      _set_lattice_tables, validate_dqra)
 
 
 class NotPsiError(ValueError):
@@ -112,10 +112,10 @@ def contract(A: FiniteDqRA, p: int) -> Contraction:
     back = np.full(A.size, -1, dtype=np.int64)   # parent -> member index
     back[sel] = np.arange(len(members))
     labels = tuple(A.labels[x] for x in members)
-    algebra = FiniteDqRA(len(members), A.leq[sel][:, sel],
-                         back[A.mult[sel][:, sel]], back[A.tilde[sel]],
-                         back[A.minus[sel]], back[A.negn[sel]],
-                         int(back[p]), labels)
+    # fresh arrays, handed over read-only: FiniteDqRA shares them
+    algebra = FiniteDqRA(len(members), *map(_freeze, (
+        A.leq[sel][:, sel], back[A.mult[sel][:, sel]], back[A.tilde[sel]],
+        back[A.minus[sel]], back[A.negn[sel]])), int(back[p]), labels)
     _set_lattice_tables(algebra, back[A.meet_table[sel][:, sel]],
                         back[A.join_table[sel][:, sel]])
     return Contraction(A, p, members, algebra)

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import (FiniteDqRA, _law_verdicts, _set_lattice_tables,
+from .algebra import (FiniteDqRA, _freeze, _law_verdicts, _set_lattice_tables,
                       join_generators, lattice_tables, order_maps,
                       validate_dqra)
 from .isomorphism import algebras_isomorphic
@@ -142,7 +142,8 @@ def reconstruct(diagram: Diagram,
     labels = diagram.labels
     n = len(labels)
     ix = {l: i for i, l in enumerate(labels)}
-    leq = _closure_leq(n, [(ix[a], ix[b]) for a, b in diagram.covers])
+    # read-only, so each candidate algebra shares it
+    leq = _freeze(_closure_leq(n, [(ix[a], ix[b]) for a, b in diagram.covers]))
     meet, join = lattice_tables(leq)
     if (meet < 0).any() or (join < 0).any():
         raise ValueError("diagram is not a lattice")

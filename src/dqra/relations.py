@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .algebra import (FiniteDqRA, LawCheck, LawViolationError,
-                      ValidationReport, _freeze, _set_lattice_tables,
+                      ValidationReport, _count, _freeze, _set_lattice_tables,
                       order_maps)
 
 
@@ -363,7 +363,8 @@ class RelStructure:
     satisfying beta = alpha;beta;alpha.
 
     The two maps are stored as permutations; their graphs are materialised
-    on demand.
+    on demand.  The carrier size `n` is an integer (bools refused) >= 0,
+    else NotACountError.
     """
 
     n: int
@@ -374,6 +375,7 @@ class RelStructure:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _count(self.n, "carrier size n"))
         if self.leq.n != self.n or self.E.n != self.n:
             raise CarrierMismatchError("leq/E carrier does not match n")
         object.__setattr__(self, "alpha", tuple(int(v) for v in self.alpha))
@@ -496,7 +498,10 @@ class RelStructure:
         the connected components of the pair order.  A component is counted
         by splitting on a maximal remaining pair (in or out) with
         memoisation on the remaining-pair mask.  Iterative, so the pair
-        count sets no recursion limit."""
+        count sets no recursion limit.  The cap is an integer (bools
+        refused) >= 0, else NotACountError; a count above it raises
+        CapExceededError."""
+        cap = _count(cap, "upset cap")
         below, strictly_above = self._pair_masks
         total = 1
         remaining = (1 << len(below)) - 1
@@ -550,14 +555,17 @@ class RelStructure:
         at most 2^|E| of them; when leq is a partial order the pair order
         is one too, so the count always finds a maximal pair.  When both
         hold and 2^|E| <= cap the check cannot fail and nothing is
-        counted."""
+        counted.  A cap that is not an integer >= 0 raises
+        NotACountError."""
+        cap = _count(cap, "upset cap")
         if not (1 << len(self.E) <= cap and self._leq_is_order):
             self.count_upsets(cap)
 
     def enumerate_upsets(self, cap: int = 1 << 20) -> list[BinRel]:
         """All upsets of the pair poset.  Bounds, then counts them (see
         `_check_upset_cap`) and refuses to start if the total exceeds the
-        cap."""
+        cap (CapExceededError), or when the cap is not an integer >= 0
+        (NotACountError)."""
         self._check_upset_cap(cap)
         return [_rel(self.n, bits)
                 for bits in self._upsets_between(0, self.E.bits)]
@@ -787,7 +795,9 @@ def algebra_from_upsets(S: RelStructure, rels: Sequence[BinRel]
     col, (product, meet, join), unary = _family_tables(S, bits)
     if (product < 0).any() or any((t < 0).any() for t in unary):
         raise ValueError("family is not closed under the operations")
-    A = FiniteDqRA(len(rels), (col[:, None] & ~col) == 0, product, *unary,
+    # fresh arrays, handed over read-only: FiniteDqRA shares them
+    A = FiniteDqRA(len(rels), *map(_freeze, ((col[:, None] & ~col) == 0,
+                                             product, *unary)),
                    rels.index(S.leq), tuple(f"r{i}" for i in range(len(rels))))
     if len(set(bits)) == len(bits):
         _set_lattice_tables(A, meet, join)
@@ -804,10 +814,12 @@ def dq_closure(S: RelStructure, generators: Sequence[BinRel],
     walked in insertion order while the list grows.  Each member r adds its
     three negations, then, as one column over all members so far, r & s,
     r | s, r;s and s;r for each member s in turn; new results join in that
-    order.  Raises CapExceededError when the closure grows past `cap`.
+    order.  Raises CapExceededError when the closure grows past `cap`, and
+    NotACountError when `cap` is not an integer (bools refused) >= 0.
     S is validated once, after the generators (LawViolationError if it
     fails; the report is kept on S), so the negations run unchecked.
     """
+    cap = _count(cap, "closure cap")
     for g in generators:
         S.check_upset(g, "generator")
     validate_structure(S).raise_if_failed("structure does not validate")
@@ -836,15 +848,17 @@ def dq_closure(S: RelStructure, generators: Sequence[BinRel],
 def full_dq_family(S: RelStructure, cap: int = 1 << 20) -> ClosureResult:
     """The algebra of all upsets of the pair poset, with the order relation
     as unit, and its element-to-upset assignment.  The upsets are bounded,
-    then counted, against the cap before enumeration (`enumerate_upsets`),
-    and taken in the order of (size, bits)."""
+    then counted, against the cap before enumeration (`enumerate_upsets`:
+    CapExceededError above it, NotACountError when it is not an integer
+    >= 0), and taken in the order of (size, bits)."""
     rels = _canonical_order(S, sorted(
         S.enumerate_upsets(cap), key=lambda r: (r.bits.bit_count(), r.bits)))
     return ClosureResult(tuple(rels), algebra_from_upsets(S, rels), S)
 
 
 def full_dq(S: RelStructure, cap: int = 1 << 20) -> FiniteDqRA:
-    """The algebra of all upsets of the pair poset (see full_dq_family)."""
+    """The algebra of all upsets of the pair poset (see full_dq_family,
+    which raises CapExceededError or NotACountError for the cap)."""
     return full_dq_family(S, cap).algebra
 
 
@@ -890,7 +904,10 @@ def _partitions(items: list[int]) -> Iterator[list[list[int]]]:
 def enumerate_structures(n: int) -> Iterator[RelStructure]:
     """Every valid structure on n labelled points: all compatible choices of
     partial order, equivalence containing it, order automorphism and
-    self-inverse dual order automorphism with beta = alpha;beta;alpha."""
+    self-inverse dual order automorphism with beta = alpha;beta;alpha.
+    The first step raises NotACountError when n is not an integer (bools
+    refused) >= 0."""
+    n = _count(n, "carrier size n")
     equivalences = []
     for part in _partitions(list(range(n))):
         block = [0] * n
@@ -920,7 +937,9 @@ def enumerate_structures(n: int) -> Iterator[RelStructure]:
 def sample_structures(max_n: int, count: int, seed: int,
                       upset_cap: int = 512) -> list[RelStructure]:
     """Deterministic sample of valid structures with carrier size <= max_n
-    whose upset count stays within the cap."""
+    whose upset count stays within the cap.  NotACountError when max_n is
+    not an integer (bools refused) >= 1, or count or upset_cap one >= 0."""
+    max_n, count = _count(max_n, "max_n", 1), _count(count, "count")
     pool: list[RelStructure] = []
     for n in range(1, max_n + 1):
         for s in enumerate_structures(n):

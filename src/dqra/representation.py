@@ -11,7 +11,7 @@ from functools import cached_property
 from typing import Optional
 
 from .algebra import (FiniteDqRA, LawCheck, LawViolationError,
-                      ValidationReport, _first_bad, validate_dqra)
+                      ValidationReport, _count, _first_bad, validate_dqra)
 from .contraction import contract, is_psi, NotPsiError
 from .relations import (
     BinRel,
@@ -133,10 +133,12 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
                    upset_cap: int = 1 << 16) -> SearchResult:
     """Backtracking search for an embedding of A into the upset algebra of S.
 
-    The upsets are bounded, then counted, first (`CapExceededError` above
-    `upset_cap`): when leq is a partial order and 2^|E| <= upset_cap the
-    bound settles the cap and nothing is counted.  An order of A that is
-    not a lattice raises `LawViolationError`.  The search reads list rows
+    `budget` and `upset_cap` are integers (bools refused) >= 0, else
+    NotACountError.  The upsets are bounded, then counted, first
+    (`CapExceededError` above `upset_cap`): when leq is a partial order
+    and 2^|E| <= upset_cap the bound settles the cap and nothing is
+    counted.  An order of A that is not a lattice raises
+    `LawViolationError`.  The search reads list rows
     (`FiniteDqRA._lattice_rows`) and the order's join generators, no
     arrays; the set-up that only branching needs follows the root.
     The unit's image is forced to the order relation; images of the three
@@ -163,6 +165,7 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
     anything on inputs that do not validate; validate them first, as the
     CLI does (here that would cost more than a small search).
     """
+    budget = _count(budget, "budget")
     S._check_upset_cap(upset_cap)
     n = A.size
     nS = S.n

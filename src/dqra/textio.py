@@ -48,7 +48,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import FiniteDqRA
+from .algebra import FiniteDqRA, _freeze
 from .relations import BinRel, RelStructure
 from .representation import Embedding
 
@@ -214,11 +214,13 @@ def parse_algebra(text: str) -> tuple[str, FiniteDqRA]:
 
     def unary(row: tuple[int, list[str]]) -> np.ndarray:
         no, toks = row
-        return np.array([_resolve(t, index, n, no, "element") for t in toks])
+        return _freeze(np.array(
+            [_resolve(t, index, n, no, "element") for t in toks], np.int64))
 
     unit = _resolve(unit_toks[0], index, n, unit_no, "element")
-    algebra = FiniteDqRA(n, leq, mult, unary(til_row), unary(mns_row),
-                         unary(ngn_row), unit, tuple(lab))
+    # fresh arrays, handed over read-only: FiniteDqRA shares them
+    algebra = FiniteDqRA(n, _freeze(leq), _freeze(mult), unary(til_row),
+                         unary(mns_row), unary(ngn_row), unit, tuple(lab))
     return name, algebra
 
 

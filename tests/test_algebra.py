@@ -19,6 +19,7 @@ from dqra import (
     residuals,
     validate_dqra,
 )
+from dqra import contraction, relations, textio
 from dqra.algebra import (_order_bad, join_generators, lattice_rows,
                           lattice_tables)
 from dqra.contraction import contract
@@ -123,12 +124,16 @@ def test_neg_replaced_by_identity_fails_de_morgan(six):
     dict(leq=np.ones((5, 6), bool)),              # wrong order shape
     dict(mult=np.zeros((6, 5), int)),             # wrong product shape
     dict(labels=("a", "a", "b", "c", "d", "e")),  # duplicate labels
+    dict(unit=0.5),                               # not an integer
+    dict(unit=True),                              # a bool
+    dict(size=True, leq=[[1]], mult=[[0]], tilde=[0], minus=[0], negn=[0],
+         unit=0),                                 # one element, size a bool
 ])
 def test_malformed_tables_rejected(six, mutation):
     fields = dict(size=six.size, leq=six.leq, mult=six.mult, tilde=six.tilde,
                   minus=six.minus, negn=six.negn, unit=six.unit)
     fields.update(mutation)
-    if "leq" in mutation and mutation["leq"].shape == (6, 6):
+    if "leq" in mutation and np.shape(mutation["leq"]) == (6, 6):
         # shape-valid but law-breaking order is caught by validation instead
         A = FiniteDqRA(**fields)
         assert not validate_dqra(A).ok
@@ -404,6 +409,29 @@ def test_caller_arrays_stay_writable(six):
     assert A.table_key() == key
     # read-only arrays are shared, as `relabel` passes them
     assert A.relabel(A.labels).leq is A.leq
+
+
+def test_builders_hand_over_their_arrays(six, monkeypatch):
+    # an extracted, a contracted and a parsed algebra keep the fresh arrays
+    # their builder made, handed over read-only, with no copy
+    handed = []
+
+    def recording(*args):
+        A = FiniteDqRA(*args)
+        handed.append((A, args[1:6]))
+        return A
+
+    for module in (relations, contraction, textio):
+        monkeypatch.setattr(module, "FiniteDqRA", recording)
+    S = next(s for s in enumerate_structures(2) if len(s.E) == 4)
+    full_dq(S)
+    contract(six, six.index_of("a"))
+    textio.parse_algebra(textio.emit_algebra("six", six))
+    assert len(handed) == 3
+    for A, tables in handed:
+        for name, table in zip(("leq", "mult", "tilde", "minus", "negn"),
+                               tables):
+            assert getattr(A, name) is table, name
 
 
 def test_validation_keeps_no_lattice_rows(algebras):
