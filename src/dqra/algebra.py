@@ -103,25 +103,20 @@ def _frozen_input(a, dtype: type) -> np.ndarray:
 
 
 def _integer(v) -> int:
-    """`v` as a Python int through `operator.index`, or -1, which no rule
-    takes, when it is a bool (Python's or numpy's) or not an integer: the
-    one integer rule for elements, counts and carrier sizes."""
-    if isinstance(v, (bool, np.bool_)):
-        return -1
+    """`v` through `operator.index`; -1 for a bool or a non-integer."""
     try:
-        return operator.index(v)
+        return -1 if isinstance(v, (bool, np.bool_)) else operator.index(v)
     except TypeError:
         return -1
 
 
-def _count(v, what: str, least: int = 0,
-           error: type[ValueError] = NotACountError) -> int:
+def _count(v, what: str, least: int = 0) -> int:
     """`v` as a Python int when `_integer` takes it and it is at least
-    `least`; else `error` naming `what` and `v`."""
+    `least`; else NotACountError naming `what` and `v`."""
     i = _integer(v)
     if i < least:
-        raise error(
-            f"{what} must be an integer (not a bool) >= {least}, not {v!r}")
+        bound = f"at least {least}" if least else "non-negative"
+        raise NotACountError(f"{what} must be {bound}: {v!r}")
     return i
 
 
@@ -243,15 +238,12 @@ class FiniteDqRA:
     `leq[a, b]` is the lattice order, `mult[a, b]` the product table,
     `tilde`/`minus`/`negn` the unary tables and `unit` the monoid identity.
     Values are immutable after construction; all operations on them are pure.
-    One rule takes each table: a read-only array of its dtype (bool for
-    `leq`, int64 else) is shared, anything else kept as a frozen copy, and
-    its shape and index range 0..size-1 are checked; `size` >= 1 and `unit`
-    go through the integer rule (`_integer`).  MalformedAlgebraError names
-    the table or field that fails.  The meet and join tables, as int64
-    arrays and as the search's list rows, each come from the order alone,
-    or the arrays from their one hand-over (`_set_lattice_tables`).  The
-    elements given to `label`, `le`, `lt`, `meet` and `join` must be
-    indices in 0..size-1 (NotAnElementError).
+    A table that is a read-only array of its dtype is shared, any other
+    kept as a frozen copy; `size` and `unit` follow `_integer`.  The meet
+    and join tables, as int64 arrays and as the search's list rows, each
+    come from the order alone, or the arrays from their one hand-over
+    (`_set_lattice_tables`).  The elements given to `label`, `le`, `lt`,
+    `meet` and `join` must be indices in 0..size-1 (NotAnElementError).
     """
 
     size: int
@@ -264,11 +256,11 @@ class FiniteDqRA:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        n = _count(self.size, "size", 1, MalformedAlgebraError)
-        unit = _integer(self.unit)
-        if not 0 <= unit < n:
+        n, unit = _integer(self.size), _integer(self.unit)
+        if not 0 <= unit < n:   # so also n >= 1
             raise MalformedAlgebraError(
-                f"unit must be an index in 0..{n - 1}, not {self.unit!r}")
+                f"size must be an integer >= 1 and unit an index below it, "
+                f"not {self.size!r} and {self.unit!r}")
         leq = np.asarray(self.leq)
         if leq.dtype != bool and not ((leq == 0) | (leq == 1)).all():
             raise MalformedAlgebraError("order table entries must be 0 or 1")

@@ -14,7 +14,8 @@ from pathlib import Path
 from typing import Optional
 
 from .algebra import (FiniteDqRA, LawViolationError, MalformedAlgebraError,
-                      NotAnElementError, ValidationReport, validate_dqra)
+                      NotACountError, NotAnElementError, ValidationReport,
+                      _count as _count_rule, validate_dqra)
 from .catalogue import CATALOGUE, _read as _read_data
 from .contraction import NotPsiError, contract, psi_elements
 from .dot import algebra_dot, structure_dot
@@ -82,16 +83,14 @@ def _load_either(path: str) -> tuple[str, FiniteDqRA | RelStructure]:
 
 
 def _count(text: str, least: int = 0) -> int:
-    """An int option of at least `least`; other text fails as under
-    type=int."""
+    """An int option under the library's count rule (`algebra._count`);
+    other text fails as under type=int."""
     try:
-        value = int(text)
+        return _count_rule(int(text), "", least)
+    except NotACountError as exc:
+        raise argparse.ArgumentTypeError(str(exc).lstrip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < least:
-        bound = f"at least {least}" if least else "non-negative"
-        raise argparse.ArgumentTypeError(f"must be {bound}: {text}")
-    return value
 
 
 def _elt(A: FiniteDqRA, token: str) -> int:

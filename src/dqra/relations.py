@@ -938,7 +938,8 @@ def sample_structures(max_n: int, count: int, seed: int,
                       upset_cap: int = 512) -> list[RelStructure]:
     """Deterministic sample of valid structures with carrier size <= max_n
     whose upset count stays within the cap.  NotACountError when max_n is
-    not an integer (bools refused) >= 1, or count or upset_cap one >= 0."""
+    not an integer (bools refused) >= 1, or count or upset_cap one >= 0;
+    CapExceededError when count > 0 and every structure exceeds the cap."""
     max_n, count = _count(max_n, "max_n", 1), _count(count, "count")
     pool: list[RelStructure] = []
     for n in range(1, max_n + 1):
@@ -948,6 +949,9 @@ def sample_structures(max_n: int, count: int, seed: int,
             except CapExceededError:
                 continue
             pool.append(s)
+    if count and not pool:
+        raise CapExceededError(f"every structure on at most {max_n} "
+                               f"point(s) has more than {upset_cap} upsets")
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, len(pool), size=count)
     return [pool[int(i)] for i in picks]

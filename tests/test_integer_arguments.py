@@ -11,6 +11,7 @@ import pytest
 
 from dqra import (
     BinRel,
+    CapExceededError,
     FiniteDqRA,
     LawViolationError,
     MalformedAlgebraError,
@@ -146,10 +147,11 @@ def count_cases(e):
         "sample_structures count": Case(
             lambda v: structures_key(sample_structures(2, v, 0)),
             NotACountError, (0, 3)),
-        # no structure on at most 2 points has more than 2^4 upsets
+        # no structure on at most 2 points has more than 2^4 upsets, nor
+        # fewer than 2: a cap of 0 leaves none to sample (CapExceededError)
         "sample_structures upset_cap": Case(
             lambda v: structures_key(sample_structures(2, 3, 0, v)),
-            NotACountError, (16,), huge=True),
+            NotACountError, (0, 16), huge=True),
         "count_upsets": Case(S2.count_upsets, NotACountError, (k2,),
                              huge=True),
         "enumerate_upsets": Case(
@@ -184,7 +186,7 @@ def outcome(call, x):
     """The call's answer, or the type of the documented error it raised."""
     try:
         return call(x)
-    except (NotPsiError, LawViolationError) as exc:
+    except (NotPsiError, LawViolationError, CapExceededError) as exc:
         return type(exc)
 
 
