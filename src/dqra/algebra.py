@@ -92,29 +92,36 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _frozen_input(a, dtype: type) -> np.ndarray:
-    """A frozen array of `a` in `dtype` that its caller cannot write: `a`
+def _frozen_input(a, name: str) -> np.ndarray:
+    """Table `name` of a FiniteDqRA as a frozen array that its caller cannot
+    write, bool for the order `leq` and int64 for the index tables: `a`
     itself when it is already a read-only array of that dtype, else a
-    frozen copy (the caller's array stays writable)."""
+    frozen copy (the caller's array stays writable).  A copy of an index
+    table takes integer entries only (MalformedAlgebraError naming it)."""
+    dtype = bool if name == "leq" else np.int64
     if not (isinstance(a, np.ndarray) and a.dtype == dtype
             and not a.flags.writeable):
+        a = np.asarray(a)
+        if dtype is np.int64 and a.dtype.kind not in "iu":
+            raise MalformedAlgebraError(
+                f"{name} table entries must be integers, not {a.dtype}")
         a = np.array(a, dtype=dtype, order="C")
     return _freeze(a)
 
 
-def _integer(v) -> int:
-    """`v` through `operator.index`; -1 for a bool or a non-integer."""
+def _integer(v) -> Optional[int]:
+    """`v` through `operator.index`; None for a bool or a non-integer."""
     try:
-        return -1 if isinstance(v, (bool, np.bool_)) else operator.index(v)
+        return None if isinstance(v, (bool, np.bool_)) else operator.index(v)
     except TypeError:
-        return -1
+        return None
 
 
 def _count(v, what: str, least: int = 0) -> int:
     """`v` as a Python int when `_integer` takes it and it is at least
     `least`; else NotACountError naming `what` and `v`."""
     i = _integer(v)
-    if i < least:
+    if i is None or i < least:
         bound = f"at least {least}" if least else "non-negative"
         raise NotACountError(f"{what} must be {bound}: {v!r}")
     return i
@@ -257,7 +264,7 @@ class FiniteDqRA:
 
     def __post_init__(self) -> None:
         n, unit = _integer(self.size), _integer(self.unit)
-        if not 0 <= unit < n:   # so also n >= 1
+        if None in (n, unit) or not 0 <= unit < n:   # so also n >= 1
             raise MalformedAlgebraError(
                 f"size must be an integer >= 1 and unit an index below it, "
                 f"not {self.size!r} and {self.unit!r}")
@@ -266,13 +273,12 @@ class FiniteDqRA:
             raise MalformedAlgebraError("order table entries must be 0 or 1")
         for name, shape in (("leq", (n, n)), ("mult", (n, n)), ("tilde", (n,)),
                             ("minus", (n,)), ("negn", (n,))):
-            index = name != "leq"
-            a = _frozen_input(getattr(self, name), np.int64 if index else bool)
+            a = _frozen_input(getattr(self, name), name)
             if a.shape != shape:
                 raise MalformedAlgebraError(
                     f"{name} table has shape {a.shape}, not {shape}")
             # as uint64 a negative entry exceeds every size: one reduction
-            if index and a.view(np.uint64).max() >= n:
+            if name != "leq" and a.view(np.uint64).max() >= n:
                 raise MalformedAlgebraError(
                     f"{name} table has an index outside 0..{n - 1}")
             object.__setattr__(self, name, a)
@@ -289,7 +295,7 @@ class FiniteDqRA:
         `operator.index`; bools refused) in 0..size-1; else
         NotAnElementError naming `a` and the size."""
         i = _integer(a)
-        if 0 <= i < self.size:
+        if i is not None and 0 <= i < self.size:
             return i
         raise NotAnElementError(
             f"{a!r} is not an element of an algebra of size {self.size} "

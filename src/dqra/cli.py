@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success, 2 usage error, 3 validation failure (including broken
-preconditions), 4 search failure (nothing found, budget or cap exceeded),
-5 input/output or parse failure.
+preconditions), 4 search failure (nothing found, budget or cap exceeded) or
+an input too large for memory (an `out of memory:` line), 5 input/output or
+parse failure.
 """
 
 from __future__ import annotations
@@ -388,6 +389,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_IO
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_SEARCH
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_SEARCH
     except (MalformedAlgebraError, LawViolationError, NotPsiError,
             NotAnElementError, NotAnUpsetError, CarrierMismatchError,

@@ -10,7 +10,6 @@ tables.
 
 from __future__ import annotations
 
-import operator
 import threading
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -20,8 +19,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .algebra import (FiniteDqRA, LawCheck, LawViolationError,
-                      ValidationReport, _count, _freeze, _set_lattice_tables,
-                      order_maps)
+                      ValidationReport, _count, _freeze, _integer,
+                      _set_lattice_tables, order_maps)
 
 
 class CarrierMismatchError(ValueError):
@@ -46,7 +45,9 @@ class BinRel:
     Cell (i, j) is bit n*n-1-(i*n+j): row-major with (0, 0) as the most
     significant bit, so integer order is the order of the `key()` bytes.
     Values are immutable, on at most three points one shared object each
-    (`_rel`); `mat` is a read-only boolean matrix built on demand.
+    (`_rel`); `mat` is a read-only boolean matrix built on demand.  The
+    size, the bits and the points of `from_pairs` are integers (through
+    `operator.index`; bools refused) in range, else CarrierMismatchError.
     """
 
     __slots__ = ("n", "bits")
@@ -54,13 +55,14 @@ class BinRel:
     bits: int
 
     def __new__(cls, n: int, bits: int) -> "BinRel":
-        n, bits = operator.index(n), operator.index(bits)
-        if n < 0:
-            raise CarrierMismatchError("carrier size must be non-negative")
-        if bits < 0 or bits >> (n * n):
+        i, b = _integer(n), _integer(bits)
+        if i is None or i < 0:
             raise CarrierMismatchError(
-                f"relation bits do not fit {n} points")
-        return _rel(n, bits)
+                f"carrier size must be a non-negative integer: {n!r}")
+        if b is None or b < 0 or b >> (i * i):
+            raise CarrierMismatchError(
+                f"relation bits {bits!r} are not an int fitting {i} points")
+        return _rel(i, b)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("BinRel is immutable")
@@ -75,12 +77,12 @@ class BinRel:
 
     @classmethod
     def from_matrix(cls, n: int, mat) -> "BinRel":
-        """The relation of an n x n boolean matrix."""
+        """The relation of an n x n boolean matrix (n as in `BinRel`)."""
         m = np.asarray(mat, dtype=bool)
         if m.shape != (n, n):
             raise CarrierMismatchError(f"matrix must be {n}x{n}")
-        pad = -n * n % 8
-        return _rel(n, int.from_bytes(np.packbits(m).tobytes(), "big") >> pad)
+        bits = int.from_bytes(np.packbits(m).tobytes(), "big")
+        return cls(n, bits >> -m.size % 8)
 
     @classmethod
     def empty(cls, n: int) -> "BinRel":
@@ -220,11 +222,13 @@ del _n, _row, _bits, _r
 
 
 def _cell(n: int, x: int, y: int) -> int:
-    """The bit of cell (x, y); points outside 0..n-1 are rejected."""
-    x, y = operator.index(x), operator.index(y)
-    if not (0 <= x < n and 0 <= y < n):
-        raise CarrierMismatchError(f"point ({x}, {y}) is outside 0..{n - 1}")
-    return 1 << (n * n - 1 - (x * n + y))
+    """The bit of cell (x, y); points that are not integers in 0..n-1
+    (`_integer`) are rejected."""
+    i, j = _integer(x), _integer(y)
+    if None in (i, j) or not (0 <= i < n and 0 <= j < n):
+        raise CarrierMismatchError(
+            f"({x!r}, {y!r}) is not a pair of points in 0..{n - 1}")
+    return 1 << (n * n - 1 - (i * n + j))
 
 
 _SHIFTS: dict[int, tuple[int, int, tuple[tuple[int, int], ...]]] = {}
@@ -364,7 +368,9 @@ class RelStructure:
 
     The two maps are stored as permutations; their graphs are materialised
     on demand.  The carrier size `n` is an integer (bools refused) >= 0,
-    else NotACountError.
+    else NotACountError; the entries of `alpha` and `beta` are integers
+    (`_integer`), else CarrierMismatchError, and `validate_structure`
+    reports those outside the points.
     """
 
     n: int
@@ -378,8 +384,13 @@ class RelStructure:
         object.__setattr__(self, "n", _count(self.n, "carrier size n"))
         if self.leq.n != self.n or self.E.n != self.n:
             raise CarrierMismatchError("leq/E carrier does not match n")
-        object.__setattr__(self, "alpha", tuple(int(v) for v in self.alpha))
-        object.__setattr__(self, "beta", tuple(int(v) for v in self.beta))
+        for name in ("alpha", "beta"):
+            given = tuple(getattr(self, name))
+            fn = tuple(map(_integer, given))
+            if None in fn:
+                raise CarrierMismatchError(f"{name} entries must be integers,"
+                                           f" not {given[fn.index(None)]!r}")
+            object.__setattr__(self, name, fn)
         labels = tuple(self.labels) if self.labels else tuple(
             f"x{i}" for i in range(self.n))
         if len(labels) != self.n or len(set(labels)) != self.n:
@@ -729,15 +740,13 @@ _THREAD = threading.local()    # holds each thread's `_lookup` table
 def _lookup(family: np.ndarray, n: int, results: Sequence[np.ndarray]
             ) -> list[np.ndarray]:
     """Each array of relation ints on n points in `results` mapped to the
-    indices of its relations in `family` (a column of relation ints; a
-    relation listed twice maps to its last occurrence, the largest index),
-    -1 where absent, in the shape of the array.  For n*n <= 16 an int64
-    column writes its indices into its thread's table over the 2^16
-    relations on at most 4 points (through the unbuffered `np.maximum.at`),
-    where each array is one `take`, and resets them to -1 before returning:
-    O(m) for m relations, one family at a time in each thread.  A wider
-    int64 column is resolved by binary search in its sorted distinct keys,
-    an object column through one dictionary."""
+    indices of its relations in `family` (a column of distinct relation
+    ints), -1 where absent, in the shape of the array.  For n*n <= 16 an
+    int64 column writes its indices into its thread's table over the 2^16
+    relations on at most 4 points, where each array is one `take`, and
+    resets them to -1 before returning: O(m) for m relations, one family at
+    a time in each thread.  A wider int64 column is resolved by binary
+    search in its sorted keys, an object column through one dictionary."""
     if family.dtype == object:
         get = {r: i for i, r in enumerate(family.tolist())}.get
         return [np.fromiter(map(get, t.ravel().tolist(), repeat(-1)),
@@ -748,25 +757,25 @@ def _lookup(family: np.ndarray, n: int, results: Sequence[np.ndarray]
         if table is None:
             table = _THREAD.table = np.full(1 << 16, -1, dtype=np.int64)
         try:
-            np.maximum.at(table, family, np.arange(len(family)))
+            table[family] = np.arange(len(family))
             return [table.take(t) for t in results]
         finally:
             table[family] = -1
-    keys, first = np.unique(family[::-1], return_index=True)
-    last = len(family) - 1 - first
+    order = family.argsort()
+    keys = family[order]
     pos = [np.minimum(np.searchsorted(keys, t), len(keys) - 1)
            for t in results]
-    return [np.where(keys[p] == t, last[p], -1) for p, t in zip(pos, results)]
+    return [np.where(keys[p] == t, order[p], -1) for p, t in zip(pos, results)]
 
 
 def _family_tables(S: RelStructure, bits: Sequence[int]
                    ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """The table-extraction kernel for a family of upsets given by relation
-    ints: the family as a `_column`; the family index (-1 outside the family)
-    of every product, intersection and union and of each element's three
-    negations, all six through one `_lookup` (a relation listed twice maps
-    to its last occurrence).  Every operation is the int kernel applied to
-    the whole column (products broadcast over the family grid)."""
+    """The table-extraction kernel for a family of distinct upsets given by
+    relation ints: the family as a `_column`; the family index (-1 outside
+    the family) of every product, intersection and union and of each
+    element's three negations, all six through one `_lookup`.  Every
+    operation is the int kernel applied to the whole column (products
+    broadcast over the family grid)."""
     col = _column(S.n, bits)
     r, s = col[:, None], col[None, :]
     negations = _map_columns(S._negations[1], S.E.bits & ~col)
@@ -776,22 +785,25 @@ def _family_tables(S: RelStructure, bits: Sequence[int]
 
 def algebra_from_upsets(S: RelStructure, rels: Sequence[BinRel]
                         ) -> FiniteDqRA:
-    """Operation tables for a family of upsets that is closed under the six
-    operations, ordered by inclusion with the order relation as unit.
+    """Operation tables for a family of distinct upsets that is closed under
+    the six operations, ordered by inclusion with the order relation as unit.
 
-    The tables come from `_family_tables`; a relation listed twice maps to
-    its last occurrence.  Raises ValueError when some result is not in the
-    family, that is, when the family is not closed under the operations.
-    When the family holds every intersection and union and no relation
-    twice, those are the meets and joins of the inclusion order, and become
-    the algebra's lattice tables; otherwise they are derived from the order.
+    The tables come from `_family_tables`.  Raises ValueError when the
+    family lists a relation twice (naming both positions), and when some
+    result is not in the family, that is, when the family is not closed
+    under the operations.  The intersection and union tables go to
+    `_set_lattice_tables`, which keeps them when they are total.
     """
     rels = list(rels)
     if any(r.n != S.n for r in rels):
         raise CarrierMismatchError("family carrier does not match structure")
+    bits = [r.bits for r in rels]
+    if len(set(bits)) < len(bits):
+        i = next(i for i, r in enumerate(bits) if r in bits[:i])
+        raise ValueError("the family lists a relation twice, at positions "
+                         f"{bits.index(bits[i])} and {i}")
     if S.leq not in rels:
         raise ValueError("the family must contain the order relation")
-    bits = [r.bits for r in rels]
     col, (product, meet, join), unary = _family_tables(S, bits)
     if (product < 0).any() or any((t < 0).any() for t in unary):
         raise ValueError("family is not closed under the operations")
@@ -799,8 +811,7 @@ def algebra_from_upsets(S: RelStructure, rels: Sequence[BinRel]
     A = FiniteDqRA(len(rels), *map(_freeze, ((col[:, None] & ~col) == 0,
                                              product, *unary)),
                    rels.index(S.leq), tuple(f"r{i}" for i in range(len(rels))))
-    if len(set(bits)) == len(bits):
-        _set_lattice_tables(A, meet, join)
+    _set_lattice_tables(A, meet, join)
     return A
 
 

@@ -239,10 +239,8 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
         orbit_size[g] = len(orbit)
     comparables = {g: sum(leq[g]) + sum(row[g] for row in leq)
                    for g in A.join_generators}
-    order = sorted(
-        A.join_generators,
-        key=lambda g: (g != A.unit, -(orbit_size[g] + comparables[g]), g),
-    )
+    order = sorted(A.join_generators,
+                   key=lambda g: (-(orbit_size[g] + comparables[g]), g))
 
     def interval(x: int) -> list[int]:
         """The upsets between the images below x and above x, in the

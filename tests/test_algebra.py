@@ -128,6 +128,8 @@ def test_neg_replaced_by_identity_fails_de_morgan(six):
     dict(unit=True),                              # a bool
     dict(size=True, leq=[[1]], mult=[[0]], tilde=[0], minus=[0], negn=[0],
          unit=0),                                 # one element, size a bool
+    dict(mult=np.full((6, 6), 0.5)),              # floats truncate to 0
+    dict(tilde=np.ones(6, bool)),                 # bool entries read as 1
 ])
 def test_malformed_tables_rejected(six, mutation):
     fields = dict(size=six.size, leq=six.leq, mult=six.mult, tilde=six.tilde,

@@ -1,6 +1,7 @@
 """Command-line behaviour: outputs, formats, exit codes."""
 
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -587,14 +588,33 @@ def test_reused_parser_after_a_usage_error(capsys):
     assert capsys.readouterr() == alone
 
 
-def _run_module(*argv: str):
+def _run_module(*argv: str, **run):
     """`python -m dqra.cli` in a fresh interpreter, with this checkout's
-    sources first on the path."""
+    sources first on the path and one BLAS thread; `run` goes to
+    `subprocess.run`."""
     src = str(Path(dqra.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""),
+               OPENBLAS_NUM_THREADS="1")
     return subprocess.run([sys.executable, "-m", "dqra.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=120,
+                          **run)
+
+
+def _limit_address_space() -> None:
+    """4 GiB of address space for the child: enough for the interpreter and
+    numpy, so a larger request fails at once whatever the machine holds."""
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+def test_a_family_too_large_for_memory_exits_4():
+    # the full algebra of the shipped four-point antichain has 2^16 upsets:
+    # its product grid alone would take 32 GiB
+    got = _run_module("build-dq", data_path(SIX, "structure"),
+                      "--cap", "65536", preexec_fn=_limit_address_space)
+    assert got.returncode == 4
+    assert got.stdout == "" and "Traceback" not in got.stderr
+    assert got.stderr.startswith("out of memory: ")
 
 
 def test_module_entry_point_in_a_real_process(tmp_path):

@@ -1,7 +1,8 @@
-"""One integer rule for every argument that names an element, a count or a
-carrier size: an integer (through `operator.index`; bools refused) in its
-range gives the answer of the same Python int, and anything else raises the
-documented error, whose message names the argument."""
+"""One integer rule for every argument that names an element, a count, a
+carrier size, a point or a relation's bits: an integer (through
+`operator.index`; bools refused) in its range gives the answer of the same
+Python int, and anything else raises the documented error, whose message
+names the argument."""
 
 import re
 from typing import Callable, NamedTuple, Sequence
@@ -12,6 +13,7 @@ import pytest
 from dqra import (
     BinRel,
     CapExceededError,
+    CarrierMismatchError,
     FiniteDqRA,
     LawViolationError,
     MalformedAlgebraError,
@@ -35,7 +37,7 @@ from dqra import (
     sample_structures,
 )
 
-# refused by every rule
+# refused by every rule, -1 (first) by every rule that is not signed
 BAD = (-1, True, np.True_, 2.5, None)
 HUGE = 10**30
 
@@ -53,6 +55,10 @@ COUNT_CALLS = [
     "full_dq", "full_dq_family", "dq_closure", "find_embedding budget",
     "find_embedding upset_cap",
 ]
+POINT_CALLS = [
+    "BinRel n", "BinRel bits", "from_matrix n", "from_pairs x",
+    "from_pairs y", "RelStructure alpha", "RelStructure beta",
+]
 
 
 class Case(NamedTuple):
@@ -62,6 +68,7 @@ class Case(NamedTuple):
     refuses: tuple = ()     # refused, besides BAD
     huge: bool = False      # 10**30 gives the answer of takes[-1]
     message: str = "{bad}"  # the error's message, {bad} the argument's repr
+    signed: bool = False    # -1 is taken, not refused
 
 
 def algebra_key(A):
@@ -175,10 +182,48 @@ def count_cases(e):
     }
 
 
+def typed(v):
+    """The value with its type, or the tuple with the types of its entries:
+    each is a Python int, whatever integer type it was given as."""
+    return v, [type(x) for x in v] if isinstance(v, tuple) else type(v)
+
+
+def point_cases():
+    """`BinRel`'s size and bits, the size of `from_matrix` (of a 1 x 1
+    matrix), the points of `from_pairs` and the entries of a structure's
+    alpha and beta, on two points (so 2 is not a point).
+    Alpha and beta take integers outside the points, which
+    `validate_structure` reports with witnesses."""
+    def structure(alpha, beta):
+        S = RelStructure(2, BinRel.identity(2), BinRel.full(2), alpha, beta)
+        return typed(S.alpha), typed(S.beta)
+
+    return {
+        "BinRel n": Case(lambda v: typed(BinRel(v, 0).n),
+                         CarrierMismatchError, (0, 2)),
+        "BinRel bits": Case(lambda v: typed(BinRel(2, v).bits),
+                            CarrierMismatchError, (0, 9, 15), (16, HUGE)),
+        "from_matrix n": Case(
+            lambda v: typed(BinRel.from_matrix(v, [[True]]).n),
+            CarrierMismatchError, (1,), (2, HUGE)),
+        "from_pairs x": Case(lambda v: BinRel.from_pairs(2, [(v, 0)]).bits,
+                             CarrierMismatchError, (0, 1), (2, HUGE)),
+        "from_pairs y": Case(lambda v: BinRel.from_pairs(2, [(0, v)]).bits,
+                             CarrierMismatchError, (0, 1), (2, HUGE)),
+        "RelStructure alpha": Case(lambda v: structure((v, 1), (1, 0)),
+                                   CarrierMismatchError, (-1, 0, 2),
+                                   signed=True),
+        "RelStructure beta": Case(lambda v: structure((0, 1), (v, 0)),
+                                  CarrierMismatchError, (-1, 1, 2),
+                                  signed=True),
+    }
+
+
 @pytest.fixture(scope="module")
 def cases(six_embedding):
-    out = element_cases(six_embedding) | count_cases(six_embedding)
-    assert sorted(out) == sorted(ELEMENT_CALLS + COUNT_CALLS)
+    out = (element_cases(six_embedding) | count_cases(six_embedding)
+           | point_cases())
+    assert sorted(out) == sorted(ELEMENT_CALLS + COUNT_CALLS + POINT_CALLS)
     return out
 
 
@@ -190,13 +235,13 @@ def outcome(call, x):
         return type(exc)
 
 
-@pytest.mark.parametrize("name", ELEMENT_CALLS + COUNT_CALLS)
+@pytest.mark.parametrize("name", ELEMENT_CALLS + COUNT_CALLS + POINT_CALLS)
 def test_integer_arguments_follow_one_rule(cases, name):
     # -1 is not the last element (the top of D^6_{3,5,2}, a positive
     # symmetric idempotent) nor a count; a bool, a float, None or an index
     # past the carrier never reaches numpy or a comparison
     case = cases[name]
-    for bad in BAD + case.refuses:
+    for bad in BAD[case.signed:] + case.refuses:
         with pytest.raises(case.error, match=case.message.format(
                 bad=re.escape(repr(bad)))):
             case.call(bad)

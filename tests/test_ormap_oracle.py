@@ -99,7 +99,8 @@ def test_small_families_get_each_relations_negations(S):
     ups = [r.bits for r in S.enumerate_upsets(1 << 10)]
     rng = np.random.default_rng(S.n)
     for k in range(1, 16):
-        bits = [ups[i] for i in rng.integers(0, len(ups), k)]
+        # distinct relations: a family of upsets is a set
+        bits = [ups[i] for i in rng.permutation(len(ups))[:k]]
         index = {r: i for i, r in enumerate(bits)}
         _, _, unary = _family_tables(S, bits)
         for got, op in zip(unary, (lneg_tilde, lneg_minus, neg)):

@@ -540,8 +540,8 @@ def test_relation_bits_must_fit_the_carrier():
             BinRel(n, 0)
     with pytest.raises(CarrierMismatchError):
         BinRel.from_matrix(2, np.eye(3, dtype=bool))
-    with pytest.raises(TypeError):
-        BinRel(2.0, 1)
+    with pytest.raises(CarrierMismatchError, match="2.0"):
+        BinRel(2.0, 1)    # a float is refused like a negative size
     for R in (BinRel.identity(2), BinRel.identity(4)):
         value = R.bits
         for name in ("n", "bits", "extra"):

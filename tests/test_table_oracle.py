@@ -27,8 +27,8 @@ from conftest import ALL_NAMES, block_structure
 
 
 def naive_tables(S: RelStructure, rels) -> tuple[np.ndarray, ...]:
-    """(leq, mult, tilde, minus, negn, unit), one dictionary lookup per cell;
-    a relation listed twice maps to its last occurrence."""
+    """(leq, mult, tilde, minus, negn, unit), one dictionary lookup per
+    cell."""
     rels = list(rels)
     m, n = len(rels), S.n
     stack = np.stack([r.mat for r in rels]).astype(np.uint8)
@@ -118,15 +118,16 @@ def test_unclosed_family_raises(full_families):
             algebra_from_upsets(full_families[70].structure, family)
 
 
-def test_duplicated_relation_maps_to_last_occurrence(full_families):
+def test_duplicated_relation_is_refused(full_families):
+    # a family of upsets is a set: a repeat names its first two positions
     fam = full_families[96]
     S, rels = fam.structure, list(fam.relations)
     for dup in (0, 1, 5, len(rels) - 1):
-        family = rels + [rels[dup]]
-        A = algebra_from_upsets(S, family)
-        ref = naive_tables(S, family)
-        assert_same_tables(A, ref)
-        assert len(family) - 1 in A.mult
+        for family, i in ((rels + [rels[dup]], len(rels)),
+                          (rels[:dup + 1] + rels[dup:], dup + 1)):
+            with pytest.raises(ValueError, match=(
+                    f"lists a relation twice, at positions {dup} and {i}$")):
+                algebra_from_upsets(S, family)
 
 
 def test_keys_wider_than_a_machine_word():
@@ -154,27 +155,27 @@ def test_keys_on_both_sides_of_a_machine_word(n, dtype):
     assert_lattice_tables_handed_over(S, rels)
     assert verify_embedding(Embedding(res.algebra, S, res.relations)).ok
     for dup in (0, 7, len(rels) - 1):
-        family = rels + [rels[dup]]
-        assert_same_tables(algebra_from_upsets(S, family),
-                           naive_tables(S, family))
+        with pytest.raises(ValueError, match="lists a relation twice"):
+            algebra_from_upsets(S, rels + [rels[dup]])
     with pytest.raises(ValueError, match="not closed under the operations"):
         algebra_from_upsets(S, rels[:5] + rels[6:])
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 5, 7, 8])
-def test_family_index_with_repeats_and_misses(n):
-    """Every product, intersection, union and negation of a family that is
-    not closed and lists relations twice, resolved on each path (a table
+def test_family_index_with_misses(n):
+    """Every product, intersection, union and negation of a family of
+    distinct relations that is not closed, resolved on each path (a table
     over all relations for n <= 4, binary search for 5 <= n <= 7, a
-    dictionary beyond), against a dictionary built in family order: the
-    last occurrence of a repeated relation, -1 outside the family."""
+    dictionary beyond), against a dictionary built in family order: -1
+    outside the family."""
     S = block_structure(n) if n > 1 else RelStructure(
         1, BinRel.identity(1), BinRel.identity(1), (0,), (0,))
     cells = [1 << p for p in range(n * n) if S.E.bits >> p & 1]
     rng = np.random.default_rng(n)
     ups = [sum(c for c, keep in zip(cells, row) if keep)
            for row in rng.integers(0, 2, (12, len(cells)))]
-    bits = ups + ups[:4] + [ups[0], S.leq.bits]
+    # without the empty relation, so on one point too a negation misses
+    bits = list(dict.fromkeys([S.leq.bits] + [r for r in ups if r]))
     index = {r: i for i, r in enumerate(bits)}
     rels = [BinRel(n, r) for r in bits]
     col, (product, meet, join), unary = _family_tables(S, bits)
@@ -184,11 +185,11 @@ def test_family_index_with_repeats_and_misses(n):
                                 for r in rels]
     for got, op in zip(unary, (lneg_tilde, lneg_minus, neg)):
         assert got.tolist() == [index.get(op(S, r).bits, -1) for r in rels]
-    # r & r = r: a repeated relation reads as its last occurrence
-    assert meet.diagonal().tolist() == [index[r] for r in bits]
-    assert (meet.diagonal() != np.arange(len(bits))).any()
+    # r & r = r: each relation reads as its own index
+    assert meet.diagonal().tolist() == list(range(len(bits)))
+    assert min(t.min() for t in unary) < 0     # misses
     if n > 1:
-        assert (product < 0).any() and (meet < 0).any()    # misses
+        assert (product < 0).any() and (meet < 0).any()
 
 
 def assert_lattice_tables_handed_over(S: RelStructure, rels) -> None:
@@ -217,16 +218,17 @@ def test_closure_lattice_tables_are_handed_over(example_structure,
     assert_lattice_tables_handed_over(S, res.relations)
 
 
-def test_duplicated_relation_keeps_lattice_tables_from_the_order(
-        full_families):
-    fam = full_families[96]
+def test_repeat_is_refused_before_the_tables_are_extracted(full_families):
+    # with the order relation listed twice, the unit row of the product
+    # would name the repeat and the order would not be antisymmetric; a
+    # repeat in a family that is not closed is refused as a repeat
+    fam = full_families[20]
     S, rels = fam.structure, list(fam.relations)
-    for dup in (0, 1, 5, len(rels) - 1):
-        A = algebra_from_upsets(S, rels + [rels[dup]])
-        assert "_lattice_tables" not in vars(A)
-        meet, join = lattice_tables(A.leq)
-        assert np.array_equal(A.meet_table, meet)
-        assert np.array_equal(A.join_table, join)
+    unit = rels.index(S.leq)
+    with pytest.raises(ValueError, match=f"at positions {unit} and 20$"):
+        algebra_from_upsets(S, rels + [S.leq])
+    with pytest.raises(ValueError, match="lists a relation twice"):
+        algebra_from_upsets(S, rels[:5] + rels[6:] + [rels[7]])
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
