@@ -373,7 +373,7 @@ class FiniteDqRA:
     @cached_property
     def _report(self) -> ValidationReport:
         """`validate_dqra`'s report, kept with the frozen tables."""
-        return _validate_dqra(self)
+        return ValidationReport(tuple(_validate_dqra(self)))
 
     def table_key(self) -> bytes:
         """Canonical bytes identifying the tables (labels excluded)."""
@@ -418,6 +418,11 @@ def _first_bad(bad: np.ndarray, prefix: tuple[int, ...] = ()
     if not bad.any():
         return None
     return prefix + tuple(int(v) for v in np.argwhere(bad)[0])
+
+
+def _verdict(name: str, witness, detail: str = "") -> LawCheck:
+    """The LawCheck of law `name`: it holds iff there is no witness."""
+    return LawCheck(name, witness is None, witness, detail)
 
 
 def _row_scan(n: int, row_bad: Callable[[int], np.ndarray]
@@ -552,41 +557,38 @@ def validate_dqra(A: FiniteDqRA) -> ValidationReport:
     return A._report
 
 
-def _validate_dqra(A: FiniteDqRA) -> ValidationReport:
+def _validate_dqra(A: FiniteDqRA) -> Iterator[LawCheck]:
     n = A.size
     L = A.leq
     M = A.mult
     til, mns, ngn = A.tilde, A.minus, A.negn
-    checks: list[LawCheck] = []
-
-    def add(name: str, witness, detail: str = "") -> None:
-        checks.append(LawCheck(name, witness is None, witness, detail))
 
     # partial order
-    for name, bad, detail in zip(
-            ("order-reflexive", "order-antisymmetric", "order-transitive"),
-            _order_bad(L), ("a <= a", "", "")):
-        add(name, _first_bad(bad), detail)
-    if not all(check.ok for check in checks):
-        # lattice and law checks below presume a partial order
-        return ValidationReport(tuple(checks))
+    order = [_verdict(name, _first_bad(bad), detail)
+             for name, bad, detail in zip(
+                 ("order-reflexive", "order-antisymmetric", "order-transitive"),
+                 _order_bad(L), ("a <= a", "", ""))]
+    yield from order
+    if not all(check.ok for check in order):
+        return      # lattice and law checks below presume a partial order
 
     mt, jt = A.meet_table, A.join_table
-    add("meets-exist", _first_bad(mt < 0))
-    add("joins-exist", _first_bad(jt < 0))
-    if not (checks[-2].ok and checks[-1].ok):
-        return ValidationReport(tuple(checks))
+    bounds = (_verdict("meets-exist", _first_bad(mt < 0)),
+              _verdict("joins-exist", _first_bad(jt < 0)))
+    yield from bounds
+    if not all(check.ok for check in bounds):
+        return      # the law checks below read the meet and join tables
 
     dist_ok, assoc_ok, res1_ok, res2_ok = _law_verdicts(A)
 
     # distributivity: a /\ (b \/ c) == (a /\ b) \/ (a /\ c)
-    add("lattice-distributive", None if dist_ok else _row_scan(
+    yield _verdict("lattice-distributive", None if dist_ok else _row_scan(
         n, lambda a: mt[a][jt] != jt[mt[a]][:, mt[a]]))
 
     # monoid laws
-    add("monoid-unit", _first_bad(
+    yield _verdict("monoid-unit", _first_bad(
         (M[A.unit, :] != np.arange(n)) | (M[:, A.unit] != np.arange(n))))
-    add("monoid-associative", None if assoc_ok else _row_scan(
+    yield _verdict("monoid-associative", None if assoc_ok else _row_scan(
         n, lambda a: M[M[a]] != M[a][M]))
 
     # residuation equivalences: a.b <= c iff a <= -(b.~c) iff b <= ~(-c.a)
@@ -594,29 +596,27 @@ def _validate_dqra(A: FiniteDqRA) -> ValidationReport:
     if not res1_ok:
         mid = mns[M[:, til]]                # [b, c]: -(b.~c), built once
         res1_w = _row_scan(n, lambda a: L[M[a]] != L[a][mid])
-    add("residuation-left", res1_w, "a.b <= c iff a <= -(b.~c)")
-    add("residuation-right", None if res2_ok else _row_scan(
+    yield _verdict("residuation-left", res1_w, "a.b <= c iff a <= -(b.~c)")
+    yield _verdict("residuation-right", None if res2_ok else _row_scan(
         n, lambda a: L[M[a]] != L[:, til[M[mns, a]]]),
         "a.b <= c iff b <= ~(-c.a)")
 
     # linear negation involution: ~-a == a == -~a
-    add("linear-involution", _first_bad(
+    yield _verdict("linear-involution", _first_bad(
         (til[mns] != np.arange(n)) | (mns[til] != np.arange(n))),
         "~-a = a = -~a")
 
     # third negation: involutive, De Morgan over joins and over products
-    add("neg-involution", _first_bad(ngn[ngn] != np.arange(n)))
-    add("de-morgan-join",
-        _first_bad(ngn[jt] != mt[ngn[:, None], ngn[None, :]]),
+    yield _verdict("neg-involution", _first_bad(ngn[ngn] != np.arange(n)))
+    yield _verdict("de-morgan-join", _first_bad(
+        ngn[jt] != mt[ngn[:, None], ngn[None, :]]),
         "neg(a v b) = neg(a) ^ neg(b)")
     # a + b = ~(-b.-a); the factor flip makes + the true dual of the
     # (generally noncommutative) product, and equals -(~b.~a)
     plus_tab = til[M[mns[:, None], mns[None, :]]].T
-    add("de-morgan-product",
-        _first_bad(ngn[M] != plus_tab[ngn[:, None], ngn[None, :]]),
+    yield _verdict("de-morgan-product", _first_bad(
+        ngn[M] != plus_tab[ngn[:, None], ngn[None, :]]),
         "neg(a.b) = neg(a) + neg(b)")
-
-    return ValidationReport(tuple(checks))
 
 
 # --- derived operations ----------------------------------------------------
@@ -679,14 +679,11 @@ def check_di(A: FiniteDqRA) -> ValidationReport:
     and the divisibility-style order criterion
     a <= b iff a.~b <= -1 iff (-b).a <= -1."""
     til, mns, ngn, M, L = A.tilde, A.minus, A.negn, A.mult, A.leq
-    checks = []
-
-    def add(name: str, bad: np.ndarray, detail: str) -> None:
-        w = _first_bad(bad)
-        checks.append(LawCheck(name, w is None, w, detail))
-
-    add("de-morgan-involution", ngn[til] != mns[ngn], "neg(~a) = -(neg a)")
     m1 = int(mns[A.unit])
-    add("order-via-tilde", L != L[M[:, til], m1], "a <= b iff a.~b <= -1")
-    add("order-via-minus", L != L[M[mns], m1].T, "a <= b iff (-b).a <= -1")
-    return ValidationReport(tuple(checks))
+    return ValidationReport((
+        _verdict("de-morgan-involution", _first_bad(ngn[til] != mns[ngn]),
+                 "neg(~a) = -(neg a)"),
+        _verdict("order-via-tilde", _first_bad(L != L[M[:, til], m1]),
+                 "a <= b iff a.~b <= -1"),
+        _verdict("order-via-minus", _first_bad(L != L[M[mns], m1].T),
+                 "a <= b iff (-b).a <= -1")))

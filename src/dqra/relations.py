@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import (FiniteDqRA, LawCheck, LawViolationError,
                       ValidationReport, _count, _freeze, _integer,
-                      _set_lattice_tables, order_maps)
+                      _set_lattice_tables, _verdict, order_maps)
 
 
 class CarrierMismatchError(ValueError):
@@ -408,7 +408,7 @@ class RelStructure:
     @cached_property
     def _report(self) -> ValidationReport:
         """`validate_structure`'s report, kept with the frozen fields."""
-        return _validate_structure(self)
+        return ValidationReport(tuple(_validate_structure(self)))
 
     @cached_property
     def _negations(self) -> tuple[tuple[list[list[int]], ...], np.ndarray]:
@@ -621,44 +621,40 @@ def validate_structure(S: RelStructure) -> ValidationReport:
     return S._report
 
 
-def _validate_structure(S: RelStructure) -> ValidationReport:
+def _validate_structure(S: RelStructure) -> Iterator[LawCheck]:
     n, L, E = S.n, S.leq.bits, S.E.bits
-    checks: list[LawCheck] = []
-
-    def add(name, witness, detail=""):
-        checks.append(LawCheck(name, witness is None, witness, detail))
 
     def cell(bad: int, per_point: bool = False) -> Optional[tuple[int, ...]]:
         if bad:    # the first row-major cell, or its row for per-point laws
             return _first_cell(n, bad)[:1 if per_point else 2]
 
     refl, anti, trans = _order_faults(n, L)
-    add("leq-reflexive", cell(refl, True))
-    add("leq-antisymmetric", cell(anti))
-    add("leq-transitive", cell(trans))
+    yield _verdict("leq-reflexive", cell(refl, True))
+    yield _verdict("leq-antisymmetric", cell(anti))
+    yield _verdict("leq-transitive", cell(trans))
     e_refl, _, e_trans = _order_faults(n, E)
-    add("E-reflexive", cell(e_refl, True))
-    add("E-symmetric", cell(E ^ _converse(n, E)))
-    add("E-transitive", cell(e_trans))
-    add("leq-within-E", cell(L & ~E), "leq is inside E")
+    yield _verdict("E-reflexive", cell(e_refl, True))
+    yield _verdict("E-symmetric", cell(E ^ _converse(n, E)))
+    yield _verdict("E-transitive", cell(e_trans))
+    yield _verdict("leq-within-E", cell(L & ~E), "leq is inside E")
 
-    add("alpha-permutation", _perm_witness(S.alpha, n))
-    add("beta-permutation", _perm_witness(S.beta, n))
-    if not (checks[-2].ok and checks[-1].ok):
-        return ValidationReport(tuple(checks))
+    perms = (_verdict("alpha-permutation", _perm_witness(S.alpha, n)),
+             _verdict("beta-permutation", _perm_witness(S.beta, n)))
+    yield from perms
+    if not all(check.ok for check in perms):
+        return      # the checks below read alpha and beta as relations
 
     a, b = S.alpha_rel.bits, S.beta_rel.bits
-    add("alpha-order-automorphism", cell(L ^ _conjugate(n, a, L)),
-        "x <= y iff alpha(x) <= alpha(y)")
-    add("alpha-within-E", cell(a & ~E, True))
+    yield _verdict("alpha-order-automorphism", cell(L ^ _conjugate(n, a, L)),
+                   "x <= y iff alpha(x) <= alpha(y)")
+    yield _verdict("alpha-within-E", cell(a & ~E, True))
     # a permutation graph is its own inverse iff it is symmetric
-    add("beta-self-inverse", cell(b ^ _converse(n, b), True))
-    add("beta-dual-automorphism", cell(L ^ _converse(n, _conjugate(n, b, L))),
-        "x <= y iff beta(y) <= beta(x)")
-    add("beta-within-E", cell(b & ~E, True))
-    add("beta-alpha-compatible", cell(
+    yield _verdict("beta-self-inverse", cell(b ^ _converse(n, b), True))
+    yield _verdict("beta-dual-automorphism", cell(
+        L ^ _converse(n, _conjugate(n, b, L))), "x <= y iff beta(y) <= beta(x)")
+    yield _verdict("beta-within-E", cell(b & ~E, True))
+    yield _verdict("beta-alpha-compatible", cell(
         _compose(n, _compose(n, a, b), a) ^ b, True), "beta = alpha;beta;alpha")
-    return ValidationReport(tuple(checks))
 
 
 # --- the three negations and the residuals ----------------------------------

@@ -8,10 +8,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 from .algebra import (FiniteDqRA, LawCheck, LawViolationError,
-                      ValidationReport, _count, _first_bad, validate_dqra)
+                      ValidationReport, _count, _first_bad, _verdict,
+                      validate_dqra)
 from .contraction import contract, is_psi, NotPsiError
 from .relations import (
     BinRel,
@@ -38,7 +39,7 @@ class Embedding:
     @cached_property
     def _report(self) -> ValidationReport:
         """`verify_embedding`'s report, kept with the frozen images."""
-        return _verify_embedding(self)
+        return ValidationReport(tuple(_verify_embedding(self)))
 
     def __repr__(self) -> str:
         return (f"Embedding({self.algebra!r} -> {self.structure!r})")
@@ -59,7 +60,7 @@ def verify_embedding(e: Embedding) -> ValidationReport:
     return e._report
 
 
-def _verify_embedding(e: Embedding) -> ValidationReport:
+def _verify_embedding(e: Embedding) -> Iterator[LawCheck]:
     A, S = e.algebra, e.structure
     if len(e.assignment) != A.size:
         raise ValueError("assignment must cover every element")
@@ -69,14 +70,9 @@ def _verify_embedding(e: Embedding) -> ValidationReport:
                 "assignment relation carrier does not match the structure")
     validate_dqra(A).raise_if_failed("algebra does not validate")
     validate_structure(S).raise_if_failed("structure does not validate")
-    checks: list[LawCheck] = []
 
-    def add(name, witness, detail=""):
-        checks.append(LawCheck(name, witness is None, witness, detail))
-
-    add("images-are-upsets", next(
+    upsets = _verdict("images-are-upsets", next(
         ((a,) for a, R in enumerate(e.assignment) if not S.is_upset(R)), None))
-
     w = None
     seen: dict[BinRel, int] = {}
     for a, R in enumerate(e.assignment):
@@ -84,24 +80,22 @@ def _verify_embedding(e: Embedding) -> ValidationReport:
             w = (seen[R], a)
             break
         seen[R] = a
-    add("injective", w)
-
-    add("unit-is-order",
-        None if e.assignment[A.unit] == S.leq else (A.unit,))
-    if not ValidationReport(tuple(checks)).ok:
-        return ValidationReport(tuple(checks))
+    images = (upsets, _verdict("injective", w), _verdict(
+        "unit-is-order", None if e.assignment[A.unit] == S.leq else (A.unit,)))
+    yield from images
+    if not all(check.ok for check in images):
+        return      # the tables below presume distinct upsets as images
 
     bits = [R.bits for R in e.assignment]
     _, (product, meet, join), negations = _family_tables(S, bits)
     for name, table, got in (("preserves-meet", A.meet_table, meet),
                              ("preserves-join", A.join_table, join),
                              ("preserves-product", A.mult, product)):
-        add(name, _first_bad(table != got))
+        yield _verdict(name, _first_bad(table != got))
     for name, table, got in zip(
             ("preserves-tilde", "preserves-minus", "preserves-neg"),
             (A.tilde, A.minus, A.negn), negations):
-        add(name, _first_bad(table != got))
-    return ValidationReport(tuple(checks))
+        yield _verdict(name, _first_bad(table != got))
 
 
 # --- search -----------------------------------------------------------------
