@@ -96,12 +96,19 @@ def _frozen_input(a, name: str) -> np.ndarray:
     """Table `name` of a FiniteDqRA as a frozen array that its caller cannot
     write, bool for the order `leq` and int64 for the index tables: `a`
     itself when it is already a read-only array of that dtype, else a
-    frozen copy (the caller's array stays writable).  A copy of an index
-    table takes integer entries only (MalformedAlgebraError naming it)."""
+    frozen copy (the caller's array stays writable).  A copy must be
+    rectangular, with entries 0 and 1 in the order and integer entries in
+    an index table (else MalformedAlgebraError naming the table)."""
     dtype = bool if name == "leq" else np.int64
     if not (isinstance(a, np.ndarray) and a.dtype == dtype
             and not a.flags.writeable):
-        a = np.asarray(a)
+        try:
+            a = np.asarray(a)
+        except ValueError:      # numpy's "inhomogeneous shape"
+            raise MalformedAlgebraError(
+                f"{name} table is ragged: its rows differ in length") from None
+        if dtype is bool and not ((a == 0) | (a == 1)).all():
+            raise MalformedAlgebraError("order table entries must be 0 or 1")
         if dtype is np.int64 and a.dtype.kind not in "iu":
             raise MalformedAlgebraError(
                 f"{name} table entries must be integers, not {a.dtype}")
@@ -268,9 +275,6 @@ class FiniteDqRA:
             raise MalformedAlgebraError(
                 f"size must be an integer >= 1 and unit an index below it, "
                 f"not {self.size!r} and {self.unit!r}")
-        leq = np.asarray(self.leq)
-        if leq.dtype != bool and not ((leq == 0) | (leq == 1)).all():
-            raise MalformedAlgebraError("order table entries must be 0 or 1")
         for name, shape in (("leq", (n, n)), ("mult", (n, n)), ("tilde", (n,)),
                             ("minus", (n,)), ("negn", (n,))):
             a = _frozen_input(getattr(self, name), name)

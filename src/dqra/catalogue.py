@@ -80,7 +80,7 @@ _DATA = resources.files("dqra") / "data"    # resolved once
 
 
 def _read(filename: str) -> str:
-    return (_DATA / filename).read_text()
+    return (_DATA / filename).read_text(encoding="utf-8")
 
 
 def load_algebra(name: str) -> FiniteDqRA:
@@ -175,22 +175,23 @@ def regenerate(directory: Optional[Path] = None) -> list[str]:
         if oc.note:
             comments.append(oc.note)
         text = emit_algebra(d.name, oc.algebra, comments)
-        (directory / (_slug(d.name) + ".dqra")).write_text(text)
+        (directory / (_slug(d.name) + ".dqra")).write_text(
+            text, encoding="utf-8")
         log.append(f"wrote {_slug(d.name)}.dqra")
 
     algebra, S, embedding = build_relational_entry()
     slug = _slug(RELATIONAL_ENTRY)
     comments = [f"{RELATIONAL_ENTRY}: {_RELATIONAL_PROVENANCE}"]
     (directory / (slug + ".dqra")).write_text(
-        emit_algebra(RELATIONAL_ENTRY, algebra, comments))
+        emit_algebra(RELATIONAL_ENTRY, algebra, comments), encoding="utf-8")
     (directory / (slug + ".struct")).write_text(
         emit_structure(RELATIONAL_ENTRY, S,
                        ["four-point antichain model used to represent "
-                        + RELATIONAL_ENTRY]))
+                        + RELATIONAL_ENTRY]), encoding="utf-8")
     (directory / (slug + ".assign")).write_text(
         emit_assignment(RELATIONAL_ENTRY, embedding,
                         ["embedding witnessing representability of "
-                         + RELATIONAL_ENTRY]))
+                         + RELATIONAL_ENTRY]), encoding="utf-8")
     log.append(f"wrote {slug}.dqra, {slug}.struct, {slug}.assign")
     return log
 

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 usage error, 3 validation failure (including broken
 preconditions), 4 search failure (nothing found, budget or cap exceeded) or
 an input too large for memory (an `out of memory:` line), 5 input/output or
-parse failure.
+parse failure (a file that is not UTF-8 text included).
 """
 
 from __future__ import annotations
@@ -58,17 +58,24 @@ EXIT_IO = 5
 
 
 def _read(path: str) -> str:
+    """The UTF-8 text of a file, or of a catalogue algebra by its name;
+    other bytes are a ParseError naming the file and its first bad byte."""
     if path in CATALOGUE:
         # catalogue names double as file arguments for convenience
         return _read_data(CATALOGUE[path].algebra_file)
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})",
+            exc.object.count(b"\n", 0, exc.start) + 1) from None
 
 
 def _write(text: str, output: Optional[str]) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text)
+        Path(output).write_text(text, encoding="utf-8")
 
 
 def _load_either(path: str) -> tuple[str, FiniteDqRA | RelStructure]:
@@ -198,6 +205,9 @@ def cmd_find_embedding(args) -> int:
         result = find_embedding(A, S, budget=args.budget,
                                 upset_cap=args.upset_cap)
         if result.found:
+            if args.structure_output:
+                _write(emit_structure(f"{aname}_structure", S),
+                       args.structure_output)
             _write(emit_assignment(
                 f"{aname}_embedding", result.embedding,
                 [f"found after {result.nodes} nodes"]), args.output)

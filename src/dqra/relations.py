@@ -78,8 +78,11 @@ class BinRel:
     @classmethod
     def from_matrix(cls, n: int, mat) -> "BinRel":
         """The relation of an n x n boolean matrix (n as in `BinRel`)."""
-        m = np.asarray(mat, dtype=bool)
-        if m.shape != (n, n):
+        try:
+            m = np.asarray(mat, dtype=bool)
+        except ValueError:      # a ragged matrix
+            m = None
+        if m is None or m.shape != (n, n):
             raise CarrierMismatchError(f"matrix must be {n}x{n}")
         bits = int.from_bytes(np.packbits(m).tobytes(), "big")
         return cls(n, bits >> -m.size % 8)

@@ -130,12 +130,15 @@ def test_neg_replaced_by_identity_fails_de_morgan(six):
          unit=0),                                 # one element, size a bool
     dict(mult=np.full((6, 6), 0.5)),              # floats truncate to 0
     dict(tilde=np.ones(6, bool)),                 # bool entries read as 1
+    dict(leq=[[1] * 6] * 5 + [[1] * 5]),          # ragged order
+    dict(mult=[[0] * 6] * 5 + [[0] * 7]),         # ragged product
 ])
 def test_malformed_tables_rejected(six, mutation):
     fields = dict(size=six.size, leq=six.leq, mult=six.mult, tilde=six.tilde,
                   minus=six.minus, negn=six.negn, unit=six.unit)
     fields.update(mutation)
-    if "leq" in mutation and np.shape(mutation["leq"]) == (6, 6):
+    leq = mutation.get("leq")
+    if isinstance(leq, np.ndarray) and leq.shape == (6, 6):
         # shape-valid but law-breaking order is caught by validation instead
         A = FiniteDqRA(**fields)
         assert not validate_dqra(A).ok
@@ -143,6 +146,15 @@ def test_malformed_tables_rejected(six, mutation):
         with pytest.raises(MalformedAlgebraError):
             FiniteDqRA(**fields)
 
+
+
+@pytest.mark.parametrize("name", ["leq", "mult"])
+def test_a_ragged_table_is_named(name):
+    # numpy refuses a ragged nested list with its own ValueError
+    fields = dict(leq=[[1, 0], [1, 1]], mult=[[0, 1], [1, 1]])
+    fields[name] = [[1, 0], [1]]
+    with pytest.raises(MalformedAlgebraError, match=f"^{name} table is ragged"):
+        FiniteDqRA(2, fields["leq"], fields["mult"], [1, 0], [1, 0], [1, 0], 0)
 
 def test_derived_zero_is_the_coatom(six):
     z = derived_zero(six)

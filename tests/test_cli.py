@@ -14,8 +14,8 @@ from dqra import (CATALOGUE, CapExceededError, Embedding, load_algebra,
                   validate_dqra)
 from dqra.catalogue import _read, data_dir
 from dqra.cli import main
-from dqra.textio import (emit_assignment, parse_algebra, parse_assignment,
-                         parse_structure)
+from dqra.textio import (emit_assignment, emit_structure, parse_algebra,
+                         parse_assignment, parse_structure)
 
 
 def data_path(name: str, which: str = "algebra") -> str:
@@ -245,6 +245,23 @@ def test_find_embedding_single_structure(tmp_path, capsys):
     from dqra import verify_embedding
     assert verify_embedding(e).ok
 
+
+def test_find_embedding_single_structure_writes_the_structure(tmp_path,
+                                                               capsys):
+    found, struct = tmp_path / "found.assign", tmp_path / "found.struct"
+    assert main(["find-embedding", SIX, data_path(SIX, "structure"),
+                 "--output", str(found), "--structure-output",
+                 str(struct)]) == 0
+    _, S = parse_structure(_read(CATALOGUE[SIX].structure_file))
+    assert struct.read_text() == emit_structure(SIX + "_structure", S)
+    _, e = parse_assignment(found.read_text(), load_algebra(SIX),
+                            parse_structure(struct.read_text())[1])
+    assert dqra.verify_embedding(e).ok
+    # nothing found, nothing written
+    missing = tmp_path / "none.struct"
+    assert main(["find-embedding", "D^3_{1,1}", data_path(SIX, "structure"),
+                 "--structure-output", str(missing)]) == 4
+    assert not missing.exists()
 
 def test_find_embedding_not_found(tmp_path, capsys):
     assert main(["find-embedding", data_path("D^3_{1,1}"),

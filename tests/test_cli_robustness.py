@@ -127,3 +127,26 @@ def test_mutated_structure_files_end_with_a_documented_exit_code(workdir, data):
     code, err = _exit_code(argv)
     assert code in {0, 2, 3, 4, 5}
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["algebra", "structure", "generators"])
+@pytest.mark.parametrize("prefix, line", [(b"\xff", 1), (b"# caf\xe9\n", 1),
+                                          (b"# ok\n\n# \xc3(\n", 3)])
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, kind, prefix,
+                                                  line):
+    entry = CATALOGUE[SIX]
+    source = {"algebra": entry.algebra_file,
+              "structure": entry.structure_file,
+              "generators": entry.assignment_file}[kind]
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_bytes(prefix + _read(source).encode())
+    if kind == "generators":
+        struct = tmp_path / "good.struct"
+        struct.write_text(_read(entry.structure_file), encoding="utf-8")
+        argv = ["closure", str(struct), str(bad)]
+    else:
+        argv = ["validate", str(bad)]
+    code, err = _exit_code(argv)
+    assert code == 5
+    assert err.startswith(f"parse error: line {line}: {bad} is not UTF-8 text")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -528,6 +528,11 @@ def test_points_outside_the_carrier_are_rejected():
     assert (1, 1) in BinRel.identity(2) and (0, 1) not in BinRel.identity(2)
 
 
+def test_a_ragged_matrix_does_not_fit_the_carrier():
+    for mat in ([[1, 0], [1]], [[1, 0], 1], [[1, 0]] * 3):
+        with pytest.raises(CarrierMismatchError, match=r"^matrix must be 2x2$"):
+            BinRel.from_matrix(2, mat)
+
 def test_relation_bits_must_fit_the_carrier():
     assert BinRel(2, 0b1001) == BinRel.identity(2)
     for n in range(6):    # shared values up to three points, new ones beyond
