@@ -58,13 +58,15 @@ EXIT_IO = 5
 
 
 def _read(path: str) -> str:
-    """The UTF-8 text of a file, or of a catalogue algebra by its name;
-    other bytes are a ParseError naming the file and its first bad byte."""
+    """The UTF-8 text of a file, after a byte-order mark if it has one, or
+    of a catalogue algebra by its name; other bytes are a ParseError naming
+    the file and its first bad byte."""
     if path in CATALOGUE:
         # catalogue names double as file arguments for convenience
         return _read_data(CATALOGUE[path].algebra_file)
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # not "utf-8-sig": its error offsets would skip the mark's 3 bytes
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})",
@@ -388,6 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    for stream in (sys.stdout, sys.stderr):
+        # the text formats are UTF-8 on the standard streams too, whatever
+        # the locale, where a stream can be switched (not a StringIO)
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(encoding="utf-8", errors=stream.errors)
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

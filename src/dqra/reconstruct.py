@@ -10,10 +10,17 @@ assignments consistent with the diagram and the algebra laws:
   order-reversing involutions sending the unit to the zero;
 * products are residuated, hence join preserving, so only products of join
   generators are branched on; the rest of the table follows by joins;
-* every completed candidate gets the diagram's meet and join tables and
-  is rejected unless the exact verdicts on distributivity, associativity
-  and both residuation laws all hold; only the survivors pay for the full
-  validator, which every accepted table passes.
+* with ~ a dual automorphism and - its inverse, both residuation laws are
+  the rotation law a.b <= -c iff b.c <= ~a over all triples (the left law
+  with c := -c, as a <= -y iff y <= ~a; its instance (c, a, b) is the right
+  law), so a generator product is refused as soon as the law fails on a
+  triple whose two products every accepted table has: the generator
+  products assigned so far, x.1 = x = 1.x and x.bot = bot = bot.x;
+* a completed table is checked on the lists first (the assigned products
+  survive the join extension, the rotation law holds on all m^3 triples),
+  and only then built as an algebra with the diagram's meet and join
+  tables and given to the full validator, which every accepted table
+  passes.
 
 A solution is accepted only when it is unique after deduplication.  Two
 entries need documented extra steps:
@@ -36,7 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import (FiniteDqRA, _freeze, _law_verdicts, _set_lattice_tables,
+from .algebra import (FiniteDqRA, _freeze, _set_lattice_tables,
                       join_generators, lattice_tables, order_maps,
                       validate_dqra)
 from .isomorphism import algebras_isomorphic
@@ -190,6 +197,12 @@ def reconstruct(diagram: Diagram,
     return ReconstructionOutcome(diagram, tuple(sols), "unique", note)
 
 
+def _rotation_fails(le, til, mns, cells) -> bool:
+    """Whether the rotation law a.b <= -c iff b.c <= ~a fails on one of
+    `cells`, each (a, a.b, b.c, c), on the order rows `le`."""
+    return any(le[ab][mns[c]] != le[bc][til[a]] for a, ab, bc, c in cells)
+
+
 def _search_products(n, leq, meet, join, unit, bot, gens, gen_below, annot,
                      til, mns, ngn, labels, solutions) -> None:
     """Backtrack over join-generator products for fixed unary tables."""
@@ -204,12 +217,34 @@ def _search_products(n, leq, meet, join, unit, bot, gens, gen_below, annot,
         if (g, h) in annot:
             return [annot[(g, h)]]
         # separation laws relate products to the order through the zero
-        # (g.h <= -1 iff g <= -h iff h <= ~g), and products are monotone
+        # (g.h <= -1 iff g <= -h iff h <= ~g: the rotation law's instances
+        # with a unit, as a cheap first filter), and products are monotone
         return [v for v in range(n)
                 if le[v][m1] == le[g][mns[h]] == le[h][til[g]]
                 and not any(le[g2][g] and le[h2][h] and not le[v2][v]
                             or le[g][g2] and le[h][h2] and not le[v][v2]
                             for (g2, h2), v2 in assign.items())]
+
+    def known(a: int, b: int) -> Optional[int]:
+        """a.b when every accepted table has it, else None.  A unit at
+        the bottom contradicts x.bot = bot, so no table with two or more
+        elements is accepted there and the unit rule may go first."""
+        if a == unit:
+            return b
+        if b == unit:
+            return a
+        if a == bot or b == bot:
+            return bot
+        return assign.get((a, b))
+
+    def fits(g: int, h: int, v: int) -> bool:
+        """Whether g.h = v keeps the rotation law on every triple whose
+        two products are known, one of them g.h."""
+        return not _rotation_fails(le, til, mns, [
+            *((g, v, bc, c) for c in range(n)
+              if (bc := known(h, c)) is not None),
+            *((a, ab, v, h) for a in range(n)
+              if (ab := known(a, g)) is not None)])
 
     def product(a: int, b: int) -> int:
         """The join of the products of the generators below a and b."""
@@ -225,9 +260,14 @@ def _search_products(n, leq, meet, join, unit, bot, gens, gen_below, annot,
         if any(mult[x][y] != v
                for fixed in (assign, annot) for (x, y), v in fixed.items()):
             return
+        if _rotation_fails(le, til, mns, (
+                (a, ab, bc, c) for a in range(n)
+                for b, ab in enumerate(mult[a])
+                for c, bc in enumerate(mult[b]))):
+            return
         cand = FiniteDqRA(n, leq, mult, til, mns, ngn, unit, labels)
         _set_lattice_tables(cand, meet, join)
-        if all(_law_verdicts(cand)) and validate_dqra(cand).ok:
+        if validate_dqra(cand).ok:
             solutions.setdefault(cand.table_key(), cand)
 
     def bt(i: int) -> None:
@@ -237,7 +277,8 @@ def _search_products(n, leq, meet, join, unit, bot, gens, gen_below, annot,
         g, h = slots[i]
         for v in candidates(g, h):
             assign[(g, h)] = v
-            bt(i + 1)
+            if fits(g, h, v):
+                bt(i + 1)
             del assign[(g, h)]
 
     bt(0)

@@ -605,17 +605,18 @@ def test_reused_parser_after_a_usage_error(capsys):
     assert capsys.readouterr() == alone
 
 
-def _run_module(*argv: str, **run):
+def _run_module(*argv: str, env=None, **run):
     """`python -m dqra.cli` in a fresh interpreter, with this checkout's
-    sources first on the path and one BLAS thread; `run` goes to
-    `subprocess.run`."""
+    sources first on the path, one BLAS thread and the variables of `env`;
+    `run` goes to `subprocess.run` (text output unless it says otherwise)."""
     src = str(Path(dqra.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""),
-               OPENBLAS_NUM_THREADS="1")
+    child = dict(os.environ,
+                 PYTHONPATH=src + (os.pathsep + path if path else ""),
+                 OPENBLAS_NUM_THREADS="1", **(env or {}))
     return subprocess.run([sys.executable, "-m", "dqra.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120,
-                          **run)
+                          **{"capture_output": True, "text": True,
+                             "env": child, "timeout": 120, **run})
 
 
 def _limit_address_space() -> None:
@@ -644,3 +645,36 @@ def test_module_entry_point_in_a_real_process(tmp_path):
     assert failed.returncode == 5
     assert failed.stdout == ""
     assert failed.stderr == "parse error: line 1: size must be a positive integer\n"
+
+
+def test_a_byte_order_mark_is_read_past(tmp_path, capsys):
+    text = _read(CATALOGUE[SIX].algebra_file).encode()
+    marked = tmp_path / "marked.dqra"
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    assert main(["validate", str(marked)]) == 0
+    assert capsys.readouterr().out.startswith(f"{SIX}: valid\n")
+    assert main(["psi-list", str(marked)]) == 0
+    assert capsys.readouterr().out.split() == ["1", "a", "b", "top"]
+    # a bad byte after the mark is counted from the start of the file
+    marked.write_bytes(b"\xef\xbb\xbf\xff" + text)
+    assert main(["validate", str(marked)]) == 5
+    assert capsys.readouterr().err == (
+        f"parse error: line 1: {marked} is not UTF-8 text "
+        "(invalid start byte at byte 3)\n")
+
+
+def test_output_is_utf8_whatever_the_stream_encoding(tmp_path):
+    text = _read(CATALOGUE["D^3_{1,1}"].algebra_file)
+    cafe = tmp_path / "café.dqra"
+    cafe.write_text(text.replace("dqra D^3_{1,1} 3", "dqra café 3"),
+                    encoding="utf-8")
+    ascii_streams = {"PYTHONIOENCODING": "ascii"}
+    ok = _run_module("validate", str(cafe), env=ascii_streams, text=False)
+    assert ok.returncode == 0 and ok.stderr == b""
+    assert ok.stdout.startswith("café: valid\n".encode())
+    # a report on stderr names the file in UTF-8 too
+    cafe.write_bytes(b"\xff")
+    bad = _run_module("validate", str(cafe), env=ascii_streams, text=False)
+    assert bad.returncode == 5 and bad.stdout == b""
+    assert bad.stderr == (f"parse error: line 1: {cafe} is not UTF-8 text "
+                          "(invalid start byte at byte 0)\n").encode()
