@@ -228,7 +228,8 @@ def _search_products(n, leq, meet, join, unit, bot, gens, gen_below, annot,
     def known(a: int, b: int) -> Optional[int]:
         """a.b when every accepted table has it, else None.  A unit at
         the bottom contradicts x.bot = bot, so no table with two or more
-        elements is accepted there and the unit rule may go first."""
+        elements is accepted there; the unit rule goes first, which
+        refuses such a search at its first product."""
         if a == unit:
             return b
         if b == unit:
