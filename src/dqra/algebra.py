@@ -134,6 +134,26 @@ def _count(v, what: str, least: int = 0) -> int:
     return i
 
 
+def _order_masks(leq: np.ndarray) -> tuple[list[int], list[int],
+                                           dict[int, int], dict[int, int]]:
+    """The rows and columns of a boolean order matrix as int bitmasks
+    (`up[x]`: the y with x <= y; `down[x]`: the y with y <= x), in one pass
+    over the cells, and for each list a dict from a mask to the last x that
+    has it: the meet of a and b is `meet_of[down[a] & down[b]]`, the join
+    `join_of[up[a] & up[b]]`, and a missing key means there is none."""
+    n = len(leq)
+    up, down = [0] * n, [0] * n
+    for x, row in enumerate(leq.tolist()):
+        bit, mask = 1 << x, 0
+        for y, v in enumerate(row):
+            if v:
+                mask |= 1 << y
+                down[y] |= bit
+        up[x] = mask
+    return (up, down, {m: x for x, m in enumerate(up)},
+            {m: x for x, m in enumerate(down)})
+
+
 def lattice_rows(leq: np.ndarray) -> tuple[list[list[int]], list[list[int]]]:
     """The meet and join tables of a boolean order matrix as lists of rows;
     -1 marks pairs without a greatest lower or least upper bound.
@@ -142,20 +162,10 @@ def lattice_rows(leq: np.ndarray) -> tuple[list[list[int]], list[list[int]]]:
     the intersection of columns a and b (the set below x is the set of
     common lower bounds), of the join table the x whose row is the
     intersection of rows a and b; the last such x, -1 where there is none.
-    Rows and columns become int bitmasks in one pass over the cells, and
-    one dictionary per table, keyed on the masks, resolves every pair."""
-    n = len(leq)
-    up, down = [0] * n, [0] * n
-    for x, row in enumerate(leq.tolist()):
-        for y, v in enumerate(row):
-            if v:
-                up[x] |= 1 << y
-                down[y] |= 1 << x
-    tables = []
-    for masks in (down, up):
-        get = {m: x for x, m in enumerate(masks)}.get
-        tables.append([[get(a & b, -1) for b in masks] for a in masks])
-    return tables[0], tables[1]
+    Every pair is looked up in the dicts of `_order_masks`."""
+    up, down, join_of, meet_of = _order_masks(leq)
+    return tuple([[get(a & b, -1) for b in masks] for a in masks]
+                 for masks, get in ((down, meet_of.get), (up, join_of.get)))
 
 
 def lattice_tables(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,10 +264,11 @@ class FiniteDqRA:
     Values are immutable after construction; all operations on them are pure.
     A table that is a read-only array of its dtype is shared, any other
     kept as a frozen copy; `size` and `unit` follow `_integer`.  The meet
-    and join tables, as int64 arrays and as the search's list rows, each
-    come from the order alone, or the arrays from their one hand-over
-    (`_set_lattice_tables`).  The elements given to `label`, `le`, `lt`,
-    `meet` and `join` must be indices in 0..size-1 (NotAnElementError).
+    and join tables as int64 arrays, and the search's bitmasks of the
+    order, each come from the order alone, or the arrays from their one
+    hand-over (`_set_lattice_tables`).  The elements given to `label`,
+    `le`, `lt`, `meet` and `join` must be indices in 0..size-1
+    (NotAnElementError).
     """
 
     size: int
@@ -339,9 +350,19 @@ class FiniteDqRA:
         return self._lattice_tables[1]
 
     @cached_property
-    def _lattice_rows(self) -> tuple[list[list[int]], list[list[int]]]:
-        """`lattice_rows` of the order, for the search: no array."""
-        return lattice_rows(self.leq)
+    def _lattice_masks(self) -> tuple[list[int], list[int], dict[int, int],
+                                      dict[int, int], bool]:
+        """`_order_masks` of the order and whether it is a lattice, for the
+        search, which looks up only the cells it reads.  The verdict looks
+        each pair b < a up once in both dicts: the keys are symmetric, and
+        a pair a, a always resolves (its key is a mask of the dict)."""
+        up, down, join_of, meet_of = masks = _order_masks(self.leq)
+        for a in range(self.size):
+            da, ua = down[a], up[a]
+            for b in range(a):
+                if da & down[b] not in meet_of or ua & up[b] not in join_of:
+                    return (*masks, False)
+        return (*masks, True)
 
     def meet(self, a: int, b: int) -> int:
         a, b = self._element(a), self._element(b)

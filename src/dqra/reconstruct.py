@@ -17,10 +17,9 @@ assignments consistent with the diagram and the algebra laws:
   triple whose two products every accepted table has: the generator
   products assigned so far, x.1 = x = 1.x and x.bot = bot = bot.x;
 * a completed table is checked on the lists first (the assigned products
-  survive the join extension, the rotation law holds on all m^3 triples),
-  and only then built as an algebra with the diagram's meet and join
-  tables and given to the full validator, which every accepted table
-  passes.
+  survive the join extension, the unit is a unit), and only then built
+  as an algebra with the diagram's meet and join tables and given to the
+  full validator, which every accepted table passes.
 
 A solution is accepted only when it is unique after deduplication.  Two
 entries need documented extra steps:
@@ -261,10 +260,10 @@ def _search_products(n, leq, meet, join, unit, bot, gens, gen_below, annot,
         if any(mult[x][y] != v
                for fixed in (assign, annot) for (x, y), v in fixed.items()):
             return
-        if _rotation_fails(le, til, mns, (
-                (a, ab, bc, c) for a in range(n)
-                for b, ab in enumerate(mult[a])
-                for c, bc in enumerate(mult[b]))):
+        # the unit law, which the join extension can break; given it, the
+        # rotation law on all m^3 triples follows from the generator
+        # triples that `fits` has checked
+        if not all(mult[unit][x] == x == mult[x][unit] for x in range(n)):
             return
         cand = FiniteDqRA(n, leq, mult, til, mns, ngn, unit, labels)
         _set_lattice_tables(cand, meet, join)

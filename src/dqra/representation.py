@@ -132,9 +132,13 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
     (`CapExceededError` above `upset_cap`): when leq is a partial order
     and 2^|E| <= upset_cap the bound settles the cap and nothing is
     counted.  An order of A that is not a lattice raises
-    `LawViolationError`.  The search reads list rows
-    (`FiniteDqRA._lattice_rows`) and the order's join generators, no
-    arrays; the set-up that only branching needs follows the root.
+    `LawViolationError`.  The search reads the order's rows and columns as
+    bitmasks (`FiniteDqRA._lattice_masks`, kept on the algebra) and its
+    join generators, no arrays: the meet of x and y is the element whose
+    column mask is the intersection of theirs, the join the one whose row
+    mask is, each looked up in a dict only when propagation reads it.  The
+    set-up that only branching needs follows the root and reads the same
+    masks.
     The unit's image is forced to the order relation; images of the three
     unary operations, of meets, joins and products of assigned elements are
     propagated, so only join generators are branched on: in a lattice every
@@ -164,8 +168,8 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
     n = A.size
     nS = S.n
     E = S.E.bits
-    meet, join = A._lattice_rows
-    if any(-1 in row for row in meet + join):
+    up, down, join_of, meet_of, lattice = A._lattice_masks
+    if not lattice:
         raise LawViolationError("algebra order is not a lattice; validate first")
     tilde, minus, negn = A.tilde.tolist(), A.minus.tolist(), A.negn.tolist()
     unary = tuple(zip((tilde, minus, negn), S._negations[0]))
@@ -195,14 +199,15 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
             for table, f in unary:
                 if not assign(table[x], _or_map(f, E & ~r), trail):
                     return False
+            dx, ux = down[x], up[x]
             for y in range(n):
                 q = phi[y]
                 if q is None:
                     continue
                 if not (assign(mult[x][y], _compose(nS, r, q), trail)
                         and assign(mult[y][x], _compose(nS, q, r), trail)
-                        and assign(meet[x][y], r & q, trail)
-                        and assign(join[x][y], r | q, trail)):
+                        and assign(meet_of[dx & down[y]], r & q, trail)
+                        and assign(join_of[ux & up[y]], r | q, trail)):
                     return False
         return True
 
@@ -216,9 +221,10 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
         return SearchResult(SearchStatus.NOT_FOUND, None, 0)
 
     # branching set-up: the order's lists, a static order over generators
-    leq = A.leq.tolist()
-    above = [[y for y in range(n) if y != x and leq[x][y]] for x in range(n)]
-    below = [[y for y in range(n) if y != x and leq[y][x]] for x in range(n)]
+    above = [[y for y in range(n) if y != x and up[x] >> y & 1]
+             for x in range(n)]
+    below = [[y for y in range(n) if y != x and down[x] >> y & 1]
+             for x in range(n)]
     orbit_size = {}
     for g in A.join_generators:
         orbit = {g}
@@ -231,7 +237,7 @@ def find_embedding(A: FiniteDqRA, S: RelStructure, budget: int = 200_000,
                     orbit.add(y)
                     frontier.append(y)
         orbit_size[g] = len(orbit)
-    comparables = {g: sum(leq[g]) + sum(row[g] for row in leq)
+    comparables = {g: up[g].bit_count() + down[g].bit_count()
                    for g in A.join_generators}
     order = sorted(A.join_generators,
                    key=lambda g: (-(orbit_size[g] + comparables[g]), g))

@@ -274,6 +274,34 @@ def test_meet_join_tables_agree_with_order(algebras, name):
             assert all(A.le(j, x) for x in upper)
 
 
+def lattice_masks(leq: np.ndarray):
+    """The search's `_lattice_masks` of any square 0/1 matrix with at least
+    one row, read from an algebra whose other tables are all 0 (nothing
+    but the order is read)."""
+    n = len(leq)
+    zeros = np.zeros(n, dtype=np.int64)
+    return FiniteDqRA(n, leq, np.zeros((n, n), dtype=np.int64), zeros, zeros,
+                      zeros, 0)._lattice_masks
+
+
+def mask_rows(masks) -> tuple[list[list[int]], list[list[int]]]:
+    """The meet and join tables that the search's lookups give, cell by
+    cell: dict of the down (up) masks at the intersection of the masks of
+    a and b, -1 where there is no such key."""
+    up, down, join_of, meet_of, _ = masks
+    return ([[meet_of.get(a & b, -1) for b in down] for a in down],
+            [[join_of.get(a & b, -1) for b in up] for a in up])
+
+
+def assert_masks_match_tables(leq: np.ndarray) -> None:
+    """Every mask lookup is the cell of `lattice_tables`, and the lattice
+    verdict holds exactly when neither table has a -1."""
+    meet, join = lattice_tables(leq)
+    masks = lattice_masks(leq)
+    assert mask_rows(masks) == (meet.tolist(), join.tolist())
+    assert masks[4] is bool(meet.min() >= 0 and join.min() >= 0)
+
+
 @st.composite
 def partial_orders(draw):
     """The transitive closure of random edges that go forward in a random
@@ -308,6 +336,7 @@ def test_lattice_tables_match_brute_force_bounds(leq):
                  lambda y, x: leq[x, y]) for b in rng] for a in rng]
     meet, join = lattice_tables(leq)
     assert meet.tolist() == glb and join.tolist() == lub
+    assert_masks_match_tables(leq)
 
     # the elements whose strictly smaller elements have a greatest one, or
     # have none; in a lattice, the bottom and the elements that are not the
@@ -351,6 +380,8 @@ def test_lattice_tables_on_arbitrary_boolean_matrices():
         assert meet.tolist() == last_row_at_the_intersection(m.T.tolist())
         assert join.tolist() == last_row_at_the_intersection(m.tolist())
         assert lattice_rows(m) == (meet.tolist(), join.tolist())
+        if len(m):
+            assert_masks_match_tables(m)
 
 
 @pytest.mark.parametrize("first", ["meet_table", "join_table"])
@@ -378,14 +409,17 @@ def test_lattice_rows_are_the_rows_of_the_tables(algebras, six):
         # a family, a contraction and a diagram hand their tables over at
         # construction; the fresh algebra has none before they are read
         assert ("_lattice_tables" in vars(B)) is (B is not fresh)
-        rows = B._lattice_rows
+        masks = B._lattice_masks
+        rows = mask_rows(masks)
         assert rows == (B.meet_table.tolist(), B.join_table.tolist())
+        assert masks[4] is True
         assert all(type(v) is int for row in rows[0] + rows[1] for v in row)
 
 
 def test_lattice_forms_agree_in_any_order(algebras, six):
     # each form comes from the order (or the one hand-over), whichever is
-    # read first: rows then tables, tables then rows, search then validate
+    # read first: masks then tables, tables then masks, search then
+    # validate
     S = list(enumerate_structures(2))[-1]
     makers = [lambda A=A: FiniteDqRA(A.size, A.leq, A.mult, A.tilde,
                                      A.minus, A.negn, A.unit, A.labels)
@@ -396,15 +430,15 @@ def test_lattice_forms_agree_in_any_order(algebras, six):
     for make in makers:
         leq = make().leq
         rows, tables = lattice_rows(leq), lattice_tables(leq)
-        for first in ("rows", "tables", "search"):
+        for first in ("masks", "tables", "search"):
             B = make()
-            if first == "rows":
-                B._lattice_rows
+            if first == "masks":
+                B._lattice_masks
             elif first == "search":
                 find_embedding(B, target)
                 assert validate_dqra(B).ok
             got_tables = B.meet_table, B.join_table
-            got_rows = B._lattice_rows
+            got_rows = mask_rows(B._lattice_masks)
             assert got_rows == rows, first
             for got, want in zip(got_tables, tables):
                 assert got.dtype == np.int64 and not got.flags.writeable
@@ -453,7 +487,7 @@ def test_validation_keeps_no_lattice_rows(algebras):
         fresh = FiniteDqRA(A.size, A.leq, A.mult, A.tilde, A.minus, A.negn,
                            A.unit, A.labels)
         assert validate_dqra(fresh).ok
-        assert "_lattice_rows" not in fresh.__dict__
+        assert "_lattice_masks" not in fresh.__dict__
 
 
 @pytest.mark.parametrize("entry", [2, -1, 0.5])

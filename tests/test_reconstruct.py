@@ -19,9 +19,11 @@ from dqra.reconstruct import (
     DIAGRAMS,
     DIAGRAMS_BY_NAME,
     Diagram,
+    _rotation_fails,
     reconstruct,
     reconstruct_catalogue,
 )
+from dqra.relations import BinRel, RelStructure, full_dq
 
 
 @pytest.fixture(scope="module")
@@ -163,10 +165,9 @@ def variants():
 
 
 def test_rotation_pruning_matches_the_unpruned_search(monkeypatch, outcomes):
-    """Cutting prefixes, and refusing completed tables, on the rotation law
-    changes no status, solution, solution order or note.  The reference
-    lets every prefix and every completed table through to
-    `validate_dqra`."""
+    """Cutting prefixes on the rotation law changes no status, solution,
+    solution order or note.  The reference lets every prefix through to
+    the leaf and `validate_dqra`."""
     pruned = [summary(reconstruct(d, outcomes)) for d in variants()]
     monkeypatch.setattr("dqra.reconstruct._rotation_fails",
                         lambda *args: False)
@@ -174,6 +175,43 @@ def test_rotation_pruning_matches_the_unpruned_search(monkeypatch, outcomes):
     assert {name: summary(oc) for name, oc in reference.items()} == {
         name: summary(oc) for name, oc in outcomes.items()}
     assert [summary(reconstruct(d, outcomes)) for d in variants()] == pruned
+
+
+def _residuation_holds(le, mult, til, mns) -> bool:
+    """Both residuation laws on every triple, as the validator states them:
+    a.b <= c iff a <= -(b.~c) iff b <= ~(-c.a)."""
+    n = len(le)
+    return all(le[mult[a][b]][c] == le[a][mns[mult[b][til[c]]]]
+               == le[b][til[mult[mns[c]][a]]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def test_rotation_law_is_both_residuation_laws_when_tilde_is_not_minus():
+    """On the full upset algebra of the two-point antichain whose alpha
+    swaps the points, ~ is a dual automorphism of order 4, so - (its
+    inverse) differs from it.  `_rotation_fails` over all m^3 cells fails
+    exactly when a residuation law does: on the algebra's own product
+    table, where both hold, and on tables with one cell changed."""
+    S = RelStructure(2, BinRel.from_pairs(2, [(0, 0), (1, 1)]),
+                     BinRel.full(2), (1, 0), (0, 1))
+    A = full_dq(S)
+    n, le = A.size, A.leq.tolist()
+    til, mns, mult = A.tilde.tolist(), A.minus.tolist(), A.mult.tolist()
+    assert [til[til[a]] for a in range(n)] != list(range(n))
+
+    def fails(mult):
+        return _rotation_fails(le, til, mns, (
+            (a, ab, bc, c) for a in range(n)
+            for b, ab in enumerate(mult[a]) for c, bc in enumerate(mult[b])))
+
+    assert validate_dqra(A).ok and not fails(mult)
+    assert _residuation_holds(le, mult, til, mns)
+    rng = np.random.default_rng(38)
+    for _ in range(30):
+        changed = [row[:] for row in mult]
+        a, b = rng.integers(0, n, size=2)
+        changed[a][b] = (changed[a][b] + int(rng.integers(1, n))) % n
+        assert fails(changed) is not _residuation_holds(le, changed, til, mns)
 
 
 # --- a naive oracle over every generator-product table -----------------------

@@ -112,8 +112,8 @@ def test_find_embedding_definitive_refusal(algebras):
 
 
 def test_root_refutation_builds_no_lattice_arrays():
-    # a search that the root propagation refutes reads the meet and join
-    # tables as lists of rows only
+    # a search that the root propagation refutes reads meets and joins
+    # through the order's bitmasks only, kept on the algebra
     refuted = 0
     for S in enumerate_structures(2):
         A = load_algebra("D^3_{1,1}")
@@ -122,7 +122,7 @@ def test_root_refutation_builds_no_lattice_arrays():
         if result.nodes == 0:
             refuted += 1
             assert "_lattice_tables" not in vars(A)
-            assert "_lattice_rows" in vars(A)
+            assert "_lattice_masks" in vars(A)
     assert refuted > 0
 
 
@@ -352,8 +352,9 @@ def test_verify_embedding_raises_on_an_invalid_structure():
 
 
 def test_a_branching_search_builds_no_lattice_array(algebras):
-    # the search reads list rows and finds its join generators from the
-    # order: a refuted search that branched leaves the int64 tables unbuilt
+    # the search reads the order's bitmasks and finds its join generators
+    # from the order: a refuted search that branched leaves the int64
+    # tables unbuilt
     structures = [S for n in (1, 2, 3) for S in enumerate_structures(n)]
     branched = 0
     for A in algebras.values():
