@@ -11,8 +11,9 @@ tables.
 from __future__ import annotations
 
 import threading
+from array import array
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -150,11 +151,16 @@ class BinRel:
         return hash((self.n, self.bits))
 
     def __le__(self, other: "BinRel") -> bool:
-        if self.n != other.n:
-            self._check(other)
-        return not self.bits & ~other.bits
+        try:
+            if self.n != other.n:
+                self._check(other)
+            return not self.bits & ~other.bits
+        except AttributeError:      # not a relation: Python raises TypeError
+            return NotImplemented
 
     def __lt__(self, other: "BinRel") -> bool:
+        if not isinstance(other, BinRel):
+            return NotImplemented
         return self <= other and self != other
 
     def _check(self, other: "BinRel") -> None:
@@ -165,9 +171,16 @@ class BinRel:
     # relational operations
 
     def compose(self, other: "BinRel") -> "BinRel":
-        if self.n != other.n:
+        """The product self;other: on at most three points the shared
+        object (`_SHARED`) read off the carrier's product table
+        (`_products`), beyond that `_compose`."""
+        n = self.n
+        if n != other.n:
             self._check(other)
-        return _rel(self.n, _compose(self.n, self.bits, other.bits))
+        if n <= 3:
+            table = _PRODUCTS.get(n) or _products(n)
+            return _SHARED[n][table[self.bits << n * n | other.bits]]
+        return _rel(n, _compose(n, self.bits, other.bits))
 
     def converse(self) -> "BinRel":
         return _rel(self.n, _converse(self.n, self.bits))
@@ -260,24 +273,51 @@ def _compose(n: int, a: int, b: int) -> int:
     return out
 
 
-def _or_tables(images: Sequence[int]) -> list[list[int]]:
+# The product of every pair of relations on n <= 3 points, one table per
+# carrier filled on the first product on n points (`_products`).
+_PRODUCTS: dict[int, array] = {}
+
+
+def _products(n: int) -> array:
+    """The product table of n <= 3 points: an array('H') of 2^(2n*n)
+    entries, entry a << n*n | b holding the bits of a;b (512 KB at n = 3).
+    It is filled from `_compose` 64 rows of a at a time, so the build holds
+    a few 64 x 2^(n*n) int64 blocks at once, and goes into `_PRODUCTS` only
+    when complete: a thread reading `_PRODUCTS` finds no table or a whole
+    one (threads that both build it store equal tables)."""
+    rels = np.arange(1 << n * n, dtype=np.int64)
+    table = array("H")
+    for start in range(0, len(rels), 64):
+        block = _compose(n, rels[start:start + 64, None], rels)
+        table.frombytes(block.astype(np.uint16).tobytes())
+    _PRODUCTS[n] = table
+    return table
+
+
+def _or_tables(images: Sequence[int], width: int = 4) -> list[list[int]]:
     """The tables of the map on relation bits that preserves unions and
     sends each single bit (bit p counted from the least significant) to
-    images[p]: table k holds the 16 unions of the images of bits 4k to
-    4k+3, the short last one padded with zeros; on 0 points there is one
-    table, so a column has a nibble to index."""
+    images[p]: table k holds the 2^width unions of the images of bits
+    width*k to width*k + width - 1, the short last one padded with zeros;
+    there is always one table, so a column has bits to index.  Width 4
+    makes nibble tables; a width of len(images) one table over every
+    relation of the carrier."""
     tables = []
-    for c in range(0, len(images) or 1, 4):
+    for c in range(0, len(images) or 1, width or 1):
         table = [0]
-        for image in images[c:c + 4]:
+        for image in images[c:c + width]:
             table += [t | image for t in table]
-        tables.append(table + [0] * (16 - len(table)))
+        tables.append(table + [0] * ((1 << width) - len(table)))
     return tables
 
 
 def _or_map(tables: Sequence[list[int]], bits: int) -> int:
-    """The map given by `_or_tables` applied to one relation int, four bits
-    at a time."""
+    """The map given by `_or_tables` applied to one relation int.  A
+    one-table map covers every relation of its carrier (nibble maps on at
+    most two points, `_up_map` on at most three) and is indexed by the
+    whole int; a longer one is read four bits at a time."""
+    if len(tables) == 1:
+        return tables[0][bits]
     out = 0
     for table in tables:
         out |= table[bits & 15]
@@ -295,11 +335,14 @@ def _map_columns(maps: Sequence[Sequence[list[int]]], bits: np.ndarray
                  ) -> list[np.ndarray]:
     """Each map (`_or_tables`, best stacked by `_column`) applied to a
     `_column` of relation ints (images of relations fit the same dtype):
-    each nibble of the column indexes its own table of the maps, in one
-    `take`.  The maps must have equally many tables (maps on relations over
-    one carrier do)."""
+    table k of a map reads the k-th run of log2(len) consecutive bits of
+    the column, from the least significant, all tables in one `take`.  The
+    maps must have equally many tables of one length (the maps `_or_tables`
+    makes with one width for one carrier do)."""
+    size = len(maps[0][0])
     k = np.arange(len(maps[0]))[:, None]
-    index = (bits >> 4 * k & 15 | 16 * k).astype(np.intp, copy=False)
+    index = (bits >> (size.bit_length() - 1) * k & size - 1
+             | size * k).astype(np.intp, copy=False)
     tables = np.asarray(maps, dtype=bits.dtype).reshape(len(maps), -1)
     return [np.bitwise_or.reduce(f.take(index), axis=0) for f in tables]
 
@@ -361,6 +404,21 @@ def _perm_witness(fn: Sequence[int], n: int) -> Optional[tuple[int, ...]]:
 
 
 _NEGATIONS: dict[tuple, tuple[tuple[list[list[int]], ...], Sequence]] = {}
+
+
+def _up_tables(n: int, leq: int, e: int) -> list[list[int]]:
+    """The upward closure X -> (leq ; X ; leq) within E on n points, as
+    tables (`_or_tables`): on at most three points one table over all
+    2^(n*n) relations, so an upset test is one index; beyond, nibble
+    tables."""
+    return _or_tables([_compose(n, _compose(n, leq, 1 << p), leq) & e
+                       for p in range(n * n)], n * n if n <= 3 else 4)
+
+
+# The one-table closures of the 64 orders and E on at most three points
+# used last: a table takes about 17 us to build at n = 3, against 4 us for
+# nibble tables, and every fresh structure would pay it again.
+_shared_up_tables = lru_cache(maxsize=64)(_up_tables)
 
 
 @dataclass(frozen=True, eq=False)
@@ -493,10 +551,11 @@ class RelStructure:
 
     @cached_property
     def _up_map(self) -> list[list[int]]:
-        """The upward closure X -> (leq ; X ; leq) within E, as tables."""
-        n, leq, e = self.n, self.leq.bits, self.E.bits
-        return _or_tables([_compose(n, _compose(n, leq, 1 << p), leq) & e
-                           for p in range(n * n)])
+        """The upward closure within E, as tables (`_up_tables`): on at
+        most three points shared by the structures with the same order and
+        E, beyond built for each structure."""
+        args = self.n, self.leq.bits, self.E.bits
+        return _shared_up_tables(*args) if self.n <= 3 else _up_tables(*args)
 
     def check_upset(self, R: BinRel, what: str = "relation") -> BinRel:
         if R.n != self.n:
@@ -692,14 +751,21 @@ def neg(S: RelStructure, R: BinRel) -> BinRel:
 
 
 def rel_residuals(S: RelStructure, R: BinRel, T: BinRel) -> tuple[BinRel, BinRel]:
-    """(R\\T, T/R) computed by the complement-converse formulas."""
+    """(R\\T, T/R) computed by the complement-converse formulas,
+    R\\T = E - (R^-1 ; (E - T)) and T/R = E - ((E - T) ; R^-1): on at most
+    three points each product is one read of the product table
+    (`_products`) and the upset tests one index of `_up_map`."""
     n, e, up = S.n, S.E.bits, S._up_map
     if not (R.n == n == T.n and _or_map(up, R.bits) == R.bits
             and _or_map(up, T.bits) == T.bits):
         S.check_upset(R)    # up(r) == r puts r in E: one of these raises
         S.check_upset(T)
     rc, tc = _converse(n, R.bits), e & ~T.bits
-    left, right = _compose(n, rc, tc), _compose(n, tc, rc)
+    if n <= 3:
+        table = _PRODUCTS.get(n) or _products(n)
+        left, right = table[rc << n * n | tc], table[tc << n * n | rc]
+    else:
+        left, right = _compose(n, rc, tc), _compose(n, tc, rc)
     if (left | right) & ~e:
         raise CarrierMismatchError("complement_in requires a subrelation of E")
     return _rel(n, e & ~left), _rel(n, e & ~right)

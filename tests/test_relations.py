@@ -87,6 +87,19 @@ def test_carrier_mismatch_rejected():
         BinRel.full(3).complement_in(BinRel.identity(4))
 
 
+@pytest.mark.parametrize("other", [5, None, "R", (2, 9), 9.0])
+def test_inclusion_with_a_non_relation_is_a_type_error(other):
+    # like equality, the order declines what is not a relation, so Python
+    # raises TypeError (never AttributeError) in both operand orders
+    R = BinRel(2, 9)
+    for compare in (lambda: R <= other, lambda: R < other,
+                    lambda: other >= R, lambda: other > R):
+        with pytest.raises(TypeError, match="not supported"):
+            compare()
+    assert R != other and not R == other
+    assert R <= BinRel(2, 11) and R < BinRel(2, 11) and not R < R
+
+
 def test_complement_requires_subrelation():
     # complement relative to E is only defined inside E
     with pytest.raises(CarrierMismatchError):
