@@ -92,6 +92,17 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _zero_one(a: np.ndarray, error: type, what: str) -> np.ndarray:
+    """`a` as a bool array: a bool array as it is, a numeric one whose
+    entries are all 0 or 1 converted, else `error` ("`what` entries must
+    be 0 or 1"); a non-numeric dtype is refused before any comparison."""
+    if a.dtype != bool:
+        if a.dtype.kind not in "biufc" or not ((a == 0) | (a == 1)).all():
+            raise error(f"{what} entries must be 0 or 1")
+        a = a.astype(bool)
+    return a
+
+
 def _frozen_input(a, name: str) -> np.ndarray:
     """Table `name` of a FiniteDqRA as a frozen array that its caller cannot
     write, bool for the order `leq` and int64 for the index tables: `a`
@@ -107,8 +118,8 @@ def _frozen_input(a, name: str) -> np.ndarray:
         except ValueError:      # numpy's "inhomogeneous shape"
             raise MalformedAlgebraError(
                 f"{name} table is ragged: its rows differ in length") from None
-        if dtype is bool and not ((a == 0) | (a == 1)).all():
-            raise MalformedAlgebraError("order table entries must be 0 or 1")
+        if dtype is bool:
+            a = _zero_one(a, MalformedAlgebraError, "order table")
         if dtype is np.int64 and a.dtype.kind not in "iu":
             raise MalformedAlgebraError(
                 f"{name} table entries must be integers, not {a.dtype}")

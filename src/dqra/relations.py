@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import (FiniteDqRA, LawCheck, LawViolationError,
                       ValidationReport, _count, _freeze, _integer,
-                      _set_lattice_tables, _verdict, order_maps)
+                      _set_lattice_tables, _verdict, _zero_one, order_maps)
 
 
 class CarrierMismatchError(ValueError):
@@ -78,13 +78,15 @@ class BinRel:
 
     @classmethod
     def from_matrix(cls, n: int, mat) -> "BinRel":
-        """The relation of an n x n boolean matrix (n as in `BinRel`)."""
+        """The relation of an n x n matrix of entries 0 and 1 (n as in
+        `BinRel`; other entries as in `_zero_one`)."""
         try:
-            m = np.asarray(mat, dtype=bool)
+            m = np.asarray(mat)
         except ValueError:      # a ragged matrix
             m = None
         if m is None or m.shape != (n, n):
             raise CarrierMismatchError(f"matrix must be {n}x{n}")
+        m = _zero_one(m, CarrierMismatchError, "matrix")
         bits = int.from_bytes(np.packbits(m).tobytes(), "big")
         return cls(n, bits >> -m.size % 8)
 
@@ -294,14 +296,14 @@ def _products(n: int) -> array:
     return table
 
 
-def _or_tables(images: Sequence[int], width: int = 4) -> list[list[int]]:
+def _or_tables(images: Sequence[int]) -> list[list[int]]:
     """The tables of the map on relation bits that preserves unions and
     sends each single bit (bit p counted from the least significant) to
-    images[p]: table k holds the 2^width unions of the images of bits
-    width*k to width*k + width - 1, the short last one padded with zeros;
-    there is always one table, so a column has bits to index.  Width 4
-    makes nibble tables; a width of len(images) one table over every
-    relation of the carrier."""
+    images[p]: on at most 9 cells (three points, as `_SHARED`) one table
+    over every relation of the carrier, beyond that table k holds the 16
+    unions of the images of bits 4k to 4k + 3, the short last one padded
+    with zeros; there is always one table, so a column has bits to index."""
+    width = len(images) if len(images) <= 9 else 4
     tables = []
     for c in range(0, len(images) or 1, width or 1):
         table = [0]
@@ -313,9 +315,9 @@ def _or_tables(images: Sequence[int], width: int = 4) -> list[list[int]]:
 
 def _or_map(tables: Sequence[list[int]], bits: int) -> int:
     """The map given by `_or_tables` applied to one relation int.  A
-    one-table map covers every relation of its carrier (nibble maps on at
-    most two points, `_up_map` on at most three) and is indexed by the
-    whole int; a longer one is read four bits at a time."""
+    one-table map (on at most three points) covers every relation of its
+    carrier and is indexed by the whole int; a longer one is read four
+    bits at a time."""
     if len(tables) == 1:
         return tables[0][bits]
     out = 0
@@ -338,7 +340,7 @@ def _map_columns(maps: Sequence[Sequence[list[int]]], bits: np.ndarray
     table k of a map reads the k-th run of log2(len) consecutive bits of
     the column, from the least significant, all tables in one `take`.  The
     maps must have equally many tables of one length (the maps `_or_tables`
-    makes with one width for one carrier do)."""
+    makes for one carrier do: one table on at most three points)."""
     size = len(maps[0][0])
     k = np.arange(len(maps[0]))[:, None]
     index = (bits >> (size.bit_length() - 1) * k & size - 1
@@ -408,16 +410,15 @@ _NEGATIONS: dict[tuple, tuple[tuple[list[list[int]], ...], Sequence]] = {}
 
 def _up_tables(n: int, leq: int, e: int) -> list[list[int]]:
     """The upward closure X -> (leq ; X ; leq) within E on n points, as
-    tables (`_or_tables`): on at most three points one table over all
-    2^(n*n) relations, so an upset test is one index; beyond, nibble
-    tables."""
+    tables (`_or_tables`): on at most three points one table, so an
+    upset test is one index."""
     return _or_tables([_compose(n, _compose(n, leq, 1 << p), leq) & e
-                       for p in range(n * n)], n * n if n <= 3 else 4)
+                       for p in range(n * n)])
 
 
-# The one-table closures of the 64 orders and E on at most three points
-# used last: a table takes about 17 us to build at n = 3, against 4 us for
-# nibble tables, and every fresh structure would pay it again.
+# The closures of the 64 orders and E on at most three points used last: a
+# 512-entry table takes about 17 us to build at n = 3, and every fresh
+# structure would pay it again.
 _shared_up_tables = lru_cache(maxsize=64)(_up_tables)
 
 
@@ -473,10 +474,11 @@ class RelStructure:
 
     @cached_property
     def _negations(self) -> tuple[tuple[list[list[int]], ...], np.ndarray]:
-        """~, - and the third negation as maps (`_cell_map` tables) of the
-        bits of the complement E - R, then the maps stacked for
-        `_map_columns` in one array of `_column`'s dtype, built once for
-        each n, alpha and beta and shared by every structure that has them.
+        """~, - and the third negation as maps (`_cell_map` tables, one on
+        at most three points) of the bits of the complement E - R, then the
+        maps stacked for `_map_columns` in one array of `_column`'s dtype,
+        built once for each n, alpha and beta and shared by every structure
+        that has them.
         With R^c = E - R, ~R = (R^c)^-1;alpha sends cell (u, v) to
         (v, alpha(u)), -R = alpha;(R^c)^-1 sends it to each (x, u) with
         alpha(x) = v, and alpha;beta;R^c;beta sends it to each (x, beta(v))

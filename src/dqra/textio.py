@@ -174,6 +174,18 @@ def _maybe_labels(lines: _Lines, n: int, banned: str) -> Optional[list[str]]:
     return toks
 
 
+def _check_tokens(what: str, tokens: Sequence, banned: str = "") -> None:
+    """Raise ValueError naming each of `tokens` that the matching parser
+    cannot read back: a token is a str with `s.split() == [s]`, without
+    '#' (which starts a comment) or any character of `banned`."""
+    bad = [t for t in tokens if not isinstance(t, str) or t.split() != [t]
+           or any(c in t for c in "#" + banned)]
+    if bad:
+        raise ValueError(f"cannot write {what} " + ", ".join(map(repr, bad))
+                         + ": a token is a nonempty str without whitespace, "
+                         + ", ".join(map(repr, "#" + banned)))
+
+
 # --- algebra files -----------------------------------------------------------
 
 
@@ -226,6 +238,8 @@ def parse_algebra(text: str) -> tuple[str, FiniteDqRA]:
 
 def emit_algebra(name: str, A: FiniteDqRA,
                  comments: Sequence[str] = ()) -> str:
+    _check_tokens("name", [name])
+    _check_tokens("element labels", A.labels, ":")
     out = [f"# {c}" for c in comments]
     out.append(f"dqra {name} {A.size}")
     out.append("order")
@@ -278,6 +292,8 @@ def parse_structure(text: str) -> tuple[str, RelStructure]:
 
 def emit_structure(name: str, S: RelStructure,
                    comments: Sequence[str] = ()) -> str:
+    _check_tokens("name", [name])
+    _check_tokens("point labels", S.labels, ",()")
     out = [f"# {c}" for c in comments]
     out.append(f"struct {name} {S.n}")
     for block, rel in (("leq", S.leq), ("E", S.E)):
@@ -369,6 +385,9 @@ def parse_assignment(text: str, A: FiniteDqRA,
 
 def emit_assignment(name: str, e: Embedding,
                     comments: Sequence[str] = ()) -> str:
+    _check_tokens("name", [name])
+    _check_tokens("element labels", e.algebra.labels, ":")
+    _check_tokens("point labels", e.structure.labels, ",()")
     out = [f"# {c}" for c in comments]
     out.append(f"assign {name}")
     for a in range(e.algebra.size):

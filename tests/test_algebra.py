@@ -505,6 +505,16 @@ def test_order_entries_other_than_0_and_1_rejected(six, entry):
     assert np.array_equal(B.leq, six.leq) and validate_dqra(B).ok
 
 
+def test_order_entries_of_a_non_numeric_dtype_rejected(six):
+    # refused before any comparison: numpy 1.x warns comparing strings
+    # with numbers, and a warning is an error under pytest here
+    for leq in (six.leq.astype(int).astype(str), six.leq.astype(object)):
+        with pytest.raises(MalformedAlgebraError,
+                           match="order table entries must be 0 or 1"):
+            FiniteDqRA(six.size, leq, six.mult, six.tilde, six.minus,
+                       six.negn, six.unit)
+
+
 def test_validation_is_idempotent(six):
     first = validate_dqra(six)
     second = validate_dqra(six)

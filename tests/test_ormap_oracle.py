@@ -2,19 +2,20 @@
 against the same map applied one relation at a time (`_or_map`).
 
 A map is a list of tables (`_or_tables`), each read by log2(len)
-consecutive bits of a relation int: 16-entry tables for the converse and
-the negations, one table over every relation for the upward closure on at
-most 3 points.  `_or_map` indexes a one-table map with the whole int and
-reads a longer one four bits at a time; `_map_columns` stacks the tables,
-on each call, into one array of the column's dtype (or takes such an array
-as it is), takes each table's width from its length and maps the column in
-one `take`.  Both must agree on every carrier size from 0 to 9 points:
-cell counts that are not multiples of 4 (9, 25, 49, 81) leave a short last
-nibble table, padded with zeros, and from 8 points the relations are
-wider than a machine word (object columns).  The maps are the converse,
-the three negations and the upward closure.  `_family_tables` takes the
-negations of every family as one column; on families of 1 to 15 relations
-it must give the index of each relation's own negation.
+consecutive bits of a relation int: on at most 3 points one table over
+every relation, beyond that 16-entry tables.  `_or_map` indexes a
+one-table map with the whole int and reads a longer one four bits at a
+time; `_map_columns` stacks the tables, on each call, into one array of
+the column's dtype (or takes such an array as it is), takes each table's
+width from its length and maps the column in one `take`.  Both must agree
+on every carrier size from 0 to 9 points: 0 to 3 points give one table,
+cell counts from 4 points on that are not multiples of 4 (25, 49, 81)
+leave a short last nibble table, padded with zeros, and from 8 points the
+relations are wider than a machine word (object columns).  The maps are
+the converse, the three negations and the upward closure.
+`_family_tables` takes the negations of every family as one column; on
+families of 1 to 15 relations it must give the index of each relation's
+own negation.
 """
 
 import numpy as np

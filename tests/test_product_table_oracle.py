@@ -3,11 +3,12 @@ formulas they are read from.
 
 On n <= 3 points `BinRel.compose` and `rel_residuals` read each product
 from one table per carrier, `relations._PRODUCTS[n]` (entry a << n*n | b,
-filled on the first product on n points), and the upward closure
-`RelStructure._up_map` is one table over every relation, so an upset test
-is one index (one table for each order and E, shared by the structures
-that have them).  The product table must equal `_compose` on every pair,
-and the one-table closure the nibble tables of the same images on every
+filled on the first product on n points), and every union-preserving bit
+map (`_or_tables`: the converse, the three negations and the upward
+closure `RelStructure._up_map`) is one table over every relation, so
+applying it is one index; beyond three points a map is 16-entry tables,
+one per four bits.  The product table must equal `_compose` on every pair,
+and the one-table closure its definition (leq ; R ; leq) within E on every
 relation; neither table may be built by importing the package.
 """
 
@@ -21,8 +22,8 @@ import pytest
 
 import dqra
 from dqra import BinRel, RelStructure, enumerate_structures
-from dqra.relations import (_PRODUCTS, _SHARED, _compose, _or_map,
-                            _or_tables, _products)
+from dqra.relations import (_CONVERSE, _PRODUCTS, _SHARED, _compose,
+                            _converse, _products)
 
 
 @pytest.mark.parametrize("n", range(4))
@@ -44,17 +45,30 @@ def test_compose_returns_the_shared_object_of_the_product(n):
                for a in range(m) for b in range(m))
 
 
-def test_one_table_upward_closure_is_the_nibble_map():
+def test_one_table_upward_closure_is_the_closure_formula():
     for n in range(4):
         for S in enumerate_structures(n):
             leq, e = S.leq.bits, S.E.bits
-            images = [_compose(n, _compose(n, leq, 1 << p), leq) & e
-                      for p in range(n * n)]
-            nibbles = _or_tables(images)
             up, = S._up_map
-            assert up == [_or_map(nibbles, r) for r in range(1 << n * n)]
+            assert up == [_compose(n, _compose(n, leq, r), leq) & e
+                          for r in range(1 << n * n)]
             assert all(S.is_upset(R) == (up[R.bits] == R.bits)
                        for R in _SHARED[n])
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_bit_maps_are_one_table_on_at_most_three_points(n):
+    # the converse, the three negations and the upward closure: one table
+    # of 2^(n*n) entries on at most three points, ceil(n*n/4) 16-entry
+    # tables beyond
+    leq = BinRel.from_pairs(n, [(i, j) for i in range(n) for j in range(i, n)])
+    S = RelStructure(n, leq, BinRel.full(n), tuple(range(n)),
+                     tuple(range(n))[::-1])
+    _converse(n, 0)
+    maps = [_CONVERSE[n], *S._negations[0], S._up_map]
+    shape = [1 << n * n] if n <= 3 else [16] * -(-n * n // 4)
+    for f in maps:
+        assert [len(t) for t in f] == shape
 
 
 def test_structures_with_one_order_and_E_share_the_one_table_closure():

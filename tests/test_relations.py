@@ -546,6 +546,24 @@ def test_a_ragged_matrix_does_not_fit_the_carrier():
         with pytest.raises(CarrierMismatchError, match=r"^matrix must be 2x2$"):
             BinRel.from_matrix(2, mat)
 
+
+def test_matrix_entries_must_be_0_or_1():
+    # FiniteDqRA's rule for order entries: no truthy entry reads as a cell,
+    # no falsy one as an empty cell, and strings are refused, not compared
+    with pytest.raises(CarrierMismatchError,
+                       match=r"^matrix entries must be 0 or 1$"):
+        BinRel.from_matrix(2, [["0", "0"], ["0", "0"]])
+    for bad in ("1", 2, -1, 0.5, float("nan"), None, b"1"):
+        with pytest.raises(CarrierMismatchError,
+                           match=r"^matrix entries must be 0 or 1$"):
+            BinRel.from_matrix(2, [[1, 0], [0, bad]])
+    for good in ([[1, 0], [0, 1]], [[True, False], [False, True]],
+                 [[1.0, 0], [0, 1]], np.eye(2), np.eye(2, dtype=np.uint8),
+                 np.eye(2, dtype=bool)):
+        assert BinRel.from_matrix(2, good) is BinRel.identity(2)
+    assert BinRel.from_matrix(0, np.zeros((0, 0))) is BinRel.empty(0)
+
+
 def test_relation_bits_must_fit_the_carrier():
     assert BinRel(2, 0b1001) == BinRel.identity(2)
     for n in range(6):    # shared values up to three points, new ones beyond

@@ -1,5 +1,7 @@
 """Round-trip laws and diagnostics for the text formats."""
 
+import re
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -193,6 +195,56 @@ def test_assignment_round_trip_with_unusual_labels(six, six_embedding):
     name, again = parse_assignment(emit_assignment("probe", e), A_read, T_read)
     assert name == "probe"
     assert again.assignment == e.assignment
+
+
+@pytest.mark.parametrize("label", ["a b", "a#b", "", "x:y", 7])
+def test_element_labels_the_parser_cannot_read_are_not_written(
+        six, six_embedding, label):
+    # `a b` was written as two tokens (mult row 1 found 6 entries), `a#b`
+    # and `` as one, `x:y` as a label the reader refuses, 7 raised
+    # TypeError from str.join
+    labels = (label,) + six.labels[1:]
+    A = six.relabel(labels)
+    e = Embedding(A, six_embedding.structure, six_embedding.assignment)
+    for emit in (lambda: emit_algebra("six", A),
+                 lambda: emit_assignment("probe", e)):
+        with pytest.raises(ValueError, match=f"^cannot write element labels "
+                                             f"{re.escape(repr(label))}: "):
+            emit()
+
+
+@pytest.mark.parametrize("label", ["a b", "#", "a,b", "(", "c)", 7])
+def test_point_labels_the_parser_cannot_read_are_not_written(
+        six, six_embedding, label):
+    S = six_embedding.structure
+    T = RelStructure(S.n, S.leq, S.E, S.alpha, S.beta,
+                     (label,) + S.labels[1:])
+    e = Embedding(six, T, six_embedding.assignment)
+    for emit in (lambda: emit_structure("six", T),
+                 lambda: emit_assignment("probe", e)):
+        with pytest.raises(ValueError, match=f"^cannot write point labels "
+                                             f"{re.escape(repr(label))}: "):
+            emit()
+
+
+@pytest.mark.parametrize("name", ["my six", "six#2", "", "\tsix", 6])
+def test_names_the_parser_cannot_read_are_not_written(six, six_embedding,
+                                                      name):
+    for emit in (lambda: emit_algebra(name, six),
+                 lambda: emit_structure(name, six_embedding.structure),
+                 lambda: emit_assignment(name, six_embedding)):
+        with pytest.raises(ValueError, match=f"^cannot write name "
+                                             f"{re.escape(repr(name))}: "):
+            emit()
+
+
+def test_every_bad_token_is_named():
+    A = FiniteDqRA(3, [[1, 0, 0], [1, 1, 0], [1, 1, 1]],
+                   [[0, 0, 0], [0, 1, 1], [0, 1, 2]], [2, 1, 0], [2, 1, 0],
+                   [2, 1, 0], 2, ("a b", "ok", "x:y"))
+    with pytest.raises(ValueError, match="^cannot write element labels "
+                                         "'a b', 'x:y': "):
+        emit_algebra("chain", A)
 
 
 def test_wrong_header_token():
