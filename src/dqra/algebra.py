@@ -128,7 +128,10 @@ def _frozen_input(a, name: str) -> np.ndarray:
 
 
 def _integer(v) -> Optional[int]:
-    """`v` through `operator.index`; None for a bool or a non-integer."""
+    """`v` through `operator.index`; None for a bool or a non-integer.  A
+    Python int, the common case, is returned as it is."""
+    if type(v) is int:
+        return v
     try:
         return None if isinstance(v, (bool, np.bool_)) else operator.index(v)
     except TypeError:
@@ -207,6 +210,12 @@ def _order_bad(L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     both_ways = L & L.T
     np.fill_diagonal(both_ways, False)
     return ~L.diagonal(), both_ways, (F @ F).astype(bool) & ~L
+
+
+def _reverses(L: np.ndarray, f: np.ndarray) -> bool:
+    """Whether the map f reverses the order L in the iff sense, f(a) <=
+    f(b) iff b <= a: on a partial order, an order-reversing bijection."""
+    return L.take(f, 0).T.take(f, 0).tobytes() == L.tobytes()
 
 
 def _bijections(images: Sequence[Sequence[int]],
@@ -407,6 +416,16 @@ class FiniteDqRA:
         return join_generators(self.leq)
 
     @cached_property
+    def _antitone(self) -> bool:
+        """Whether ~ reverses the order in the iff sense (~a <= ~b iff
+        b <= a) and - is its inverse, so that both are order-reversing
+        bijections; whole tables compared as bytes, the cheapest test on
+        the smallest algebras."""
+        return (_reverses(self.leq, self.tilde)
+                and self.tilde.take(self.minus).tobytes()
+                == np.arange(self.size).tobytes())
+
+    @cached_property
     def _report(self) -> ValidationReport:
         """`validate_dqra`'s report, kept with the frozen tables."""
         return ValidationReport(tuple(_validate_dqra(self)))
@@ -498,7 +517,9 @@ def _residuation_verdicts(L: np.ndarray, P: np.ndarray, J: np.ndarray,
       the sum, over all cells of the product table, of the number of
       elements above the product.  That is also the count of x.b <= c,
       and likewise for y <= ~(-c.a) and a.y <= c.
-    So the steps run over the rows of the product table only."""
+    So the steps run over the rows of the product table only.  A
+    distributive lattice with `antitone` never gets here: one gather
+    decides it (`_rows_residuated`)."""
     n = L.shape[0]
     Lf, LTf = L.ravel(), L.T.ravel()        # flat [a, b] and [b, a]: a <= b
     F, G = P[:2], P[2:]
@@ -534,6 +555,53 @@ def _residuation_verdicts(L: np.ndarray, P: np.ndarray, J: np.ndarray,
     return bool(left), bool(right)
 
 
+def _rows_residuated(A: FiniteDqRA, G: np.ndarray, up: np.ndarray,
+                     d: np.ndarray, down: np.ndarray) -> bool:
+    """Whether every y -> a.y has c -> ~(-c.a) as upper adjoint, on a
+    distributive lattice: the right residuation law.
+
+    `G` holds the bottom and the join-irreducibles, `up[g]` the elements
+    above G[g], `d[g]` the element whose down-set is the set of elements
+    not above G[g] (any index for the bottom), and `down` the size of each
+    element's down-set.
+
+    The law holds iff every row map h: y -> a.y preserves binary joins and
+    a.~(-c.a) <= c for all a, c.  Join preservation makes h monotone, and
+    then b <= ~(-c.a) => a.b <= c; both sides hold for equally many
+    triples (the counting argument of `_residuation_verdicts`), so the
+    implication is the law.
+
+    Join preservation is one gather over all cells.  Each x other than the
+    bottom is x = (x /\\ d_j) \\/ j, with j a join-irreducible below x
+    with the largest down-set: every join-irreducible k <= x is j or lies
+    below d_j, since k >= j would make k = j.  For x itself
+    join-irreducible, j = x and x /\\ d_x is its one lower cover.  If
+    h(x) = h(x /\\ d_j) \\/ h(j) at every x, induction along down-set size
+    gives h(x) = h(bottom) \\/ the join of h(k) over the join-irreducibles
+    k <= x, and each k <= x \\/ y is join-prime (Birkhoff), so lies below
+    x or below y: h(x \\/ y) = h(x) \\/ h(y).  The converse is immediate.
+    The bottom decomposes as itself, which holds trivially."""
+    n, L, M, til, mns = A.size, A.leq, A.mult, A.tilde, A.minus
+    x = np.arange(n)
+    # [x]: the position in G of a generator below x with the largest
+    # down-set, the bottom's own for the bottom
+    pick = (up * down.take(G)[:, None]).argmax(axis=0)
+    j = G.take(pick)
+    rest = A.meet_table.ravel().take(d.take(pick) + x * n)  # x /\ d_j
+    cells = M.take(rest, 1)
+    cells *= n
+    cells += M.take(j, 1)
+    if A.join_table.ravel().take(cells).tobytes() != M.tobytes():
+        return False
+    # [a, c]: a.g(c) <= c, with g(c) = ~(-c.a)
+    cells = til.take(M.take(mns, 0).T)
+    cells += x[:, None] * n
+    cells = M.ravel().take(cells)
+    cells *= n
+    cells += x
+    return bool(L.ravel().take(cells).all())
+
+
 def _law_verdicts(A: FiniteDqRA) -> tuple[bool, Optional[bool], bool, bool]:
     """Exact verdicts on distributivity, associativity and the left and
     right residuation laws of an algebra whose order is a lattice.
@@ -545,28 +613,41 @@ def _law_verdicts(A: FiniteDqRA) -> tuple[bool, Optional[bool], bool, bool]:
     connections (Davey & Priestley, *Introduction to Lattices and Order*,
     2002, ch. 7).  Once both hold, the product preserves all joins in each
     argument, the empty one included, so associativity on J^3 is
-    associativity everywhere; otherwise it is left undecided (None)."""
+    associativity everywhere; otherwise it is left undecided (None).
+
+    When the lattice is distributive and ~ reverses the order in the iff
+    sense with - its inverse (`_antitone`), as in every quasi relation
+    algebra, one law decides both.  Applying the bijections ~ and - to
+    the right-hand sides, the left law reads x.y <= z iff y.~z <= ~x and
+    the right law a.b <= c iff -c.a <= -b.  Each is the other at a
+    rotated triple: the left law at (-c, a, -b) is the right law at
+    (a, b, c), and the right law at (y, ~z, ~x) the left law at (x, y, z).
+    So both verdicts are `_rows_residuated`'s, with no pass per
+    join-irreducible; any other lattice keeps `_residuation_verdicts`."""
     n, L, M, til, mns = A.size, A.leq, A.mult, A.tilde, A.minus
     down = L.sum(axis=0)                    # size of each down-set
-    # J: the bottom is the one element whose down-set has size 1
-    J = np.array([j for j in A.join_generators if down[j] > 1], np.intp)
+    G = np.array(A.join_generators, np.intp)
     # a down-set D is the down-set of some d in D iff |down-set of d| = |D|;
-    # j in J is join-prime iff the elements not above it form such a down-set
-    up = L.take(J, 0)
-    dist = bool((~up & (down == n - up.sum(axis=1)[:, None]))
-                .any(axis=1).all())
-    # [b, x]: x.b and [a, y]: a.y, with upper adjoints [b, c]: -(b.~c) and
-    # [a, c]: ~(-c.a)
-    P = np.empty((4, n, n), dtype=np.int64)
-    P[0], P[1] = M.T, M
-    mns.take(M.take(til, 1), None, P[2], "clip")
-    til.take(M.take(mns, 0).T, None, P[3], "clip")
-    # ~ reverses the order in the iff sense and - is its inverse, so both
-    # are order-reversing bijections (see `_residuation_verdicts`); whole
-    # tables compared as bytes, the cheapest test on the smallest algebras
-    antitone = (L.take(til, 0).T.take(til, 0).tobytes() == L.tobytes()
-                and til.take(mns).tobytes() == np.arange(n).tobytes())
-    left, right = _residuation_verdicts(L, P, J, A.join_table, antitone)
+    # j in J is join-prime iff the elements not above it form such a
+    # down-set.  The bottom is the one generator above all elements, with
+    # no such d: its row of `comp` is empty
+    up = L.take(G, 0)
+    above = up.sum(axis=1)
+    comp = ~up & (down == n - above[:, None])
+    found = comp.any(axis=1)
+    dist = bool(found.sum() == len(G) - 1)
+    J = G.take(np.flatnonzero(above < n))
+    if dist and len(J) and A._antitone:
+        left = right = _rows_residuated(A, G, up, comp.argmax(axis=1), down)
+    else:
+        # [b, x]: x.b and [a, y]: a.y, with upper adjoints [b, c]: -(b.~c)
+        # and [a, c]: ~(-c.a)
+        P = np.empty((4, n, n), dtype=np.int64)
+        P[0], P[1] = M.T, M
+        mns.take(M.take(til, 1), None, P[2], "clip")
+        til.take(M.take(mns, 0).T, None, P[3], "clip")
+        left, right = _residuation_verdicts(L, P, J, A.join_table,
+                                            A._antitone)
     assoc = None
     if left and right:                      # (a.b).c == a.(b.c) on J^3
         MJ = M.take(J, 0)
@@ -588,7 +669,15 @@ def validate_dqra(A: FiniteDqRA) -> ValidationReport:
     without the m^3 scan, by exact criteria over the join-irreducibles (see
     `_law_verdicts`).  Only a law that fails, or associativity when a
     residuation law fails, is scanned row-major (`_row_scan`), which gives
-    the first witness.
+    the first witness.  On a distributive lattice with ~ and - mutually
+    inverse order-reversing bijections, one gather over all cells, with
+    one decomposition x = (x /\\ d_j) \\/ j per element, decides both
+    residuation laws (`_rows_residuated`).  The De Morgan laws skip their
+    m^2 scans where facts already decided imply them: the join law holds
+    when neg reverses the order, and the product law is checked on the
+    join generators only once both residuation laws hold and ~, - and neg
+    reverse the order.  Every other case is scanned as before, so the
+    witnesses are the same.
     """
     return A._report
 
@@ -642,17 +731,31 @@ def _validate_dqra(A: FiniteDqRA) -> Iterator[LawCheck]:
         (til[mns] != np.arange(n)) | (mns[til] != np.arange(n))),
         "~-a = a = -~a")
 
-    # third negation: involutive, De Morgan over joins and over products
+    # third negation: involutive, De Morgan over joins and over products.
+    # An order-reversing bijection sends joins to meets, so the join law
+    # holds when neg reverses the order
     yield _verdict("neg-involution", _first_bad(ngn[ngn] != np.arange(n)))
-    yield _verdict("de-morgan-join", _first_bad(
+    dual = _reverses(L, ngn)
+    yield _verdict("de-morgan-join", None if dual else _first_bad(
         ngn[jt] != mt[ngn[:, None], ngn[None, :]]),
         "neg(a v b) = neg(a) ^ neg(b)")
     # a + b = ~(-b.-a); the factor flip makes + the true dual of the
-    # (generally noncommutative) product, and equals -(~b.~a)
-    plus_tab = til[M[mns[:, None], mns[None, :]]].T
-    yield _verdict("de-morgan-product", _first_bad(
-        ngn[M] != plus_tab[ngn[:, None], ngn[None, :]]),
-        "neg(a.b) = neg(a) + neg(b)")
+    # (generally noncommutative) product, and equals -(~b.~a).  With both
+    # residuation laws the product preserves all joins in each argument;
+    # with ~, - and neg order-reversing bijections both sides then send
+    # joins in each argument to meets (the empty join to the top), so
+    # they agree everywhere once they agree on the join generators
+    holds = res1_ok and res2_ok and dual and A._antitone
+    if holds:
+        g = np.array(A.join_generators, np.intp)
+        q = mns.take(ngn.take(g))
+        holds = (ngn.take(M.take(g, 0).take(g, 1)).tobytes()
+                 == til.take(M.take(q, 0).take(q, 1).T).tobytes())
+    dm_w = None
+    if not holds:
+        plus_tab = til[M[mns[:, None], mns[None, :]]].T
+        dm_w = _first_bad(ngn[M] != plus_tab[ngn[:, None], ngn[None, :]])
+    yield _verdict("de-morgan-product", dm_w, "neg(a.b) = neg(a) + neg(b)")
 
 
 # --- derived operations ----------------------------------------------------

@@ -186,6 +186,14 @@ def _check_tokens(what: str, tokens: Sequence, banned: str = "") -> None:
                          + ", ".join(map(repr, "#" + banned)))
 
 
+def _comment_lines(comments: Sequence[str]) -> list[str]:
+    """One `#` line per line of each comment, split as the readers split
+    text (`str.splitlines`), so that a line break of any kind inside a
+    comment stays inside it; an empty comment is one bare `# ` line."""
+    return [f"# {line}" for c in comments
+            for line in str(c).splitlines() or [""]]
+
+
 # --- algebra files -----------------------------------------------------------
 
 
@@ -240,7 +248,7 @@ def emit_algebra(name: str, A: FiniteDqRA,
                  comments: Sequence[str] = ()) -> str:
     _check_tokens("name", [name])
     _check_tokens("element labels", A.labels, ":")
-    out = [f"# {c}" for c in comments]
+    out = _comment_lines(comments)
     out.append(f"dqra {name} {A.size}")
     out.append("order")
     for i in range(A.size):
@@ -294,7 +302,7 @@ def emit_structure(name: str, S: RelStructure,
                    comments: Sequence[str] = ()) -> str:
     _check_tokens("name", [name])
     _check_tokens("point labels", S.labels, ",()")
-    out = [f"# {c}" for c in comments]
+    out = _comment_lines(comments)
     out.append(f"struct {name} {S.n}")
     for block, rel in (("leq", S.leq), ("E", S.E)):
         out.append(block)
@@ -388,7 +396,7 @@ def emit_assignment(name: str, e: Embedding,
     _check_tokens("name", [name])
     _check_tokens("element labels", e.algebra.labels, ":")
     _check_tokens("point labels", e.structure.labels, ",()")
-    out = [f"# {c}" for c in comments]
+    out = _comment_lines(comments)
     out.append(f"assign {name}")
     for a in range(e.algebra.size):
         out.append(f"{e.algebra.labels[a]}: "

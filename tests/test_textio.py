@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dqra import (CATALOGUE, Embedding, FiniteDqRA, RelStructure,
-                  load_algebra, load_structure)
+                  load_algebra, load_representation, load_structure)
 from dqra.catalogue import _read
 from dqra.textio import (
     ParseError,
@@ -333,3 +333,92 @@ def test_huge_declared_size_fails_on_the_missing_rows():
         parse_structure("struct x 9999999999999\nleq\n0\n")
     with pytest.raises(ParseError):
         parse_algebra("dqra x 9999999999999\norder\n0\n")
+
+
+# --- every writer's output reads back --------------------------------------------
+
+# every line break of `str.splitlines`, which the readers split text with,
+# the comment and pair delimiters, whitespace and a few other characters
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_TEXT = st.text(st.sampled_from(list(_LINE_BREAKS + " \t#:,()ab1\xe9\ufeff"))
+                | st.characters(), max_size=8)
+_GOOD = st.text(st.sampled_from(list("abxyz019\xe9_-;[]{}")), min_size=1,
+                max_size=4)
+_TOKEN = _GOOD | _TEXT
+_COMMENTS = st.lists(_TEXT | st.sampled_from(["first\nsecond", "a\r\nb",
+                                              " ", ""]), max_size=3)
+_ROUND_TRIP = settings(max_examples=150, deadline=None, derandomize=True,
+                       suppress_health_check=[HealthCheck.too_slow])
+
+
+def _written_or_refused(emit, tokens):
+    """emit()'s text, or None when it raised ValueError naming one of
+    `tokens` (a name or label its reader cannot read back)."""
+    try:
+        return emit()
+    except ValueError as e:
+        assert str(e).startswith("cannot write ")
+        assert any(repr(t) in str(e) for t in tokens), str(e)
+        return None
+
+
+@st.composite
+def _labels(draw, n: int) -> list[str]:
+    """n distinct labels the readers take, one of them at times replaced
+    by any text."""
+    labels = draw(st.lists(_GOOD, min_size=n, max_size=n, unique=True))
+    if draw(st.booleans()):
+        labels[draw(st.integers(0, n - 1))] = draw(
+            _TEXT.filter(lambda t: t not in labels))
+    return labels
+
+
+@_ROUND_TRIP
+@given(_TOKEN, _labels(6), _COMMENTS)
+def test_written_algebras_read_back(name, labels, comments):
+    A = load_algebra(SIX).relabel(labels)
+    text = _written_or_refused(lambda: emit_algebra(name, A, comments),
+                               [name, *labels])
+    if text is not None:
+        name_read, A_read = parse_algebra(text)
+        assert name_read == name
+        assert A_read.table_key() == A.table_key()
+        assert A_read.labels == A.labels
+
+
+@_ROUND_TRIP
+@given(_TOKEN, _labels(4), _COMMENTS)
+def test_written_structures_read_back(name, labels, comments):
+    S = load_structure(SIX)
+    T = RelStructure(S.n, S.leq, S.E, S.alpha, S.beta, tuple(labels))
+    text = _written_or_refused(lambda: emit_structure(name, T, comments),
+                               [name, *labels])
+    if text is not None:
+        name_read, T_read = parse_structure(text)
+        assert name_read == name
+        assert (T_read.leq, T_read.E) == (T.leq, T.E)
+        assert (T_read.alpha, T_read.beta) == (T.alpha, T.beta)
+        assert T_read.labels == T.labels
+
+
+@_ROUND_TRIP
+@given(_TOKEN, _labels(6), _labels(4), _COMMENTS)
+def test_written_assignments_read_back(name, elements, points, comments):
+    e = load_representation(SIX)
+    A = e.algebra.relabel(elements)
+    S = e.structure
+    T = RelStructure(S.n, S.leq, S.E, S.alpha, S.beta, tuple(points))
+    e = Embedding(A, T, e.assignment)
+    text = _written_or_refused(lambda: emit_assignment(name, e, comments),
+                               [name, *elements, *points])
+    if text is not None:
+        name_read, again = parse_assignment(text, A, T)
+        assert name_read == name
+        assert again.assignment == e.assignment
+
+
+def test_a_comment_with_line_breaks_is_written_as_comment_lines(six):
+    text = emit_algebra("six", six, ["first\nsecond\rthird fourth", ""])
+    assert text.splitlines()[:5] == ["# first", "# second", "# third",
+                                     "# fourth", "# "]
+    assert parse_algebra(text)[1].table_key() == six.table_key()
