@@ -629,7 +629,7 @@ def _law_verdicts(A: FiniteDqRA) -> tuple[bool, Optional[bool], bool, bool]:
     G = np.array(A.join_generators, np.intp)
     # a down-set D is the down-set of some d in D iff |down-set of d| = |D|;
     # j in J is join-prime iff the elements not above it form such a
-    # down-set.  The bottom is the one generator above all elements, with
+    # down-set.  The bottom, the one generator below every element, has
     # no such d: its row of `comp` is empty
     up = L.take(G, 0)
     above = up.sum(axis=1)
@@ -637,7 +637,7 @@ def _law_verdicts(A: FiniteDqRA) -> tuple[bool, Optional[bool], bool, bool]:
     found = comp.any(axis=1)
     dist = bool(found.sum() == len(G) - 1)
     J = G.take(np.flatnonzero(above < n))
-    if dist and len(J) and A._antitone:
+    if dist and A._antitone:
         left = right = _rows_residuated(A, G, up, comp.argmax(axis=1), down)
     else:
         # [b, x]: x.b and [a, y]: a.y, with upper adjoints [b, c]: -(b.~c)
@@ -669,15 +669,10 @@ def validate_dqra(A: FiniteDqRA) -> ValidationReport:
     without the m^3 scan, by exact criteria over the join-irreducibles (see
     `_law_verdicts`).  Only a law that fails, or associativity when a
     residuation law fails, is scanned row-major (`_row_scan`), which gives
-    the first witness.  On a distributive lattice with ~ and - mutually
-    inverse order-reversing bijections, one gather over all cells, with
-    one decomposition x = (x /\\ d_j) \\/ j per element, decides both
-    residuation laws (`_rows_residuated`).  The De Morgan laws skip their
-    m^2 scans where facts already decided imply them: the join law holds
-    when neg reverses the order, and the product law is checked on the
-    join generators only once both residuation laws hold and ~, - and neg
-    reverse the order.  Every other case is scanned as before, so the
-    witnesses are the same.
+    the first witness.  The De Morgan laws skip their m^2 scans where
+    decided facts imply them: the join law holds when neg reverses the
+    order, and the product law is checked on the join generators once
+    both residuation laws hold and ~, - and neg reverse the order.
     """
     return A._report
 

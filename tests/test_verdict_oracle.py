@@ -358,3 +358,112 @@ def test_product_tables_of_a_three_chain_where_monotonicity_decides():
         assert antitone(A)
         assert _law_verdicts(A)[2:] == (left[k], right[k]), tables[k]
     assert left.sum() == right.sum() == 5
+
+
+# --- one gather per law on distributive lattices --------------------------------
+
+from itertools import islice  # noqa: E402
+
+from dqra.algebra import order_maps  # noqa: E402
+from dqra.relations import BinRel, RelStructure  # noqa: E402
+
+
+def chain_algebra(n: int) -> FiniteDqRA:
+    """The full algebra of the n-point chain with full E, alpha the identity
+    and beta the reversal."""
+    L = np.triu(np.ones((n, n), dtype=bool))
+    S = RelStructure(n, BinRel.from_matrix(n, L),
+                     BinRel.from_matrix(n, np.ones((n, n), dtype=bool)),
+                     tuple(range(n)), tuple(reversed(range(n))))
+    return full_dq_family(S).algebra
+
+
+def test_five_point_chain_algebra():
+    """252 elements with 25 join-irreducibles: every law holds, by one
+    gather per law where the replaced code stepped through J."""
+    A = chain_algebra(5)
+    assert A.size == 252 and len(A.join_generators) == 26
+    assert antitone(A)
+    assert same_report(A).ok
+    assert _law_verdicts(A) == (True, True, True, True)
+
+
+def galois_inequality(A: FiniteDqRA) -> bool:
+    """a.~(-c.a) <= c for all a, c."""
+    i = np.arange(A.size)
+    g = A.tilde[A.mult[A.minus[None, :], i[:, None]]]       # [a, c]
+    return bool(A.leq[A.mult[i[:, None], g], i[None, :]].all())
+
+
+def rows_preserve_joins(A: FiniteDqRA) -> bool:
+    """a.(x v y) == a.x v a.y for all a, x, y."""
+    M, jt = A.mult, A.join_table
+    return bool((M[:, jt] == jt[M[:, :, None], M[:, None, :]]).all())
+
+
+def test_product_mutants_with_the_inequality_but_not_join_preservation():
+    """Pool algebras with one product cell lowered, where a.~(-c.a) <= c
+    still holds everywhere but some y -> a.y no longer preserves joins:
+    both residuation laws fail, and the reports match the loop validator."""
+    seen = 0
+    for A in [A for A in pool() if A.size <= 32][::3]:
+        n = A.size
+        for a, y, v in product(range(n), repeat=3):
+            if v == A.mult[a, y] or not A.leq[v, A.mult[a, y]]:
+                continue
+            M = A.mult.copy()
+            M[a, y] = v
+            B = replace(A, mult=M)
+            if not galois_inequality(B) or rows_preserve_joins(B):
+                continue
+            assert antitone(B)
+            report = same_report(B)
+            assert report["lattice-distributive"].ok
+            assert not report["residuation-left"].ok
+            assert not report["residuation-right"].ok
+            seen += 1
+    assert seen >= 25
+
+
+def test_involutive_negations_that_do_not_reverse_the_order():
+    """neg replaced by the identity, by a transposition of two comparable
+    elements, or by its conjugate under a transposition: still an
+    involution, but the De Morgan laws are scanned, with the loop
+    validator's witnesses."""
+    seen = 0
+    for A in [A for A in pool() if A.size <= 64][::4]:
+        n, L = A.size, A.leq
+        below = np.argwhere(L & ~np.eye(n, dtype=bool))
+        if not len(below):
+            continue
+        a, b = below[len(below) // 2]
+        swap = np.arange(n)
+        swap[[a, b]] = [b, a]
+        for ngn in (np.arange(n), swap, swap[A.negn[swap]]):
+            assert (ngn[ngn] == np.arange(n)).all()
+            if (L[ngn][:, ngn] == L.T).all():
+                continue
+            report = same_report(replace(A, negn=ngn))
+            assert report["neg-involution"].ok
+            seen += 1
+    assert seen >= 50
+
+
+def test_order_reversing_negations_that_are_not_involutions():
+    """neg replaced by a dual automorphism of the lattice whose square is
+    not the identity: neg-involution fails, the join law holds by the
+    shortcut, and the product law, where both residuation laws hold, is
+    decided on the join generators; the reports match the loop
+    validator."""
+    seen = 0
+    for A in [A for A in pool() if A.size <= 32]:
+        n = A.size
+        for phi in islice(order_maps(A.leq, A.leq, dual=True), 40):
+            ngn = np.array(phi)
+            if (ngn[ngn] == np.arange(n)).all():
+                continue
+            report = same_report(replace(A, negn=ngn))
+            assert not report["neg-involution"].ok
+            assert report["de-morgan-join"].ok
+            seen += 1
+    assert seen >= 300
