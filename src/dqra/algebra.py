@@ -3,11 +3,12 @@
 An algebra is described by its order predicate, a product table, the three
 unary operation tables and a designated unit.  Meets and joins are recomputed
 from the order predicate rather than trusted.  Every law gets an exact
-verdict: the three-variable laws (distributivity, associativity, both
-residuation laws) by criteria over the join-irreducibles (Birkhoff, "Rings of
-sets", 1937; Davey & Priestley, *Introduction to Lattices and Order*, 2002,
-ch. 5 and 7), the others cell by cell.  A failing law's witness is the first
-violation in a row-major scan.
+verdict: distributivity and associativity by criteria over the
+join-irreducibles (Birkhoff, "Rings of sets", 1937; Davey & Priestley,
+*Introduction to Lattices and Order*, 2002, ch. 5 and 7), each residuation
+law by one criterion where it applies (distributive, ~ and - order-reversing,
+which the unit and residuation laws force) and the row scan elsewhere, the
+others cell by cell.  A failing law's witness is the first row-major one.
 """
 
 from __future__ import annotations
@@ -426,6 +427,21 @@ class FiniteDqRA:
                 == np.arange(self.size).tobytes())
 
     @cached_property
+    def _residuation_witnesses(self) -> tuple[Optional[tuple[int, ...]],
+                                              Optional[tuple[int, ...]]]:
+        """The first row-major witnesses (a, b, c) of the left and right
+        residuation laws, None where one holds (one scan for all callers)."""
+        n, L, M = self.size, self.leq, self.mult
+        til, mns = self.tilde, self.minus
+        mid = mns[M[:, til]]                # [b, c]: -(b.~c), built once
+        # a.b <= c against a <= -(b.~c), gathered row by row (numpy's
+        # fastest gather is 1-d), and, as [b, a, c], against b <= ~(-c.a)
+        return (_row_scan(n, lambda r: L[M[r]] != np.stack(
+                    [L[a][mid] for a in range(n)[r]])),
+                _row_scan(n, lambda r: (L[M[r].T] != L.take(
+                    til[M[:, r][mns]].T, 1)).transpose(1, 0, 2)))
+
+    @cached_property
     def _report(self) -> ValidationReport:
         """`validate_dqra`'s report, kept with the frozen tables."""
         return ValidationReport(tuple(_validate_dqra(self)))
@@ -480,85 +496,25 @@ def _verdict(name: str, witness, detail: str = "") -> LawCheck:
     return LawCheck(name, witness is None, witness, detail)
 
 
-def _row_scan(n: int, row_bad: Callable[[int], np.ndarray]
+def _row_scan(n: int, rows_bad: Callable[[slice], np.ndarray]
               ) -> Optional[tuple[int, ...]]:
     """The first row-major witness (a, b, c) of a three-variable law, where
-    `row_bad(a)` marks the cells (b, c) of row a that break it; None when no
-    row has one."""
-    for a in range(n):
-        w = _first_bad(row_bad(a), (a,))
+    `rows_bad(r)` marks the cells [a, b, c], a in slice r, that break it;
+    None if there is none.  Blocks of about 2^16 cells (one row at least)
+    keep a small algebra to one pass and a large one to m^2 memory."""
+    k = max(1, (1 << 16) // (n * n))
+    for a in range(0, n, k):
+        w = _first_bad(rows_bad(slice(a, a + k)))
         if w is not None:
-            return w
+            return (w[0] + a, *w[1:])
     return None
-
-
-def _residuation_verdicts(L: np.ndarray, P: np.ndarray, J: np.ndarray,
-                          jt: np.ndarray, antitone: bool) -> tuple[bool, bool]:
-    """Whether the left and the right residuation law hold.
-
-    P[k][r] (k = 0 left, 1 right) is a map f for each parameter r, and
-    P[k + 2][r] its claimed upper adjoint g.  The law holds iff every such
-    f, g is a Galois connection: f(g(c)) <= c, x <= g(f(x)) and both maps
-    monotone.  Every x <= y is a chain of steps x <= x \\/ j with j
-    join-irreducible, so monotonicity is checked on those steps.
-
-    When ~ reverses the order in the iff sense (~a <= ~b iff b <= a) and -
-    is its inverse (`antitone`), both are order-reversing bijections, and
-    the monotonicity of x -> x.b for every b (the left law's f) decides
-    both laws together with their inequalities:
-    - the right law's g, c -> ~(-c.a), is x -> x.a between two
-      order-reversing bijections, so it is monotone too;
-    - a monotone f with f(g(c)) <= c gives x <= g(c) => f(x) <= c, and a
-      monotone g with x <= g(f(x)) gives f(x) <= c => x <= g(c);
-    - both sides of a law hold for equally many triples, so such an
-      implication is an equivalence: x <= -(b.~c) holds for as many x as
-      there are elements above b.~c (- reverses the order), and ~c runs
-      through all elements as c does, so the count over all b and c is
-      the sum, over all cells of the product table, of the number of
-      elements above the product.  That is also the count of x.b <= c,
-      and likewise for y <= ~(-c.a) and a.y <= c.
-    So the steps run over the rows of the product table only.  A
-    distributive lattice with `antitone` never gets here: one gather
-    decides it (`_rows_residuated`)."""
-    n = L.shape[0]
-    Lf, LTf = L.ravel(), L.T.ravel()        # flat [a, b] and [b, a]: a <= b
-    F, G = P[:2], P[2:]
-    rows = np.arange(0, 2 * n * n, n).reshape(2, n, 1)
-    idx = np.arange(n)
-    # every array of P's size is filled in place: temporaries that large
-    # would raise the peak memory of the process.  Every index is in range,
-    # so take's "clip" mode is exact and needs no copy of `out`
-    step = np.empty_like(P)
-    ok = np.empty(P.shape, dtype=bool)
-    fg, gf = step[:2], step[2:]
-    np.add(G, rows, out=gf)
-    F.ravel().take(gf, None, fg, "clip")    # [k, r, c]: f(g(c))
-    fg *= n
-    fg += idx
-    Lf.take(fg, None, ok[:2], "clip")       # f(g(c)) <= c
-    np.add(F, rows, out=fg)
-    G.ravel().take(fg, None, gf, "clip")    # [k, r, x]: g(f(x))
-    gf *= n
-    gf += idx
-    LTf.take(gf, None, ok[2:], "clip")      # x <= g(f(x))
-    # with `antitone`, the steps of x -> x.b (the rows of M = P[1]) enter
-    # both laws' verdicts through their f(g(c)) <= c cells, ok[:2]
-    maps, mono, axis = (P[1:2], ok[:2], 1) if antitone else (P, ok, 2)
-    step = step[:len(maps)]
-    look = np.empty(maps.shape, dtype=bool)
-    for j in J:
-        maps.take(jt[j], axis, step, "clip")   # h(x \/ j) for each map h
-        step *= n
-        step += maps
-        mono &= LTf.take(step, None, look, "clip")
-    left, right = ok.reshape(2, 2, -1).all(axis=(0, 2))
-    return bool(left), bool(right)
 
 
 def _rows_residuated(A: FiniteDqRA, G: np.ndarray, up: np.ndarray,
                      d: np.ndarray, down: np.ndarray) -> bool:
     """Whether every y -> a.y has c -> ~(-c.a) as upper adjoint, on a
-    distributive lattice: the right residuation law.
+    distributive lattice where ~ and - are order-reversing inverse
+    bijections (`FiniteDqRA._antitone`): the right residuation law.
 
     `G` holds the bottom and the join-irreducibles, `up[g]` the elements
     above G[g], `d[g]` the element whose down-set is the set of elements
@@ -567,9 +523,11 @@ def _rows_residuated(A: FiniteDqRA, G: np.ndarray, up: np.ndarray,
 
     The law holds iff every row map h: y -> a.y preserves binary joins and
     a.~(-c.a) <= c for all a, c.  Join preservation makes h monotone, and
-    then b <= ~(-c.a) => a.b <= c; both sides hold for equally many
-    triples (the counting argument of `_residuation_verdicts`), so the
-    implication is the law.
+    then b <= ~(-c.a) gives a.b <= a.~(-c.a) <= c.  Both sides hold for
+    equally many triples, so the implication is the law: b <= ~(-c.a)
+    holds for as many b as there are elements above -c.a (~ reverses the
+    order), and -c runs through all elements as c does, so both counts
+    sum the number of elements above a.b over all cells (a, b).
 
     Join preservation is one gather over all cells.  Each x other than the
     bottom is x = (x /\\ d_j) \\/ j, with j a join-irreducible below x
@@ -591,10 +549,12 @@ def _rows_residuated(A: FiniteDqRA, G: np.ndarray, up: np.ndarray,
     cells = M.take(rest, 1)
     cells *= n
     cells += M.take(j, 1)
-    if A.join_table.ravel().take(cells).tobytes() != M.tobytes():
+    if (A.join_table.ravel().take(cells) != M).any():
         return False
-    # [a, c]: a.g(c) <= c, with g(c) = ~(-c.a)
-    cells = til.take(M.take(mns, 0).T)
+    # [a, c]: a.g(c) <= c, with g(c) = ~(-c.a); with `cells` freed and the
+    # transposed index copied, two m^2 int64 arrays at most live at a time
+    del cells
+    cells = til.take(M.take(mns, 0).T.copy())
     cells += x[:, None] * n
     cells = M.ravel().take(cells)
     cells *= n
@@ -606,25 +566,36 @@ def _law_verdicts(A: FiniteDqRA) -> tuple[bool, Optional[bool], bool, bool]:
     """Exact verdicts on distributivity, associativity and the left and
     right residuation laws of an algebra whose order is a lattice.
 
-    Everything runs over J, the join-irreducibles (`join_generators` without
-    the bottom): every element is the join of those below it.  The lattice
-    is distributive iff every j in J is join-prime (Birkhoff, "Rings of
-    sets", 1937).  Each residuation law holds iff its maps form Galois
-    connections (Davey & Priestley, *Introduction to Lattices and Order*,
-    2002, ch. 7).  Once both hold, the product preserves all joins in each
-    argument, the empty one included, so associativity on J^3 is
-    associativity everywhere; otherwise it is left undecided (None).
+    Distributivity and associativity run over J, the join-irreducibles
+    (`join_generators` without the bottom): every element is the join of
+    those below it.  The lattice is distributive iff every j in J is
+    join-prime (Birkhoff, "Rings of sets", 1937).  Once both residuation
+    laws hold, the product preserves all joins in each argument, the empty
+    one included, so associativity on J^3 is associativity everywhere;
+    otherwise it is left undecided (None).
 
-    When the lattice is distributive and ~ reverses the order in the iff
-    sense with - its inverse (`_antitone`), as in every quasi relation
-    algebra, one law decides both.  Applying the bijections ~ and - to
-    the right-hand sides, the left law reads x.y <= z iff y.~z <= ~x and
-    the right law a.b <= c iff -c.a <= -b.  Each is the other at a
-    rotated triple: the left law at (-c, a, -b) is the right law at
-    (a, b, c), and the right law at (y, ~z, ~x) the left law at (x, y, z).
-    So both verdicts are `_rows_residuated`'s, with no pass per
-    join-irreducible; any other lattice keeps `_residuation_verdicts`."""
-    n, L, M, til, mns = A.size, A.leq, A.mult, A.tilde, A.minus
+    Each residuation law gets one exact criterion where it applies, the
+    row scan elsewhere.  On a distributive lattice where ~ reverses the
+    order in the iff sense with - its inverse (`_antitone`), as in every
+    quasi relation algebra, one law decides both: applying ~ and - to the
+    right-hand sides, the left law reads x.y <= z iff y.~z <= ~x and the
+    right law a.b <= c iff -c.a <= -b, and the left law at (-c, a, -b) is
+    the right law at (a, b, c), the right law at (y, ~z, ~x) the left law
+    at (x, y, z).  So both verdicts are `_rows_residuated`'s.  Any other
+    algebra takes them from the row scans the report reads for its
+    witnesses (`_residuation_witnesses`).
+
+    A unital algebra on a distributive lattice reaches them only when a
+    residuation law fails, which the report scans for its witness anyway:
+    the unit law and both residuation laws force `_antitone` (Davey &
+    Priestley, ch. 7).  At a = 1 the right law reads b <= c iff b <= ~-c,
+    so ~-c = c; at b = 1 the left law gives -~c = c.  The left law makes
+    x -> x.a residuated, so monotone, and the right law at (x, a, ~1)
+    reads x.a <= ~1 iff a <= ~x.  So x <= y gives y.~y <= ~1, x.~y <= ~1
+    and ~y <= ~x; and a bijection of a finite poset that reverses every
+    comparable pair reverses the order in the iff sense, as the reversed
+    pairs are as many."""
+    n, L, M = A.size, A.leq, A.mult
     down = L.sum(axis=0)                    # size of each down-set
     G = np.array(A.join_generators, np.intp)
     # a down-set D is the down-set of some d in D iff |down-set of d| = |D|;
@@ -634,20 +605,12 @@ def _law_verdicts(A: FiniteDqRA) -> tuple[bool, Optional[bool], bool, bool]:
     up = L.take(G, 0)
     above = up.sum(axis=1)
     comp = ~up & (down == n - above[:, None])
-    found = comp.any(axis=1)
-    dist = bool(found.sum() == len(G) - 1)
+    dist = bool(comp.any(axis=1).sum() == len(G) - 1)
     J = G.take(np.flatnonzero(above < n))
     if dist and A._antitone:
         left = right = _rows_residuated(A, G, up, comp.argmax(axis=1), down)
     else:
-        # [b, x]: x.b and [a, y]: a.y, with upper adjoints [b, c]: -(b.~c)
-        # and [a, c]: ~(-c.a)
-        P = np.empty((4, n, n), dtype=np.int64)
-        P[0], P[1] = M.T, M
-        mns.take(M.take(til, 1), None, P[2], "clip")
-        til.take(M.take(mns, 0).T, None, P[3], "clip")
-        left, right = _residuation_verdicts(L, P, J, A.join_table,
-                                            A._antitone)
+        left, right = (w is None for w in A._residuation_witnesses)
     assoc = None
     if left and right:                      # (a.b).c == a.(b.c) on J^3
         MJ = M.take(J, 0)
@@ -665,14 +628,15 @@ def validate_dqra(A: FiniteDqRA) -> ValidationReport:
     monoid laws, the residuation equivalences, the linear-negation involution
     law, involutivity of the third negation, and both De Morgan laws.
 
-    Distributivity, associativity and the residuation laws are decided
-    without the m^3 scan, by exact criteria over the join-irreducibles (see
-    `_law_verdicts`).  Only a law that fails, or associativity when a
-    residuation law fails, is scanned row-major (`_row_scan`), which gives
-    the first witness.  The De Morgan laws skip their m^2 scans where
-    decided facts imply them: the join law holds when neg reverses the
-    order, and the product law is checked on the join generators once
-    both residuation laws hold and ~, - and neg reverse the order.
+    Distributivity and associativity are decided by exact criteria over
+    the join-irreducibles, each residuation law by one exact criterion
+    where it applies and the row scan elsewhere (`_law_verdicts`).  A
+    failing law, or associativity when a residuation law fails, is scanned
+    row-major (`_row_scan`) for its first witness, a residuation law only
+    once.  The De Morgan laws skip their m^2 scans where decided facts
+    imply them: the join law holds when neg reverses the order, and the
+    product law is checked on the join generators once both residuation
+    laws hold and ~, - and neg reverse the order.
     """
     return A._report
 
@@ -703,23 +667,19 @@ def _validate_dqra(A: FiniteDqRA) -> Iterator[LawCheck]:
 
     # distributivity: a /\ (b \/ c) == (a /\ b) \/ (a /\ c)
     yield _verdict("lattice-distributive", None if dist_ok else _row_scan(
-        n, lambda a: mt[a][jt] != jt[mt[a]][:, mt[a]]))
+        n, lambda r: mt[r][:, jt] != jt[mt[r][:, :, None], mt[r][:, None]]))
 
     # monoid laws
     yield _verdict("monoid-unit", _first_bad(
         (M[A.unit, :] != np.arange(n)) | (M[:, A.unit] != np.arange(n))))
     yield _verdict("monoid-associative", None if assoc_ok else _row_scan(
-        n, lambda a: M[M[a]] != M[a][M]))
+        n, lambda r: np.stack([M[M[a]] != M[a][M] for a in range(n)[r]])))
 
     # residuation equivalences: a.b <= c iff a <= -(b.~c) iff b <= ~(-c.a)
-    res1_w = None
-    if not res1_ok:
-        mid = mns[M[:, til]]                # [b, c]: -(b.~c), built once
-        res1_w = _row_scan(n, lambda a: L[M[a]] != L[a][mid])
+    res1_w, res2_w = ((None, None) if res1_ok and res2_ok
+                      else A._residuation_witnesses)
     yield _verdict("residuation-left", res1_w, "a.b <= c iff a <= -(b.~c)")
-    yield _verdict("residuation-right", None if res2_ok else _row_scan(
-        n, lambda a: L[M[a]] != L[:, til[M[mns, a]]]),
-        "a.b <= c iff b <= ~(-c.a)")
+    yield _verdict("residuation-right", res2_w, "a.b <= c iff b <= ~(-c.a)")
 
     # linear negation involution: ~-a == a == -~a
     yield _verdict("linear-involution", _first_bad(

@@ -278,7 +278,8 @@ def test_residuation_failure_leaves_associativity_to_the_scan(six):
 
 def antitone(A: FiniteDqRA) -> bool:
     """Whether ~ reverses the order in the iff sense and - is its inverse,
-    the case in which `_residuation_verdicts` checks one map's steps."""
+    the case in which one gather decides both residuation laws of a
+    distributive lattice (`_rows_residuated`)."""
     L, til, mns = A.leq, A.tilde, A.minus
     return bool((L[til][:, til] == L.T).all()
                 and (til[mns] == np.arange(A.size)).all())
@@ -467,3 +468,44 @@ def test_order_reversing_negations_that_are_not_involutions():
             assert report["de-morgan-join"].ok
             seen += 1
     assert seen >= 300
+
+
+# --- the premise of the row-scan fallback ----------------------------------------
+
+
+def test_unit_and_residuation_laws_force_antitone_negations():
+    """Wherever the loop validator passes the unit law and both residuation
+    laws, ~ reverses the order in the iff sense and - is its inverse: so a
+    unital algebra on a distributive lattice that is not antitone fails a
+    residuation law.  Every unital product table of the 3-chain with every
+    mutually inverse pair ~, -, where two tables pass, both with ~ the
+    reversal; and the pool mutants."""
+
+    def premise(A: FiniteDqRA) -> bool:
+        report = loop_validate_dqra(A)
+        names = ("monoid-unit", "residuation-left", "residuation-right")
+        if not {c.name for c in report.checks} >= set(names):
+            return False
+        laws = all(report[name].ok for name in names)
+        assert antitone(A) or not laws
+        return laws
+
+    L = _lattice(3, [(0, 1), (1, 2)])
+    held = 0
+    for unit, tilde in product(range(3), permutations(range(3))):
+        free = [x for x in range(3) if x != unit]
+        for cells in product(range(3), repeat=4):
+            M = np.empty((3, 3), dtype=np.int64)
+            M[unit, :] = M[:, unit] = range(3)
+            M[np.ix_(free, free)] = np.reshape(cells, (2, 2))
+            held += premise(FiniteDqRA(3, L, M, tilde, np.argsort(tilde),
+                                       [2, 1, 0], unit))
+    assert held == 2
+
+    @given(pool_mutants())
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    def mutants(B):
+        premise(B)
+
+    mutants()
